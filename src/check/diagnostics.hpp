@@ -61,6 +61,9 @@ enum class Code {
                         ///< high watermark (backpressure)
   kServeBatchMismatch,  ///< a coalesced batch column diverged bitwise from
                         ///< the per-request single-vector reference
+  // Input readers (crsd::read_matrix_market).
+  kMalformedInput,      ///< untrusted input text violates its grammar
+                        ///< (bad token, out-of-range entry, wrong triangle)
 };
 
 inline const char* code_name(Code code) {
@@ -91,6 +94,7 @@ inline const char* code_name(Code code) {
     case Code::kGraphCycle: return "graph-cycle";
     case Code::kServeOverload: return "serve-overload";
     case Code::kServeBatchMismatch: return "serve-batch-mismatch";
+    case Code::kMalformedInput: return "malformed-input";
   }
   return "unknown";
 }
@@ -104,7 +108,8 @@ struct Diagnostic {
   index_t group = -1;
   index_t lane = -1;
   /// Buffer the access targeted (CrsdGpuBuffer-style index, or -1) and the
-  /// byte offset into it (validator/lint reuse `offset` for row/segment ids).
+  /// byte offset into it (validator/lint reuse `offset` for row/segment ids
+  /// and source lines, the Matrix Market reader for 1-based entry numbers).
   int buffer = -1;
   std::int64_t offset = -1;
 
@@ -124,7 +129,8 @@ struct Diagnostic {
 
 /// Error that carries the structured diagnostics that caused it, so callers
 /// can assert on the exact detector (Code) instead of parsing the message.
-/// Thrown by the builder's index-overflow guard.
+/// Thrown by the CRSD build's index-overflow guard and by the Matrix Market
+/// reader.
 class DiagnosticError : public Error {
  public:
   DiagnosticError(const std::string& what, std::vector<Diagnostic> diags)

@@ -81,6 +81,10 @@ std::vector<std::string> split_lines(const std::string& source) {
   return lines;
 }
 
+bool contains(const std::string& line, const char* literal) {
+  return line.find(literal) != std::string::npos;
+}
+
 std::string ordinal(std::size_t pattern, std::int64_t value) {
   std::ostringstream os;
   os << "pattern " << pattern << ": " << value;
@@ -90,6 +94,13 @@ std::string ordinal(std::size_t pattern, std::int64_t value) {
 /// Shared per-line checks: literal lane loops / lane-array extents must use
 /// mrows, column clamps must use num_cols-1, baked x offsets must be live
 /// diagonals of the current pattern (and in range when unclamped).
+///
+/// Prefilter: every std::regex search here and in the lint functions below is
+/// guarded by a plain substring test on a literal that occurs in every match
+/// of that regex, so a line the guard skips is one the regex cannot match;
+/// findings and their line numbers are those of the unguarded search. Most
+/// codelet lines carry none of a regex's literals, so most of the costly
+/// std::regex searches never run.
 class LineChecker {
  public:
   LineChecker(const LintMeta& meta, std::vector<Diagnostic>& out)
@@ -105,8 +116,11 @@ class LineChecker {
   void check(const std::string& line, std::int64_t line_no,
              std::int64_t pattern, const DiagonalPattern* pat) {
     std::smatch sm;
-    if (std::regex_search(line, sm, lane_loop_) ||
-        std::regex_search(line, sm, lane_array_)) {
+    if ((contains(line, "for (std::int32_t lane = 0; lane < ") &&
+         std::regex_search(line, sm, lane_loop_)) ||
+        ((contains(line, "sums[") || contains(line, "xg[") ||
+          contains(line, "targets[")) &&
+         std::regex_search(line, sm, lane_array_))) {
       const std::int64_t trip = std::stoll(sm[1]);
       if (trip != meta_.mrows) {
         std::ostringstream os;
@@ -115,17 +129,23 @@ class LineChecker {
         emit(out_, Code::kLintTripCount, line_no, os.str());
       }
     }
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), col_clamp_);
-         it != std::sregex_iterator(); ++it) {
-      const std::int64_t hi = std::stoll((*it)[1]);
-      if (hi != meta_.num_cols - 1) {
-        std::ostringstream os;
-        os << "column clamp upper bound " << hi << " != num_cols-1 ("
-           << meta_.num_cols - 1 << ")";
-        emit(out_, Code::kLintBakedOffset, line_no, os.str());
+    if (contains(line, "crsd_clampi(")) {
+      for (auto it = std::sregex_iterator(line.begin(), line.end(), col_clamp_);
+           it != std::sregex_iterator(); ++it) {
+        const std::int64_t hi = std::stoll((*it)[1]);
+        if (hi != meta_.num_cols - 1) {
+          std::ostringstream os;
+          os << "column clamp upper bound " << hi << " != num_cols-1 ("
+             << meta_.num_cols - 1 << ")";
+          emit(out_, Code::kLintBakedOffset, line_no, os.str());
+        }
       }
     }
-    if (pat == nullptr) return;
+    if (pat == nullptr ||
+        !(contains(line, "[r") || contains(line, "[i") ||
+          contains(line, "[lane") || contains(line, "[(row0 + lane)"))) {
+      return;
+    }
     for (auto it = std::sregex_iterator(line.begin(), line.end(), x_access_);
          it != std::sregex_iterator(); ++it) {
       const std::smatch& xm = *it;
@@ -194,7 +214,7 @@ void lint_cpu_body(const LintMeta& meta, const std::string& source,
     const std::string& line = lines[li];
     const std::int64_t line_no = static_cast<std::int64_t>(li) + 1;
     std::smatch sm;
-    if (std::regex_search(line, sm, marker)) {
+    if (contains(line, "// pattern ") && std::regex_search(line, sm, marker)) {
       cur = std::stoll(sm[1]);
       if (cur < 0 || cur >= static_cast<std::int64_t>(patterns.size())) {
         emit(out, Code::kLintPatternDispatch, line_no,
@@ -227,22 +247,26 @@ void lint_cpu_body(const LintMeta& meta, const std::string& source,
         cur >= 0 ? &patterns[static_cast<std::size_t>(cur)] : nullptr;
     if (cur >= 0) {
       const std::size_t p = static_cast<std::size_t>(cur);
-      if (std::regex_search(line, sm, g0_line) && std::stoll(sm[1]) != cum[p]) {
+      if (contains(line, "g0 = seg_begin > ") &&
+          std::regex_search(line, sm, g0_line) && std::stoll(sm[1]) != cum[p]) {
         emit(out, Code::kLintPatternDispatch, line_no,
              "segment lower bound is " + ordinal(p, std::stoll(sm[1])) +
                  ", container expects " + std::to_string(cum[p]));
-      } else if (std::regex_search(line, sm, g1_line) &&
+      } else if (contains(line, "g1 = seg_end < ") &&
+                 std::regex_search(line, sm, g1_line) &&
                  std::stoll(sm[1]) != cum[p + 1]) {
         emit(out, Code::kLintPatternDispatch, line_no,
              "segment upper bound is " + ordinal(p, std::stoll(sm[1])) +
                  ", container expects " + std::to_string(cum[p + 1]));
-      } else if (std::regex_search(line, sm, i0_line) &&
+      } else if (contains(line, "i0 = crsd_clampi(") &&
+                 std::regex_search(line, sm, i0_line) &&
                  std::stoll(sm[1]) != meta.interior[p].begin) {
         emit(out, Code::kLintInteriorSplit, line_no,
              "interior begin is " + ordinal(p, std::stoll(sm[1])) +
                  ", pattern_interior_segments gives " +
                  std::to_string(meta.interior[p].begin));
-      } else if (std::regex_search(line, sm, i1_line) &&
+      } else if (contains(line, "i1 = crsd_clampi(") &&
+                 std::regex_search(line, sm, i1_line) &&
                  std::stoll(sm[1]) != meta.interior[p].end) {
         emit(out, Code::kLintInteriorSplit, line_no,
              "interior end is " + ordinal(p, std::stoll(sm[1])) +
@@ -288,8 +312,9 @@ void lint_storage_modes(const LintMeta& meta, const std::string& source,
     const std::regex val_product(R"(\+= .*(?:unit|scatter_val)\[)");
     const std::vector<std::string> lines = split_lines(source);
     for (std::size_t li = 0; li < lines.size(); ++li) {
-      if (std::regex_search(lines[li], val_product) &&
-          lines[li].find("crsd_h2f(") == std::string::npos) {
+      if (contains(lines[li], "+= ") &&
+          std::regex_search(lines[li], val_product) &&
+          !contains(lines[li], "crsd_h2f(")) {
         emit(out, Code::kLintHalfDecoder,
              static_cast<std::int64_t>(li) + 1,
              "f16 value stream accumulated without the crsd_h2f decode");
@@ -394,7 +419,8 @@ std::vector<Diagnostic> lint_gpu(const LintMeta& meta,
     const std::string& line = lines[li];
     const std::int64_t line_no = static_cast<std::int64_t>(li) + 1;
     std::smatch sm;
-    if (std::regex_search(line, sm, dispatch)) {
+    if (contains(line, "if (group_id < ") &&
+        std::regex_search(line, sm, dispatch)) {
       cur = std::stoll(sm[2]);
       if (cur < 0 || cur >= static_cast<std::int64_t>(patterns.size())) {
         emit(out, Code::kLintPatternDispatch, line_no,

@@ -33,7 +33,7 @@ class Coo {
   const std::vector<T>& values() const { return val_; }
 
   /// Appends one entry. Duplicates are allowed until canonicalize(), which
-  /// sums them (Matrix Market symmetric expansion relies on this).
+  /// sums them (a Matrix Market file may repeat an entry).
   void add(index_t r, index_t c, T v) {
     CRSD_ASSERT(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     row_.push_back(r);
@@ -47,15 +47,23 @@ class Coo {
     val_.reserve(n);
   }
 
-  /// Sorts by (row, col), merges duplicates by summation, and drops explicit
-  /// zeros (unless keep_zeros). Idempotent.
+  /// Sorts by (row, col), merges duplicates by summation in input order,
+  /// and drops explicit zeros (unless keep_zeros). Idempotent. Triplets that
+  /// are already strictly ascending with nothing to drop, as in every file
+  /// write_matrix_market writes, cost one O(nnz) scan.
   void canonicalize(bool keep_zeros = false) {
+    if (strictly_ascending(keep_zeros)) {
+      canonical_ = true;
+      return;
+    }
     const size64_t n = nnz();
     std::vector<size64_t> perm(n);
     std::iota(perm.begin(), perm.end(), size64_t{0});
+    // Ties break on input position, so duplicates sum in input order.
     std::sort(perm.begin(), perm.end(), [this](size64_t a, size64_t b) {
       if (row_[a] != row_[b]) return row_[a] < row_[b];
-      return col_[a] < col_[b];
+      if (col_[a] != col_[b]) return col_[a] < col_[b];
+      return a < b;
     });
 
     std::vector<index_t> new_row, new_col;
@@ -145,6 +153,19 @@ class Coo {
   void mark_canonical() { canonical_ = true; }
 
  private:
+  /// True when canonicalize() has nothing to do: entries strictly ascending
+  /// by (row, col), hence no duplicates, and no zero it would drop.
+  bool strictly_ascending(bool keep_zeros) const {
+    for (size64_t k = 0; k < nnz(); ++k) {
+      if (!keep_zeros && val_[k] == T(0)) return false;
+      if (k > 0 && (row_[k - 1] > row_[k] ||
+                    (row_[k - 1] == row_[k] && col_[k - 1] >= col_[k]))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<index_t> row_;

@@ -1,21 +1,104 @@
 #include "matrix/matrix_market.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
+#include "check/diagnostics.hpp"
 #include "common/error.hpp"
 
 namespace crsd {
 namespace {
 
-std::string to_lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
+using check::Code;
+
+/// Throws the reader's structured error. `entry` is the 1-based entry the
+/// finding is about (it also lands in Diagnostic::offset), or -1 for the
+/// banner and size line.
+[[noreturn]] void reject(Code code, std::int64_t entry,
+                         const std::string& message) {
+  check::Diagnostic d;
+  d.code = code;
+  d.offset = entry;
+  d.message = entry > 0 ? "entry " + std::to_string(entry) + ": " + message
+                        : message;
+  const std::string what = "Matrix Market input rejected:\n" + d.format();
+  throw check::DiagnosticError(what, {std::move(d)});
+}
+
+/// Quotes a piece of the input for a message, cut to a readable length
+/// (a hostile token can be the whole file).
+std::string quoted(std::string_view s) {
+  constexpr std::size_t kMax = 64;
+  std::string out(1, '\'');
+  out.append(s.substr(0, kMax));
+  out.append(s.size() > kMax ? "...'" : "'");
+  return out;
+}
+
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Splits the next line (without its '\n') off the front of `text`.
+std::string_view take_line(std::string_view& text) {
+  const std::size_t end = text.find('\n');
+  const std::string_view line = text.substr(0, end);
+  text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
+  return line;
+}
+
+/// Splits the next whitespace-delimited token off the front of `text`;
+/// empty once only whitespace is left.
+std::string_view take_token(std::string_view& text) {
+  std::size_t b = 0;
+  while (b < text.size() && is_space(text[b])) ++b;
+  std::size_t e = b;
+  while (e < text.size() && !is_space(text[e])) ++e;
+  const std::string_view token = text.substr(b, e - b);
+  text.remove_prefix(e);
+  return token;
+}
+
+enum class Parsed : std::uint8_t { kOk, kMalformed, kOutOfRange };
+
+/// Parses a whole token as one decimal number in the grammar the reader has
+/// always accepted: an optional sign ('+' too, which from_chars alone
+/// rejects), then digits; reals may also start with '.' and carry a
+/// fraction and exponent. inf/nan/hex, which from_chars would take, are
+/// malformed. Out-of-range covers overflow and a nonzero real that
+/// underflows to zero.
+template <typename V>
+Parsed parse_number(std::string_view token, V& out) {
+  const char* p = token.data();
+  const char* const end = p + token.size();
+  const char* first = p;
+  if (first != end && (*first == '+' || *first == '-')) ++first;
+  if (first == end ||
+      !(is_digit(*first) || (std::is_floating_point_v<V> && *first == '.'))) {
+    return Parsed::kMalformed;
+  }
+  if (*p == '+') ++p;
+  const auto [ptr, ec] = std::from_chars(p, end, out);
+  if (ec == std::errc::result_out_of_range) return Parsed::kOutOfRange;
+  if (ec != std::errc() || ptr != end) return Parsed::kMalformed;
+  return Parsed::kOk;
+}
+
+/// Case-insensitive match of a banner token against a lower-case `name`.
+bool iequals(std::string_view token, std::string_view name) {
+  return std::equal(token.begin(), token.end(), name.begin(), name.end(),
+                    [](char t, char n) {
+                      return t == n ||
+                             (t >= 'A' && t <= 'Z' && t - 'A' + 'a' == n);
+                    });
 }
 
 enum class Field { kReal, kInteger, kPattern };
@@ -26,94 +109,187 @@ struct Banner {
   Symmetry symmetry = Symmetry::kGeneral;
 };
 
-Banner parse_banner(const std::string& line) {
-  std::istringstream is(line);
-  std::string tag, object, format, field, symmetry;
-  is >> tag >> object >> format >> field >> symmetry;
-  CRSD_CHECK_MSG(tag == "%%MatrixMarket",
-                 "not a Matrix Market stream (missing banner)");
-  CRSD_CHECK_MSG(to_lower(object) == "matrix", "unsupported object: " << object);
-  CRSD_CHECK_MSG(to_lower(format) == "coordinate",
-                 "only coordinate format is supported, got: " << format);
+Banner parse_banner(std::string_view line) {
+  const std::string_view tag = take_token(line);
+  const std::string_view object = take_token(line);
+  const std::string_view format = take_token(line);
+  const std::string_view field = take_token(line);
+  const std::string_view symmetry = take_token(line);
+  if (tag != "%%MatrixMarket") {
+    reject(Code::kMalformedInput, -1,
+           "not a Matrix Market stream (missing banner)");
+  }
+  if (!iequals(object, "matrix")) {
+    reject(Code::kMalformedInput, -1, "unsupported object: " + quoted(object));
+  }
+  if (!iequals(format, "coordinate")) {
+    reject(Code::kMalformedInput, -1,
+           "only coordinate format is supported, got: " + quoted(format));
+  }
   Banner b;
-  const std::string f = to_lower(field);
-  if (f == "real") {
+  if (iequals(field, "real")) {
     b.field = Field::kReal;
-  } else if (f == "integer") {
+  } else if (iequals(field, "integer")) {
     b.field = Field::kInteger;
-  } else if (f == "pattern") {
+  } else if (iequals(field, "pattern")) {
     b.field = Field::kPattern;
   } else {
-    throw Error("unsupported Matrix Market field: " + field);
+    reject(Code::kMalformedInput, -1,
+           "unsupported Matrix Market field: " + quoted(field));
   }
-  const std::string s = to_lower(symmetry);
-  if (s == "general") {
+  if (iequals(symmetry, "general")) {
     b.symmetry = Symmetry::kGeneral;
-  } else if (s == "symmetric") {
+  } else if (iequals(symmetry, "symmetric")) {
     b.symmetry = Symmetry::kSymmetric;
-  } else if (s == "skew-symmetric") {
+  } else if (iequals(symmetry, "skew-symmetric")) {
     b.symmetry = Symmetry::kSkewSymmetric;
   } else {
-    throw Error("unsupported Matrix Market symmetry: " + symmetry);
+    reject(Code::kMalformedInput, -1,
+           "unsupported Matrix Market symmetry: " + quoted(symmetry));
   }
   return b;
 }
 
-}  // namespace
-
-Coo<double> read_matrix_market(std::istream& in) {
-  std::string line;
-  CRSD_CHECK_MSG(static_cast<bool>(std::getline(in, line)),
-                 "empty Matrix Market stream");
-  const Banner banner = parse_banner(line);
-
-  // Skip comment lines; first non-comment line is the size header.
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '%') break;
+/// Parses a matrix dimension from the size line. A value past the index_t
+/// range (int64 overflow included) is an index overflow, not a silent
+/// narrowing.
+index_t parse_dimension(std::string_view token, const char* what,
+                        std::string_view line) {
+  std::int64_t v = -1;
+  const Parsed p = parse_number(token, v);
+  if (p == Parsed::kOutOfRange ||
+      (p == Parsed::kOk && v > std::numeric_limits<index_t>::max())) {
+    reject(Code::kIndexOverflow, -1,
+           std::string(what) + " " + quoted(token) +
+               " is outside the index_t range [0, " +
+               std::to_string(std::numeric_limits<index_t>::max()) + "]");
   }
-  std::istringstream size_line(line);
-  long long rows = -1, cols = -1, entries = -1;
-  size_line >> rows >> cols >> entries;
-  CRSD_CHECK_MSG(rows >= 0 && cols >= 0 && entries >= 0,
-                 "malformed size line: '" << line << "'");
+  if (p != Parsed::kOk || v < 0) {
+    reject(Code::kMalformedInput, -1, "malformed size line: " + quoted(line));
+  }
+  return static_cast<index_t>(v);
+}
 
-  Coo<double> a(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  a.reserve(static_cast<size64_t>(entries) *
-            (banner.symmetry == Symmetry::kGeneral ? 1 : 2));
+/// Parses a 1-based row or column index of entry `k` into [0, bound).
+index_t parse_index(std::string_view token, index_t bound, std::int64_t k,
+                    const char* what) {
+  std::int64_t v = 0;
+  if (parse_number(token, v) == Parsed::kMalformed) {
+    reject(Code::kMalformedInput, k,
+           std::string("malformed ") + what + " index " + quoted(token));
+  }
+  if (v < 1 || v > bound) {
+    reject(Code::kMalformedInput, k,
+           std::string(what) + " index " + quoted(token) +
+               " out of range [1, " + std::to_string(bound) + "]");
+  }
+  return static_cast<index_t>(v - 1);
+}
 
-  for (long long k = 0; k < entries; ++k) {
-    long long r = 0, c = 0;
+/// The one parser behind both entry points: banner, comment lines, size
+/// line, then whitespace-separated entries (line breaks carry no meaning
+/// there; input after the declared entries is ignored).
+Coo<double> parse_matrix_market(std::string_view text) {
+  if (text.empty()) {
+    reject(Code::kMalformedInput, -1, "empty Matrix Market stream");
+  }
+  const Banner banner = parse_banner(take_line(text));
+
+  // Skip comment lines; the first non-empty, non-comment line is the size
+  // header.
+  std::string_view line;
+  while (!text.empty()) {
+    line = take_line(text);
+    if (!line.empty() && line[0] != '%') break;
+    line = {};
+  }
+  std::string_view size_tokens = line;
+  const std::string_view rows_token = take_token(size_tokens);
+  const std::string_view cols_token = take_token(size_tokens);
+  const std::string_view entries_token = take_token(size_tokens);
+  const index_t rows = parse_dimension(rows_token, "rows", line);
+  const index_t cols = parse_dimension(cols_token, "cols", line);
+  std::int64_t entries = -1;
+  if (parse_number(entries_token, entries) != Parsed::kOk || entries < 0) {
+    reject(Code::kMalformedInput, -1, "malformed size line: " + quoted(line));
+  }
+
+  const bool pattern = banner.field == Field::kPattern;
+  const bool general = banner.symmetry == Symmetry::kGeneral;
+  const bool skew = banner.symmetry == Symmetry::kSkewSymmetric;
+  // The header's entry count is untrusted: reserve only what the remaining
+  // input can hold. Each entry is 2 or 3 tokens of at least one byte, each
+  // followed by whitespace but the very last, so `fit` <= text.size() / 4
+  // and doubling it for the mirrored half cannot overflow.
+  const size64_t tokens_per_entry = pattern ? size64_t{2} : size64_t{3};
+  const size64_t fit = (text.size() + 1) / (2 * tokens_per_entry);
+  const size64_t expect = std::min(static_cast<size64_t>(entries), fit);
+  Coo<double> a(rows, cols);
+  a.reserve(general ? expect : 2 * expect);
+
+  for (std::int64_t k = 1; k <= entries; ++k) {
+    const std::string_view row_token = take_token(text);
+    const std::string_view col_token = take_token(text);
+    if (col_token.empty()) {
+      reject(Code::kMalformedInput, k,
+             "truncated Matrix Market stream: header declares " +
+                 std::to_string(entries) + " entries");
+    }
+    const index_t r = parse_index(row_token, rows, k, "row");
+    const index_t c = parse_index(col_token, cols, k, "column");
     double v = 1.0;
-    if (!(in >> r >> c)) {
-      throw Error("truncated Matrix Market stream: entry " + std::to_string(k));
-    }
-    if (banner.field != Field::kPattern) {
-      if (!(in >> v)) {
-        throw Error("missing value at entry " + std::to_string(k));
+    if (!pattern) {
+      const std::string_view value_token = take_token(text);
+      if (value_token.empty()) {
+        reject(Code::kMalformedInput, k, "missing value");
+      }
+      const Parsed p = parse_number(value_token, v);
+      if (p == Parsed::kMalformed) {
+        reject(Code::kMalformedInput, k,
+               "malformed value " + quoted(value_token));
+      }
+      if (p == Parsed::kOutOfRange) {
+        reject(Code::kMalformedInput, k,
+               "value " + quoted(value_token) +
+                   " overflows, or underflows to zero, as a double");
       }
     }
-    CRSD_CHECK_MSG(r >= 1 && r <= rows && c >= 1 && c <= cols,
-                   "index out of range at entry " << k << ": (" << r << ", "
-                                                  << c << ")");
-    const index_t ri = static_cast<index_t>(r - 1);
-    const index_t ci = static_cast<index_t>(c - 1);
-    a.add(ri, ci, v);
-    if (ri != ci) {
-      if (banner.symmetry == Symmetry::kSymmetric) {
-        a.add(ci, ri, v);
-      } else if (banner.symmetry == Symmetry::kSkewSymmetric) {
-        a.add(ci, ri, -v);
-      }
+    if (!general && r < c) {
+      reject(Code::kMalformedInput, k,
+             "upper-triangle entry (" + std::string(row_token) + ", " +
+                 std::string(col_token) +
+                 ") in a file that stores only the lower triangle");
     }
+    if (skew && r == c) {
+      reject(Code::kMalformedInput, k,
+             "diagonal entry (" + std::string(row_token) + ", " +
+                 std::string(col_token) + ") in a skew-symmetric file");
+    }
+    a.add(r, c, v);
+    if (!general && r != c) a.add(c, r, skew ? -v : v);
   }
   a.canonicalize();
   return a;
 }
 
+}  // namespace
+
+Coo<double> read_matrix_market(std::istream& in) {
+  std::ostringstream buf;
+  if (in.rdbuf() != nullptr) buf << in.rdbuf();
+  return parse_matrix_market(buf.view());
+}
+
 Coo<double> read_matrix_market_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   CRSD_CHECK_MSG(in.good(), "cannot open Matrix Market file: " << path);
-  return read_matrix_market(in);
+  const std::streamoff size = in.tellg();
+  CRSD_CHECK_MSG(size >= 0, "cannot size Matrix Market file: " << path);
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  CRSD_CHECK_MSG(in.read(text.data(), size) && in.gcount() == size,
+                 "cannot read Matrix Market file: " << path);
+  return parse_matrix_market(text);
 }
 
 void write_matrix_market(std::ostream& out, const Coo<double>& a) {

@@ -5,8 +5,12 @@
 // refuse mutated source, falling back to the interpreted kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,6 +51,36 @@ std::string mutated(std::string src, const std::string& from,
   EXPECT_NE(pos, std::string::npos) << "mutation anchor not found: " << from;
   if (pos == std::string::npos) return src;
   return src.replace(pos, from.size(), to);
+}
+
+/// 1-based line of the first occurrence of `anchor` in `src`.
+std::int64_t line_of(const std::string& src, const std::string& anchor) {
+  const auto pos = src.find(anchor);
+  EXPECT_NE(pos, std::string::npos) << "anchor not found: " << anchor;
+  return 1 + std::count(src.begin(),
+                        src.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min(pos, src.size())),
+                        '\n');
+}
+
+/// Applies the mutation and expects `code` reported on the mutated line
+/// (with `needle` in its message, when given): the per-regex fixtures pin
+/// each literal-prefiltered search to the finding it must still produce.
+void expect_flagged_at(
+    const std::string& clean, const std::string& from, const std::string& to,
+    Code code,
+    const std::function<std::vector<check::Diagnostic>(const std::string&)>&
+        lint,
+    const std::string& needle = "") {
+  const std::int64_t line = line_of(clean, from);
+  const auto diags = lint(mutated(clean, from, to));
+  const bool found = std::any_of(
+      diags.begin(), diags.end(), [&](const check::Diagnostic& d) {
+        return d.code == code && d.offset == line &&
+               d.message.find(needle) != std::string::npos;
+      });
+  EXPECT_TRUE(found) << from << " -> " << to << " at line " << line << ":\n"
+                     << check::format_diagnostics(diags);
 }
 
 TEST(CodeletLint, CleanOnGeneratedCpuSource) {
@@ -152,6 +186,75 @@ TEST(CodeletLint, FlagsWrongSegmentBound) {
                        Code::kLintPatternDispatch));
 }
 
+TEST(CodeletLint, FlagsWrongSegmentLowerBound) {
+  const auto m = stencil_matrix();  // pattern 1 covers segments [1, 7)
+  expect_flagged_at(generate_cpu_codelet_source(m), "g0 = seg_begin > 1 ",
+                    "g0 = seg_begin > 2 ", Code::kLintPatternDispatch,
+                    [&](const std::string& src) {
+                      return lint_cpu_codelet_source(m, src);
+                    });
+}
+
+TEST(CodeletLint, FlagsWrongInteriorEnd) {
+  const auto m = stencil_matrix();
+  const SegmentInterior in = m.interior_segments(1);
+  ASSERT_LT(in.begin, in.end) << "fixture needs a non-empty interior";
+  expect_flagged_at(
+      generate_cpu_codelet_source(m),
+      "i1 = crsd_clampi(" + std::to_string(in.end) + ", i0, g1)",
+      "i1 = crsd_clampi(" + std::to_string(in.end - 1) + ", i0, g1)",
+      Code::kLintInteriorSplit,
+      [&](const std::string& src) { return lint_cpu_codelet_source(m, src); });
+}
+
+TEST(CodeletLint, FlagsWrongMarkerSegmentAndInteriorRanges) {
+  const auto m = stencil_matrix();
+  const std::string src = generate_cpu_codelet_source(m);
+  const auto lint = [&](const std::string& s) {
+    return lint_cpu_codelet_source(m, s);
+  };
+  expect_flagged_at(src, "segments [1, 7), interior",
+                    "segments [1, 6), interior", Code::kLintPatternDispatch,
+                    lint, "marker segment range");
+  expect_flagged_at(src, "), interior [1, 7)", "), interior [2, 7)",
+                    Code::kLintInteriorSplit, lint, "marker interior");
+}
+
+// The edge-path fixtures also rewrite the line so that the x access is its
+// only x-access prefilter literal: generated lines always carry `[lane`
+// too (`unit[lane + k]`, `sums[lane]`), which would mask a broken `[r` or
+// `[(row0 + lane)` guard.
+
+TEST(CodeletLint, FlagsUnclampedCpuEdgeAccess) {
+  const auto m = stencil_matrix();
+  const auto lint = [&](const std::string& src) {
+    return lint_cpu_codelet_source(m, src);
+  };
+  // Pattern 0 starts at row 0, so its -1 diagonal must stay clamped on the
+  // edge path.
+  const std::string src = generate_cpu_codelet_source(m);
+  expect_flagged_at(src, "x[crsd_clampi(r - 1, 0, 127)]", "x[r - 1]",
+                    Code::kLintBakedOffset, lint, "unclamped x access");
+  expect_flagged_at(src, "unit[lane + 0] * x[crsd_clampi(r - 1, 0, 127)]",
+                    "x[r - 1] * unit[0 + lane]", Code::kLintBakedOffset, lint,
+                    "unclamped x access");
+}
+
+TEST(CodeletLint, FlagsUnclampedGpuEdgeAccess) {
+  const auto m = stencil_matrix();
+  const auto lint = [&](const std::string& src) {
+    return lint_gpu_codelet_source(m, src);
+  };
+  const std::string src = generate_gpu_codelet_source(m);
+  expect_flagged_at(src, "x[crsd_clampi((row0 + lane) - 1, 0, 127)]",
+                    "x[(row0 + lane) - 1]", Code::kLintBakedOffset, lint,
+                    "unclamped x access");
+  expect_flagged_at(
+      src, "sums[lane] += v * x[crsd_clampi((row0 + lane) - 1, 0, 127)]",
+      "sums[0 + lane] += v * x[(row0 + lane) - 1]", Code::kLintBakedOffset,
+      lint, "unclamped x access");
+}
+
 TEST(CodeletLint, FlagsMissingPatternMarker) {
   const auto m = stencil_matrix();
   const std::string src = mutated(generate_cpu_codelet_source(m),
@@ -178,6 +281,25 @@ TEST(CodeletLint, FlagsWrongGpuLaneArrayExtent) {
                                   "T sums[16] = {};", "T sums[8] = {};");
   EXPECT_TRUE(has_code(lint_gpu_codelet_source(m, src),
                        Code::kLintTripCount));
+}
+
+TEST(CodeletLint, FlagsWrongGpuScatterArrayExtents) {
+  // Scatter rows give the GPU codelet its gather (xg) and scatter-target
+  // arrays, both sized mrows.
+  Rng rng(3);
+  Coo<double> a = astro_convection(24, 8, 8, /*unstructured=*/false, rng);
+  inject_scatter(a, 25, rng);
+  const auto m = build(a, CrsdConfig{.mrows = 16});
+  ASSERT_GT(m.num_scatter_rows(), 0);
+  const std::string src = generate_gpu_codelet_source(m);
+  const auto lint = [&](const std::string& s) {
+    return lint_gpu_codelet_source(m, s);
+  };
+  expect_flagged_at(src, "unsigned long long xg[16];",
+                    "unsigned long long xg[8];", Code::kLintTripCount, lint);
+  expect_flagged_at(src, "unsigned long long targets[16];",
+                    "unsigned long long targets[8];", Code::kLintTripCount,
+                    lint);
 }
 
 TEST(CodeletLint, FlagsMissingGpuEntryPoint) {

@@ -2,9 +2,16 @@
 // and structure statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/matrix_market.hpp"
 #include "matrix/stats.hpp"
@@ -38,6 +45,121 @@ TEST(Coo, CanonicalizeDropsExplicitZeros) {
   b.canonicalize(/*keep_zeros=*/true);
   EXPECT_EQ(b.nnz(), 1u);
   EXPECT_DOUBLE_EQ(b.values()[0], 0.0);
+}
+
+struct Triplet {
+  index_t r = 0;
+  index_t c = 0;
+  double v = 0.0;
+};
+
+Coo<double> coo_from(index_t rows, index_t cols,
+                     const std::vector<Triplet>& ts) {
+  Coo<double> a(rows, cols);
+  for (const Triplet& t : ts) a.add(t.r, t.c, t.v);
+  return a;
+}
+
+void expect_bitwise(const Coo<double>& a, const std::vector<Triplet>& want) {
+  ASSERT_EQ(a.nnz(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(a.row_indices()[k], want[k].r) << k;
+    ASSERT_EQ(a.col_indices()[k], want[k].c) << k;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.values()[k]),
+              std::bit_cast<std::uint64_t>(want[k].v))
+        << k;
+  }
+}
+
+TEST(Coo, CanonicalizeMatchesReferenceSortInEveryInputOrder) {
+  // Distinct random cells with nonzero values: canonical form is exactly
+  // the (row, col) sort, whichever order the triplets arrive in and
+  // whichever of the scan-only or sorting paths runs.
+  Rng rng(11);
+  const index_t rows = 97, cols = 61;
+  std::vector<Triplet> ts;
+  for (index_t r = 0; r < rows; ++r) {
+    for (index_t c = 0; c < cols; ++c) {
+      if (rng.next_below(5) == 0) {
+        ts.push_back({r, c, rng.next_double(0.5, 2.0)});
+      }
+    }
+  }
+  std::vector<Triplet> want = ts;
+  std::sort(want.begin(), want.end(), [](const Triplet& x, const Triplet& y) {
+    return std::tie(x.r, x.c) < std::tie(y.r, y.c);
+  });
+
+  std::vector<Triplet> shuffled = ts;
+  for (std::size_t k = shuffled.size(); k > 1; --k) {
+    std::swap(shuffled[k - 1], shuffled[rng.next_below(k)]);
+  }
+  std::vector<Triplet> row_sorted = shuffled;  // columns unordered in a row
+  std::stable_sort(
+      row_sorted.begin(), row_sorted.end(),
+      [](const Triplet& x, const Triplet& y) { return x.r < y.r; });
+  std::vector<Triplet> col_sorted = want;
+  std::stable_sort(
+      col_sorted.begin(), col_sorted.end(),
+      [](const Triplet& x, const Triplet& y) { return x.c < y.c; });
+
+  for (const auto* order : {&want, &shuffled, &row_sorted, &col_sorted}) {
+    Coo<double> a = coo_from(rows, cols, *order);
+    a.canonicalize();
+    EXPECT_TRUE(a.is_canonical());
+    expect_bitwise(a, want);
+    a.canonicalize();  // idempotent
+    expect_bitwise(a, want);
+  }
+}
+
+TEST(Coo, CanonicalizeSumsDuplicatesInInputOrder) {
+  // 1e16 + 1 rounds back to 1e16, so the three duplicates of (3, 4) sum to
+  // 0 in this order and to 1 with the last two swapped. They are scattered
+  // through enough other entries that an unstable sort would reorder them.
+  Rng rng(5);
+  for (const bool swap_last : {false, true}) {
+    std::vector<Triplet> ts;
+    for (index_t r = 0; r < 40; ++r) {
+      for (index_t c = 0; c < 40; ++c) {
+        if (!(r == 3 && c == 4)) ts.push_back({r, c, 1.0});
+      }
+    }
+    for (std::size_t k = ts.size(); k > 1; --k) {
+      std::swap(ts[k - 1], ts[rng.next_below(k)]);
+    }
+    const double third = swap_last ? 1.0 : -1e16;
+    const double second = swap_last ? -1e16 : 1.0;
+    ts.insert(ts.begin() + 1500, Triplet{3, 4, third});
+    ts.insert(ts.begin() + 700, Triplet{3, 4, second});
+    ts.insert(ts.begin() + 100, Triplet{3, 4, 1e16});
+    const double sum = swap_last ? 1.0 : 0.0;
+
+    Coo<double> kept = coo_from(40, 40, ts);
+    kept.canonicalize(/*keep_zeros=*/true);
+    ASSERT_EQ(kept.nnz(), 1600u);
+    const std::size_t at = 3 * 40 + 4;
+    EXPECT_EQ(kept.row_indices()[at], 3);
+    EXPECT_EQ(kept.col_indices()[at], 4);
+    EXPECT_EQ(kept.values()[at], sum) << "swap_last=" << swap_last;
+
+    Coo<double> dropped = coo_from(40, 40, ts);
+    dropped.canonicalize();
+    EXPECT_EQ(dropped.nnz(), sum == 0.0 ? 1599u : 1600u);
+  }
+}
+
+TEST(Coo, CanonicalizeKeepZerosOnAlreadySortedInput) {
+  // Sorted, duplicate-free input with an explicit zero: the zero still goes
+  // unless keep_zeros, and keep_zeros still keeps it.
+  const std::vector<Triplet> ts = {{0, 0, 1.0}, {0, 2, 0.0}, {1, 1, -0.0},
+                                   {2, 0, 3.0}};
+  Coo<double> kept = coo_from(3, 3, ts);
+  kept.canonicalize(/*keep_zeros=*/true);
+  expect_bitwise(kept, ts);
+  Coo<double> dropped = coo_from(3, 3, ts);
+  dropped.canonicalize();
+  expect_bitwise(dropped, {{0, 0, 1.0}, {2, 0, 3.0}});
 }
 
 TEST(Coo, ReferenceSpmvMatchesHandComputation) {
