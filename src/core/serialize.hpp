@@ -4,9 +4,12 @@
 // POD stream with a magic/version header and the value type tagged.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/crsd_matrix.hpp"
@@ -39,13 +42,24 @@ void write_vec(std::ostream& os, const std::vector<P>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(P)));
 }
 
+/// Reads a count and its payload. The count is untrusted, so the vector
+/// grows one bounded chunk at a time as payload bytes actually arrive: a
+/// hostile count costs at most one chunk beyond what the stream holds and
+/// ends in "truncated CRSD stream", never in a huge allocation.
 template <typename P>
 std::vector<P> read_vec(std::istream& is) {
+  constexpr std::uint64_t kChunk = (std::uint64_t{1} << 20) / sizeof(P);
   const auto n = read_pod<std::uint64_t>(is);
-  std::vector<P> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(P)));
-  CRSD_CHECK_MSG(is.good(), "truncated CRSD stream");
+  std::vector<P> v;
+  while (v.size() < n) {
+    const std::size_t have = v.size();
+    const std::size_t take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(kChunk, n - have));
+    v.resize(have + take);
+    is.read(reinterpret_cast<char*>(v.data() + have),
+            static_cast<std::streamsize>(take * sizeof(P)));
+    CRSD_CHECK_MSG(is.good(), "truncated CRSD stream");
+  }
   return v;
 }
 
@@ -131,9 +145,11 @@ CrsdMatrix<T> read_crsd(std::istream& is) {
   s.mrows = detail::read_pod<index_t>(is);
   s.nnz = detail::read_pod<size64_t>(is);
   const auto num_patterns = detail::read_pod<index_t>(is);
-  CRSD_CHECK_MSG(num_patterns >= 0 && num_patterns <= s.num_rows + 1,
+  CRSD_CHECK_MSG(num_patterns >= 0 &&
+                     std::int64_t{num_patterns} <= std::int64_t{s.num_rows} + 1,
                  "implausible pattern count");
-  s.patterns.reserve(static_cast<std::size_t>(num_patterns));
+  // The pattern count is untrusted: the list grows as patterns arrive
+  // instead of being reserved up front.
   for (index_t p = 0; p < num_patterns; ++p) {
     DiagonalPattern pat;
     pat.start_row = detail::read_pod<index_t>(is);

@@ -426,7 +426,8 @@ struct ServeEngineImpl {
   }
 
   /// Lowers one cycle's batches into a task graph and runs it: gather
-  /// (kH2D) -> compute (kLaunch, round-robin lanes) -> deliver (kD2H),
+  /// (kH2D) -> compute (kLaunch, one lane per matrix, matrices dealt
+  /// round-robin over the lanes) -> deliver (kD2H),
   /// plus one kReduce epoch node joining the cycle. Handles resolve after
   /// the run, with virtual finish times from the graph's modeled clocks.
   DispatchStats dispatch(std::vector<Batch> batches) {
@@ -444,8 +445,15 @@ struct ServeEngineImpl {
 
     std::vector<rt::NodeId> deliver_nodes;
     deliver_nodes.reserve(batches.size());
+    // Batches arrive grouped by matrix. A matrix's batches share its
+    // SpmmEngine, whose scratch serves one apply at a time, so they all
+    // take one lane; the next matrix takes the next lane.
+    std::size_t lane = 0;
     for (std::size_t bi = 0; bi < batches.size(); ++bi) {
       Batch* b = &batches[bi];
+      if (bi > 0 && b->entry != batches[bi - 1].entry) {
+        lane = (lane + 1) % exec_qs.size();
+      }
       const Entry& e = *b->entry;
       const index_t k = static_cast<index_t>(b->reqs.size());
       const index_t ncols = e.m.num_cols();
@@ -479,7 +487,7 @@ struct ServeEngineImpl {
 
       const rt::NodeId exec = g.add_node(
           rt::NodeKind::kLaunch,
-          exec_qs[bi % static_cast<std::size_t>(opts.exec_lanes)],
+          exec_qs[lane],
           "spmm." + tag, [this, b, k, ncols, nrows] {
             const Entry& en = *b->entry;
             if (k >= 2) {

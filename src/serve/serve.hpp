@@ -17,9 +17,10 @@
 //  * Dispatch: each flush cycle groups the pending queue per matrix into
 //    batches of at most max_batch requests and lowers the whole cycle into
 //    one rt::TaskGraph — a kH2D gather node (pack request vectors into a
-//    column-major X block), a kLaunch compute node on one of a few
-//    round-robin exec lanes (SpmmEngine::apply_seq for k >= 2, JIT or
-//    interpreted single-vector SpMV for k == 1), a kD2H deliver node
+//    column-major X block), a kLaunch compute node on one of a few exec
+//    lanes (SpmmEngine::apply_seq for k >= 2, JIT or interpreted
+//    single-vector SpMV for k == 1; one lane per matrix, matrices dealt
+//    round-robin over the lanes), a kD2H deliver node
 //    (slice Y back into per-request results), and a final kReduce epoch
 //    node. rt::GraphExecutor runs it on the shared ThreadPool, so serve
 //    batches compose with multi-device shards and hybrid splits under one
@@ -62,9 +63,10 @@ struct ServeOptions {
   /// register-blocked engine peaks at 8; 1 disables coalescing entirely
   /// (every request runs as a single-vector node — bench_serve's baseline).
   index_t max_batch = 8;
-  /// Round-robin compute lanes in the dispatch graph. Batches of different
-  /// matrices pipeline across lanes while gathers and delivers overlap on
-  /// their own queues.
+  /// Compute lanes in the dispatch graph. Batches of different matrices
+  /// pipeline across lanes while gathers and delivers overlap on their own
+  /// queues. All batches of one matrix run on one lane: they share its
+  /// SpmmEngine, whose scratch serves one apply at a time.
   int exec_lanes = 2;
   /// Admission high watermark: a submit() that would push the pending
   /// count past this is rejected with kServeOverload.

@@ -51,27 +51,30 @@ double norm2(const std::vector<T>& a) {
 
 /// Preconditioned conjugate gradient for SPD systems. `precond` (optional)
 /// applies M^{-1}; pass e.g. a Jacobi inverse-diagonal scaling.
+///
+/// Besides the SpMV, an iteration makes three passes over the vectors:
+/// p·Ap; then x += αp and r -= αAp, summing r·r in the same loop; then
+/// p = z + βp. Without a preconditioner z is r itself, so r·z is the r·r
+/// just summed and no copy of r is made.
 template <Real T>
 SolveResult conjugate_gradient(index_t n, const ApplyFn<T>& apply_a,
                                const T* b, T* x,
                                const SolveOptions& opts = {},
                                const ApplyFn<T>& precond = nullptr) {
   CRSD_CHECK_MSG(n >= 1, "empty system");
-  std::vector<T> r(static_cast<std::size_t>(n)), z(r), p(r), ap(r);
+  const std::size_t len = static_cast<std::size_t>(n);
+  std::vector<T> r(len), p(len), ap(len), z_buf(precond ? len : 0);
+  const std::vector<T>& z = precond ? z_buf : r;
 
   apply_a(x, ap.data());
-  for (index_t i = 0; i < n; ++i) r[static_cast<std::size_t>(i)] = b[i] - ap[static_cast<std::size_t>(i)];
-  const double bnorm = std::max(detail::norm2(std::vector<T>(b, b + n)), 1e-300);
+  double bb = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    r[i] = b[i] - ap[i];
+    bb += double(b[i]) * double(b[i]);
+  }
+  const double bnorm = std::max(std::sqrt(bb), 1e-300);
 
-  auto apply_m = [&](const std::vector<T>& in, std::vector<T>& out) {
-    if (precond) {
-      precond(in.data(), out.data());
-    } else {
-      out = in;
-    }
-  };
-
-  apply_m(r, z);
+  if (precond) precond(r.data(), z_buf.data());
   p = z;
   double rz = detail::dot(r, z);
 
@@ -82,24 +85,26 @@ SolveResult conjugate_gradient(index_t n, const ApplyFn<T>& apply_a,
     const double pap = detail::dot(p, ap);
     CRSD_CHECK_MSG(pap > 0, "matrix is not SPD (p'Ap = " << pap << ")");
     const double alpha = rz / pap;
-    for (index_t i = 0; i < n; ++i) {
-      x[i] += static_cast<T>(alpha * double(p[static_cast<std::size_t>(i)]));
-      r[static_cast<std::size_t>(i)] -=
-          static_cast<T>(alpha * double(ap[static_cast<std::size_t>(i)]));
+    double rr = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      x[i] += static_cast<T>(alpha * double(p[i]));
+      r[i] -= static_cast<T>(alpha * double(ap[i]));
+      rr += double(r[i]) * double(r[i]);
     }
-    result.residual_norm = detail::norm2(r);
+    result.residual_norm = std::sqrt(rr);
     if (result.residual_norm <= opts.tolerance * bnorm) {
       result.converged = true;
       return result;
     }
-    apply_m(r, z);
-    const double rz_next = detail::dot(r, z);
+    double rz_next = rr;
+    if (precond) {
+      precond(r.data(), z_buf.data());
+      rz_next = detail::dot(r, z);
+    }
     const double beta = rz_next / rz;
     rz = rz_next;
-    for (index_t i = 0; i < n; ++i) {
-      p[static_cast<std::size_t>(i)] =
-          z[static_cast<std::size_t>(i)] +
-          static_cast<T>(beta * double(p[static_cast<std::size_t>(i)]));
+    for (std::size_t i = 0; i < len; ++i) {
+      p[i] = z[i] + static_cast<T>(beta * double(p[i]));
     }
   }
   return result;

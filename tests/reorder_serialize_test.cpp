@@ -1,7 +1,11 @@
 // Tests for RCM reordering and binary CRSD serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/build_api.hpp"
@@ -163,6 +167,67 @@ TEST(Serialize, RejectsGarbageAndTruncation) {
   const std::string payload = buf.str();
   std::stringstream truncated(payload.substr(0, payload.size() / 2));
   EXPECT_THROW(read_crsd<double>(truncated), Error);
+}
+
+/// Reads the little-endian u64 at byte `at` of a serialized stream.
+std::uint64_t u64_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+TEST(Serialize, HostileCountsAndCutPayloadsThrowError) {
+  Rng rng(12);
+  auto a = dense_band(512, 3);
+  inject_scatter(a, 20, rng);
+  const auto m = build(a, CrsdConfig{.mrows = 32});
+  std::stringstream buf;
+  write_crsd(buf, m);
+  const std::string payload = buf.str();
+
+  // Header: magic, value width, rows, cols, mrows, nnz, pattern count.
+  const std::size_t header = 8 + 1 + 3 * sizeof(index_t) + sizeof(size64_t) +
+                             sizeof(index_t);
+  // Pattern 0's offset count follows its start row and segment count.
+  const std::size_t offsets_count = header + 2 * sizeof(index_t);
+  std::size_t dia_count = header;
+  for (const DiagonalPattern& p : m.patterns()) {
+    dia_count += 2 * sizeof(index_t) + sizeof(std::uint64_t) +
+                 p.offsets.size() * sizeof(diag_offset_t);
+  }
+  // Value-precision and index-mode tags, then the index-width vector.
+  dia_count += 2 + sizeof(std::uint64_t) +
+               m.storage().pattern_index_width.size();
+  ASSERT_EQ(u64_at(payload, offsets_count), m.patterns()[0].offsets.size());
+  ASSERT_EQ(u64_at(payload, dia_count), m.dia_slot_count());
+
+  for (const std::size_t at : {offsets_count, dia_count}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+      SCOPED_TRACE(std::to_string(at) + ": " + std::to_string(count));
+      std::string hostile = payload;
+      std::memcpy(hostile.data() + at, &count, sizeof(count));
+      std::stringstream is(hostile);
+      EXPECT_THROW(read_crsd<double>(is), Error);
+    }
+  }
+
+  // A row count and pattern count at the index maximum.
+  {
+    const index_t huge = std::numeric_limits<index_t>::max();
+    std::string hostile = payload;
+    std::memcpy(hostile.data() + 9, &huge, sizeof(huge));
+    std::memcpy(hostile.data() + header - sizeof(index_t), &huge,
+                sizeof(huge));
+    std::stringstream is(hostile);
+    EXPECT_THROW(read_crsd<double>(is), Error);
+  }
+
+  // Cut in the middle of the diagonal value payload.
+  std::stringstream cut(payload.substr(
+      0, dia_count + sizeof(std::uint64_t) +
+             m.dia_slot_count() * sizeof(double) / 2));
+  EXPECT_THROW(read_crsd<double>(cut), Error);
 }
 
 class SerializeSuite : public ::testing::TestWithParam<int> {};

@@ -378,5 +378,77 @@ TEST(Serve, AsyncSingleRequestFallsBackWithinWindow) {
   EXPECT_TRUE(bitwise_equal(h.result(), ref));
 }
 
+/// Two lanes and several full batches of one matrix per flush cycle. The
+/// batches of one matrix share its SpmmEngine, whose scratch serves one
+/// apply at a time, so dispatch must keep them on one lane while a second
+/// matrix runs on the other. Every result must match the single-vector
+/// spmv bit for bit. The band's AD group is staged through that scratch,
+/// and the band is tall enough (a k=8 apply takes milliseconds) that two
+/// of its batches on two lanes would run side by side for most of their
+/// length.
+void expect_two_lanes_serve_full_batches(bool async) {
+  ThreadPool pool(4);
+  ServeOptions so;
+  so.max_batch = 8;
+  so.exec_lanes = 2;
+  so.max_queue_depth = 1024;
+  so.coalescing_window_us = 20000;
+  so.async = async;
+  so.tune_from_cache = false;
+  ServeEngine engine(pool, so);
+  Rng rng(21);
+  Coo<double> band = dense_band(1 << 17, 4);
+  inject_scatter(band, 64, rng);
+  const Coo<double> stencil = stencil_5pt_2d(48, 48);
+  const serve::MatrixId ids[] = {engine.register_matrix(band).id,
+                                 engine.register_matrix(stencil).id};
+  const Coo<double>* coos[] = {&band, &stencil};
+  constexpr int kPerMatrix[] = {32, 16};  // four and two full batches
+
+  constexpr int kRounds = 5;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    // Vectors are made before the burst, so a whole round is queued
+    // before its first cycle finishes.
+    std::vector<std::vector<double>> xs[2];
+    for (int mi = 0; mi < 2; ++mi) {
+      for (int r = 0; r < kPerMatrix[mi]; ++r) {
+        xs[mi].push_back(make_x(coos[mi]->num_cols(), round * 64 + r));
+      }
+    }
+    std::vector<serve::RequestHandle> handles[2];
+    for (int mi = 0; mi < 2; ++mi) {
+      for (const std::vector<double>& x : xs[mi]) {
+        handles[mi].push_back(engine.submit(ids[mi], "lanes", x));
+      }
+    }
+    if (!async) {
+      const serve::DispatchStats stats = engine.drain();
+      EXPECT_EQ(stats.batches, 6);
+    }
+    for (int mi = 0; mi < 2; ++mi) {
+      const CrsdMatrix<double>& m = engine.matrix(ids[mi]);
+      std::vector<double> ref(static_cast<std::size_t>(m.num_rows()));
+      int wrong = 0;
+      for (int r = 0; r < kPerMatrix[mi]; ++r) {
+        serve::RequestHandle& h = handles[mi][static_cast<std::size_t>(r)];
+        h.wait();
+        ASSERT_EQ(h.status(), RequestStatus::kDone);
+        m.spmv(xs[mi][static_cast<std::size_t>(r)].data(), ref.data());
+        if (!bitwise_equal(h.result(), ref)) ++wrong;
+      }
+      EXPECT_EQ(wrong, 0) << "matrix " << mi;
+    }
+  }
+}
+
+TEST(Serve, TwoLanesKeepEachMatrixOnOneLane) {
+  expect_two_lanes_serve_full_batches(false);
+}
+
+TEST(Serve, AsyncTwoLanesKeepEachMatrixOnOneLane) {
+  expect_two_lanes_serve_full_batches(true);
+}
+
 }  // namespace
 }  // namespace crsd

@@ -2,8 +2,12 @@
 // interpreted, CRSD JIT codelet).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <string>
+#include <type_traits>
 #include <unistd.h>
 
 #include "codegen/crsd_jit_kernel.hpp"
@@ -111,6 +115,127 @@ TEST(ConjugateGradient, RejectsNonSpd) {
                    2, [&](const double* in, double* out) { m.spmv(in, out); },
                    b.data(), x.data()),
                Error);
+}
+
+/// The six-pass conjugate gradient loop the solver used before its vector
+/// passes were fused, kept verbatim as the bitwise reference: a separate
+/// r·r pass, a copy of r into z without a preconditioner, a separate r·z
+/// pass and b's norm from a copy of b.
+template <Real T>
+SolveResult six_pass_cg(index_t n, const ApplyFn<T>& apply_a, const T* b,
+                        T* x, const SolveOptions& opts,
+                        const ApplyFn<T>& precond) {
+  std::vector<T> r(static_cast<std::size_t>(n)), z(r), p(r), ap(r);
+
+  apply_a(x, ap.data());
+  for (index_t i = 0; i < n; ++i) r[static_cast<std::size_t>(i)] = b[i] - ap[static_cast<std::size_t>(i)];
+  const double bnorm = std::max(detail::norm2(std::vector<T>(b, b + n)), 1e-300);
+
+  auto apply_m = [&](const std::vector<T>& in, std::vector<T>& out) {
+    if (precond) {
+      precond(in.data(), out.data());
+    } else {
+      out = in;
+    }
+  };
+
+  apply_m(r, z);
+  p = z;
+  double rz = detail::dot(r, z);
+
+  SolveResult result;
+  for (int it = 0; it < opts.max_iterations; ++it) {
+    result.iterations = it + 1;
+    apply_a(p.data(), ap.data());
+    const double pap = detail::dot(p, ap);
+    CRSD_CHECK_MSG(pap > 0, "matrix is not SPD (p'Ap = " << pap << ")");
+    const double alpha = rz / pap;
+    for (index_t i = 0; i < n; ++i) {
+      x[i] += static_cast<T>(alpha * double(p[static_cast<std::size_t>(i)]));
+      r[static_cast<std::size_t>(i)] -=
+          static_cast<T>(alpha * double(ap[static_cast<std::size_t>(i)]));
+    }
+    result.residual_norm = detail::norm2(r);
+    if (result.residual_norm <= opts.tolerance * bnorm) {
+      result.converged = true;
+      return result;
+    }
+    apply_m(r, z);
+    const double rz_next = detail::dot(r, z);
+    const double beta = rz_next / rz;
+    rz = rz_next;
+    for (index_t i = 0; i < n; ++i) {
+      p[static_cast<std::size_t>(i)] =
+          z[static_cast<std::size_t>(i)] +
+          static_cast<T>(beta * double(p[static_cast<std::size_t>(i)]));
+    }
+  }
+  return result;
+}
+
+/// A badly scaled SPD 3D 7-point operator, D^(1/2) L D^(1/2), so the Jacobi
+/// preconditioner is far from a uniform scaling.
+Coo<double> scaled_7pt_3d(index_t nx, index_t ny, index_t nz) {
+  const auto base = stencil_7pt_3d(nx, ny, nz);
+  Rng rng(5);
+  std::vector<double> scale(static_cast<std::size_t>(base.num_rows()));
+  for (auto& s : scale) s = std::pow(10.0, rng.next_double(-1, 1));
+  Coo<double> a(base.num_rows(), base.num_cols());
+  for (size64_t k = 0; k < base.nnz(); ++k) {
+    const index_t r = base.row_indices()[k], c = base.col_indices()[k];
+    a.add(r, c,
+          base.values()[k] * scale[static_cast<std::size_t>(r)] *
+              scale[static_cast<std::size_t>(c)]);
+  }
+  a.canonicalize();
+  return a;
+}
+
+/// CG against the six-pass reference on the same operator, right-hand side
+/// and nonzero start: x, the iteration count and the residual must agree
+/// bit for bit, with and without Jacobi, converged or stopped by the
+/// iteration cap.
+template <Real T>
+void expect_cg_matches_six_pass(const Coo<double>& a64) {
+  const Coo<T> a = a64.cast<T>();
+  const auto m = build(a, CrsdConfig{.mrows = 32});
+  const ApplyFn<T> apply = [&](const T* in, T* out) { m.spmv(in, out); };
+  const index_t n = a.num_rows();
+  Rng rng(9);
+  std::vector<T> b(static_cast<std::size_t>(n)), x0(b.size());
+  for (auto& v : b) v = static_cast<T>(rng.next_double(-1, 1));
+  for (auto& v : x0) v = static_cast<T>(rng.next_double(-0.1, 0.1));
+
+  for (const bool jacobi : {false, true}) {
+    for (const int cap : {7, 5000}) {
+      SCOPED_TRACE(std::string(jacobi ? "jacobi" : "plain") + " cap " +
+                   std::to_string(cap));
+      const ApplyFn<T> precond =
+          jacobi ? jacobi_preconditioner(a) : ApplyFn<T>(nullptr);
+      SolveOptions opts;
+      opts.max_iterations = cap;
+      opts.tolerance = std::is_same_v<T, float> ? 1e-5 : 1e-10;
+      std::vector<T> x_ref = x0, x = x0;
+      const SolveResult want =
+          six_pass_cg<T>(n, apply, b.data(), x_ref.data(), opts, precond);
+      const SolveResult got = conjugate_gradient<T>(n, apply, b.data(),
+                                                    x.data(), opts, precond);
+      EXPECT_EQ(got.converged, want.converged);
+      EXPECT_EQ(got.converged, cap > 7);
+      EXPECT_EQ(got.iterations, want.iterations);
+      EXPECT_EQ(std::memcmp(&got.residual_norm, &want.residual_norm,
+                            sizeof(double)),
+                0)
+          << got.residual_norm << " vs " << want.residual_norm;
+      EXPECT_EQ(std::memcmp(x.data(), x_ref.data(), x.size() * sizeof(T)), 0);
+    }
+  }
+}
+
+TEST(ConjugateGradient, BitwiseEqualToSixPassLoop) {
+  const Coo<double> a = scaled_7pt_3d(12, 10, 9);
+  expect_cg_matches_six_pass<double>(a);
+  expect_cg_matches_six_pass<float>(a);
 }
 
 TEST(Bicgstab, SolvesNonsymmetricSystem) {
