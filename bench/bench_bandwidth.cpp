@@ -3,7 +3,7 @@
 // smaller streams actually translate into fewer simulated-DRAM transactions
 // and a faster CPU sweep? SpMV is bandwidth-bound (the paper's premise), so
 // bytes/nnz is the figure of merit: fp32 value streams halve the dominant
-// term, u16/delta scatter columns shrink the index side.
+// term, u16 scatter columns shrink the index side.
 //
 // Every compact mode is parity-gated against the fp64 build with the
 // storage-derived tolerance (check::storage_parity_bound) before its numbers
@@ -44,11 +44,8 @@ struct Mode {
 const std::vector<Mode>& modes() {
   static const std::vector<Mode> m = {
       {"fp64", {}},
-      {"fp64+i16", {ValuePrecision::kNative, true, false}},
-      {"fp64+delta", {ValuePrecision::kNative, false, true}},
-      {"fp32+i16", {ValuePrecision::kFloat32, true, false}},
-      {"fp32+delta", {ValuePrecision::kFloat32, false, true}},
-      {"fp16+i16", {ValuePrecision::kFloat16, true, false}},
+      {"fp64+i16", {ValuePrecision::kNative, true}},
+      {"fp32+i16", {ValuePrecision::kFloat32, true}},
   };
   return m;
 }
@@ -56,7 +53,7 @@ const std::vector<Mode>& modes() {
 /// Index of the headline mode (fp32 values + narrow scatter indices) and
 /// the baseline in modes().
 constexpr std::size_t kBaseline = 0;
-constexpr std::size_t kHeadline = 3;
+constexpr std::size_t kHeadline = 2;
 
 struct ModeCell {
   double bytes_per_nnz = 0.0;   ///< container footprint / nnz

@@ -169,7 +169,7 @@ bool mixed_precision_ok(const FamilySpec& fs, const std::string& cache_dir,
   const auto a = partially_diagonal(fs);
   BuildOptions opts;
   opts.cache_dir = cache_dir;
-  opts.config.storage = {ValuePrecision::kFloat32, true, false};
+  opts.config.storage = {ValuePrecision::kFloat32, true};
   const auto pm = build_partitioned(a, opts, &pool);
 
   std::vector<double> x(static_cast<std::size_t>(a.num_cols()));

@@ -1,7 +1,7 @@
 // crsd_analyze — static kernel-access analyzer over the paper suite.
 //
 // For every Table V matrix and every storage mode (fp64, fp64+i16,
-// fp64+delta, fp32+i16, fp32+delta, fp16+i16) the tool builds the CRSD
+// fp32+i16) the tool builds the CRSD
 // container, runs the static analyzer (analysis/analyze.hpp) on the launch
 // it would issue, and prints any finding as a check::Diagnostic. With
 // cross-validation on (the default) it also executes the launch on a fresh
@@ -44,11 +44,8 @@ struct Mode {
 const std::vector<Mode>& modes() {
   static const std::vector<Mode> m = {
       {"fp64", {}},
-      {"fp64+i16", {ValuePrecision::kNative, true, false}},
-      {"fp64+delta", {ValuePrecision::kNative, false, true}},
-      {"fp32+i16", {ValuePrecision::kFloat32, true, false}},
-      {"fp32+delta", {ValuePrecision::kFloat32, false, true}},
-      {"fp16+i16", {ValuePrecision::kFloat16, true, false}},
+      {"fp64+i16", {ValuePrecision::kNative, true}},
+      {"fp32+i16", {ValuePrecision::kFloat32, true}},
   };
   return m;
 }

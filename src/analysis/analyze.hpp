@@ -5,11 +5,11 @@
 //  * analyze_model — the prover. Walks the per-pattern interval domains of
 //    every address stream the kernel issues and proves or refutes, without
 //    executing anything: (a) global bounds safety of the value / x / y /
-//    index / scatter streams, including the clamped x block-reads and the
-//    delta-varint byte ranges; (b) y-write race-freedom across work-groups
-//    and across ExecPlan thread slices (disjoint-cover checks); (c) barrier
-//    uniformity of the local-memory staging path; (d) local-memory window
-//    fit and read-within-window containment. Everything reported here is a
+//    index / scatter streams, including the clamped x block-reads; (b)
+//    y-write race-freedom across work-groups and across ExecPlan thread
+//    slices (disjoint-cover checks); (c) barrier uniformity of the
+//    local-memory staging path; (d) local-memory window fit and
+//    read-within-window containment. Everything reported here is a
 //    proof over the model, not an observation of a run: the streams are
 //    affine in the group id and diagonal index, so their interval images
 //    are exact (interval.hpp).
@@ -329,48 +329,14 @@ inline std::vector<check::Diagnostic> analyze_model(const LaunchModel& lm) {
          << lm.buffer(Buf::kScatterVal).bytes;
       report(check::Code::kGlobalOutOfBounds, Buf::kScatterVal, -1, os);
     }
-    const int col_width = sc.mode == ScatterIndexMode::kIndex32   ? 4
-                          : sc.mode == ScatterIndexMode::kIndex16 ? 2
-                                                                  : 0;
-    if (col_width > 0 &&
-        slots * col_width >
-            static_cast<std::int64_t>(lm.buffer(Buf::kScatterCol).bytes)) {
+    const int col_width = scatter_index_width(sc.mode);
+    if (slots * col_width >
+        static_cast<std::int64_t>(lm.buffer(Buf::kScatterCol).bytes)) {
       std::ostringstream os;
       os << "scatter column stream needs " << slots * col_width
          << " bytes but scatter_col holds "
          << lm.buffer(Buf::kScatterCol).bytes;
       report(check::Code::kGlobalOutOfBounds, Buf::kScatterCol, -1, os);
-    }
-
-    // Delta mode: the row-pointer array must cover every group's byte range
-    // — monotone, starting at 0, ending exactly at the encoded stream size.
-    if (sc.mode == ScatterIndexMode::kDelta) {
-      const auto& ptr = sc.delta_ptr;
-      bool shape_ok =
-          ptr.size() == static_cast<std::size_t>(sc.num_scatter_rows) + 1 &&
-          !ptr.empty() && ptr.front() == 0 &&
-          std::is_sorted(ptr.begin(), ptr.end()) &&
-          static_cast<size64_t>(ptr.back()) == sc.delta_bytes;
-      if (!shape_ok) {
-        std::ostringstream os;
-        os << "delta row pointers do not cover the encoded stream (size "
-           << ptr.size() << ", expected " << sc.num_scatter_rows + 1
-           << "; back "
-           << (ptr.empty() ? std::int64_t{-1}
-                           : static_cast<std::int64_t>(ptr.back()))
-           << ", stream " << sc.delta_bytes
-           << " bytes): a work-group's decode loop runs past the stream";
-        report(check::Code::kDeltaStream, Buf::kScatterCol, -1, os);
-      } else {
-        // Per-group byte ranges [ptr[i0], ptr[i0+lanes]) within allocation.
-        if (sc.delta_bytes > lm.buffer(Buf::kScatterCol).bytes) {
-          std::ostringstream os;
-          os << "delta stream of " << sc.delta_bytes
-             << " bytes exceeds the scatter_col allocation of "
-             << lm.buffer(Buf::kScatterCol).bytes << " bytes";
-          report(check::Code::kGlobalOutOfBounds, Buf::kScatterCol, -1, os);
-        }
-      }
     }
 
     // x gather targets: the decoded columns (the only scattered read).
@@ -582,27 +548,11 @@ inline CoalescingReport predict_crsd_counters(const LaunchModel& lm) {
         ctx.global_read_block(lm.buffer(Buf::kScatterRow),
                               static_cast<size64_t>(i0), lanes,
                               sizeof(index_t));
-        if (sc.mode == ScatterIndexMode::kDelta) {
-          const size64_t byte0 = static_cast<size64_t>(
-              sc.delta_ptr[static_cast<std::size_t>(i0)]);
-          const size64_t byte1 = static_cast<size64_t>(
-              sc.delta_ptr[static_cast<std::size_t>(i0 + lanes)]);
-          if (byte1 > byte0) {
-            ctx.global_read_block(lm.buffer(Buf::kScatterCol), byte0,
-                                  static_cast<index_t>(byte1 - byte0), 1);
-            ctx.alu(4 * (byte1 - byte0));
-          }
-        }
         for (index_t k = 0; k < sc.width; ++k) {
           const size64_t slot0 =
               static_cast<size64_t>(k) * nsr + static_cast<size64_t>(i0);
-          if (sc.mode == ScatterIndexMode::kIndex32) {
-            ctx.global_read_block(lm.buffer(Buf::kScatterCol), slot0, lanes,
-                                  sizeof(index_t));
-          } else if (sc.mode == ScatterIndexMode::kIndex16) {
-            ctx.global_read_block(lm.buffer(Buf::kScatterCol), slot0, lanes,
-                                  sizeof(std::uint16_t));
-          }
+          ctx.global_read_block(lm.buffer(Buf::kScatterCol), slot0, lanes,
+                                scatter_index_width(sc.mode));
           ctx.global_read_block(lm.buffer(Buf::kScatterVal), slot0, lanes,
                                 lm.value_bytes);
           size64_t useful = 0;

@@ -8,7 +8,7 @@
 //
 // The model is a plain value type on purpose: tests mutate it to plant
 // defects (an unclamped edge read, an overlapping plan partition, a
-// truncated delta stream, a divergent barrier) and check that the prover
+// duplicate scatter target, a divergent barrier) and check that the prover
 // refutes exactly the planted property while the untouched model verifies
 // clean.
 #pragma once
@@ -47,7 +47,7 @@ enum class Buf : int {
   kX,            ///< source vector
   kY,            ///< result vector
   kScatterRow,   ///< scatter row numbers
-  kScatterCol,   ///< scatter column stream (ELL i32/u16 or delta bytes)
+  kScatterCol,   ///< scatter column stream (ELL i32/u16)
   kScatterVal,   ///< scatter value stream
   kIndex,        ///< pattern index metadata (interpreted kernel only)
 };
@@ -102,15 +102,13 @@ struct PatternModel {
 
 /// Scatter side matrix as the scatter phase addresses it. `decoded_col` is
 /// the mode-agnostic i32 ELL view (kInvalidIndex pads) that determines the
-/// x-gather addresses; the encoded representation (mode / delta_ptr /
-/// delta_bytes) determines the column-stream traffic.
+/// x-gather addresses; the encoded representation (mode) determines the
+/// column-stream traffic.
 struct ScatterModel {
   index_t num_scatter_rows = 0;
   index_t width = 0;
   ScatterIndexMode mode = ScatterIndexMode::kIndex32;
   std::vector<index_t> rowno;
-  std::vector<index_t> delta_ptr;  ///< delta mode: size num_scatter_rows + 1
-  size64_t delta_bytes = 0;        ///< delta mode: encoded stream length
   std::vector<index_t> decoded_col;
 };
 
@@ -239,10 +237,6 @@ LaunchModel build_launch_model(const CrsdMatrix<T>& m,
   lm.scatter.width = m.scatter_width();
   lm.scatter.mode = m.scatter_index_mode();
   lm.scatter.rowno = m.scatter_rows();
-  if (lm.scatter.mode == ScatterIndexMode::kDelta) {
-    lm.scatter.delta_ptr = m.storage().scatter_delta_ptr;
-    lm.scatter.delta_bytes = m.storage().scatter_delta.size();
-  }
   lm.scatter.decoded_col = m.decoded_scatter_col();
   return lm;
 }

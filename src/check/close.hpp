@@ -1,6 +1,6 @@
 // Tolerance-gated floating-point comparison for mixed-precision parity.
 //
-// Compacted value streams (f32/f16 storage, core/storage_mode.hpp) make SpMV
+// Compacted value streams (f32 storage, core/storage_mode.hpp) make SpMV
 // results differ from the fp64 build by quantization noise, so parity checks
 // become |a - ref| <= atol + rtol*|ref| with bounds derived from the storage
 // roundoff and the worst-case number of accumulated terms per row — never an

@@ -40,7 +40,7 @@ enum class Code {
                         ///< exceeds its range (builder overflow guard)
   kStorageMismatch,     ///< two containers that must be bitwise identical
                         ///< (serial vs parallel build) differ
-  kDeltaStream,         ///< delta-compressed column stream malformed
+  kDeltaStream,         ///< DCSR delta-compressed column stream malformed
                         ///< (truncated/non-monotone/out-of-range decode)
   // JIT codelet lint (crsd::codegen::lint_*_codelet_source).
   kLintMissingSymbol,   ///< expected exported codelet symbol absent
@@ -48,8 +48,6 @@ enum class Code {
   kLintBakedOffset,     ///< baked x offset/clamp outside [0, num_cols)
   kLintInteriorSplit,   ///< interior/edge split differs from the container's
   kLintPatternDispatch, ///< pattern dispatch bounds differ from cum_segments
-  kLintHalfDecoder,     ///< f16 codelet's crsd_h2f decoder missing/mangled
-  kLintDeltaGuard,      ///< varint decode loop lacks the byte-range guard
   // Static kernel-access analyzer (crsd::analysis::analyze_model).
   kPlanPartition,       ///< ExecPlan thread slices do not disjointly cover
                         ///< their segment/scatter/row domains
@@ -61,9 +59,12 @@ enum class Code {
                         ///< high watermark (backpressure)
   kServeBatchMismatch,  ///< a coalesced batch column diverged bitwise from
                         ///< the per-request single-vector reference
-  // Input readers (crsd::read_matrix_market).
-  kMalformedInput,      ///< untrusted input text violates its grammar
-                        ///< (bad token, out-of-range entry, wrong triangle)
+  kServeShutdown,       ///< request still pending when its engine was
+                        ///< destroyed; it was never computed
+  // Input readers (crsd::read_matrix_market, crsd::read_crsd).
+  kMalformedInput,      ///< untrusted input violates its grammar (bad
+                        ///< token, out-of-range entry, wrong triangle,
+                        ///< unknown storage-mode tag)
 };
 
 inline const char* code_name(Code code) {
@@ -88,12 +89,11 @@ inline const char* code_name(Code code) {
     case Code::kLintBakedOffset: return "lint-baked-offset";
     case Code::kLintInteriorSplit: return "lint-interior-split";
     case Code::kLintPatternDispatch: return "lint-pattern-dispatch";
-    case Code::kLintHalfDecoder: return "lint-half-decoder";
-    case Code::kLintDeltaGuard: return "lint-delta-guard";
     case Code::kPlanPartition: return "plan-partition";
     case Code::kGraphCycle: return "graph-cycle";
     case Code::kServeOverload: return "serve-overload";
     case Code::kServeBatchMismatch: return "serve-batch-mismatch";
+    case Code::kServeShutdown: return "serve-shutdown";
     case Code::kMalformedInput: return "malformed-input";
   }
   return "unknown";
@@ -129,8 +129,8 @@ struct Diagnostic {
 
 /// Error that carries the structured diagnostics that caused it, so callers
 /// can assert on the exact detector (Code) instead of parsing the message.
-/// Thrown by the CRSD build's index-overflow guard and by the Matrix Market
-/// reader.
+/// Thrown by the CRSD build's index-overflow guard, by the Matrix Market
+/// reader and by read_crsd on an unknown storage-mode tag.
 class DiagnosticError : public Error {
  public:
   DiagnosticError(const std::string& what, std::vector<Diagnostic> diags)

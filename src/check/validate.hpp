@@ -35,12 +35,10 @@
 
 #include "check/diagnostics.hpp"
 #include "common/error.hpp"
-#include "common/half.hpp"
 #include "common/types.hpp"
 #include "core/crsd_matrix.hpp"
 #include "core/pattern.hpp"
 #include "core/storage_mode.hpp"
-#include "formats/delta_stream.hpp"
 #include "matrix/coo.hpp"
 
 namespace crsd::check {
@@ -96,22 +94,13 @@ std::vector<T> decode_value_stream(const CrsdStorage<T>& s, bool dia_part) {
         out[i] = static_cast<T>(src[i]);
       return out;
     }
-    case ValuePrecision::kFloat16: {
-      const auto& src = dia_part ? s.dia_val_f16 : s.scatter_val_f16;
-      std::vector<T> out(src.size());
-      for (size64_t i = 0; i < src.size(); ++i)
-        out[i] = static_cast<T>(half_to_float(src[i]));
-      return out;
-    }
   }
   return {};
 }
 
 /// Integrity of the *encoded* stream representations — everything that must
-/// hold before decoding is even meaningful. Delta streams get the full
-/// treatment (pointer monotonicity/coverage, per-row varint decode, row
-/// width, ascending in-range columns — the decoder rejects all of those) as
-/// kDeltaStream errors; u16 columns check the num_cols bound and sizing.
+/// hold before decoding is even meaningful: u16 columns check the num_cols
+/// bound and sizing.
 template <Real T>
 std::vector<Diagnostic> validate_streams(const CrsdStorage<T>& s) {
   std::vector<Diagnostic> out;
@@ -136,60 +125,13 @@ std::vector<Diagnostic> validate_streams(const CrsdStorage<T>& s) {
         emit<T>(out, Code::kScatterLayout, -1, os);
       }
       break;
-    case ScatterIndexMode::kDelta: {
-      if (s.scatter_delta_ptr.size() !=
-          static_cast<std::size_t>(nsr) + 1) {
-        std::ostringstream os;
-        os << "scatter_delta_ptr holds " << s.scatter_delta_ptr.size()
-           << " entries, " << nsr << " scatter rows need " << (nsr + 1);
-        emit<T>(out, Code::kDeltaStream, -1, os);
-        break;  // per-row slicing is undefined without the pointers
-      }
-      if (s.scatter_delta_ptr.front() != 0 ||
-          !std::is_sorted(s.scatter_delta_ptr.begin(),
-                          s.scatter_delta_ptr.end()) ||
-          static_cast<size64_t>(s.scatter_delta_ptr.back()) !=
-              s.scatter_delta.size()) {
-        std::ostringstream os;
-        os << "scatter_delta_ptr is not a monotone cover of the "
-           << s.scatter_delta.size() << "-byte stream";
-        emit<T>(out, Code::kDeltaStream, -1, os);
-        break;
-      }
-      std::vector<index_t> cols;
-      for (index_t i = 0; i < nsr; ++i) {
-        cols.clear();
-        const bool ok = delta::decode_ascending(
-            s.scatter_delta.data(),
-            static_cast<size64_t>(
-                s.scatter_delta_ptr[static_cast<std::size_t>(i)]),
-            static_cast<size64_t>(
-                s.scatter_delta_ptr[static_cast<std::size_t>(i) + 1]),
-            s.num_cols, cols);
-        if (!ok) {
-          std::ostringstream os;
-          os << "scatter delta stream for row index " << i
-             << " is malformed (truncated varint, zero gap, or column "
-             << "outside [0, " << s.num_cols << "))";
-          emit<T>(out, Code::kDeltaStream, i, os);
-        } else if (static_cast<index_t>(cols.size()) > s.scatter_width) {
-          std::ostringstream os;
-          os << "scatter delta stream for row index " << i << " decodes "
-             << cols.size() << " columns, ELL width is " << s.scatter_width;
-          emit<T>(out, Code::kDeltaStream, i, os);
-        }
-        if (out.size() >= 64) return out;
-      }
-      break;
-    }
   }
   return out;
 }
 
 /// Decodes storage into the owning view. Native streams copy through as-is
 /// (wrong-sized hand-built fixtures propagate so validate_view reports
-/// them); encoded modes are only decoded after validate_streams passed, but
-/// the delta path still skips undecodable rows defensively.
+/// them); u16 columns are only decoded after validate_streams passed.
 template <Real T>
 CrsdView<T> make_view(const CrsdStorage<T>& s) {
   CrsdView<T> v{s.num_rows,
@@ -203,7 +145,6 @@ CrsdView<T> make_view(const CrsdStorage<T>& s) {
                 {},
                 decode_value_stream(s, /*dia_part=*/false),
                 s.value_precision};
-  const index_t nsr = static_cast<index_t>(s.scatter_rowno.size());
   switch (s.scatter_index_mode) {
     case ScatterIndexMode::kIndex32:
       v.scatter_col = s.scatter_col;
@@ -216,35 +157,6 @@ CrsdView<T> make_view(const CrsdStorage<T>& s) {
                                : static_cast<index_t>(s.scatter_col16[i]);
       }
       break;
-    case ScatterIndexMode::kDelta: {
-      v.scatter_col.assign(
-          static_cast<size64_t>(s.scatter_width) *
-              static_cast<size64_t>(nsr),
-          kInvalidIndex);
-      std::vector<index_t> cols;
-      for (index_t i = 0;
-           i < nsr && static_cast<std::size_t>(i) + 1 <
-                          s.scatter_delta_ptr.size();
-           ++i) {
-        cols.clear();
-        if (!delta::decode_ascending(
-                s.scatter_delta.data(),
-                static_cast<size64_t>(
-                    s.scatter_delta_ptr[static_cast<std::size_t>(i)]),
-                static_cast<size64_t>(
-                    s.scatter_delta_ptr[static_cast<std::size_t>(i) + 1]),
-                s.num_cols, cols)) {
-          continue;
-        }
-        const std::size_t take = std::min<std::size_t>(
-            cols.size(), static_cast<std::size_t>(s.scatter_width));
-        for (std::size_t k = 0; k < take; ++k) {
-          v.scatter_col[k * static_cast<size64_t>(nsr) +
-                        static_cast<size64_t>(i)] = cols[k];
-        }
-      }
-      break;
-    }
   }
   return v;
 }
@@ -379,8 +291,8 @@ std::vector<Diagnostic> validate_view(const CrsdView<T>& v,
     }
     // Per-row column discipline: live entries strictly ascending, padding
     // only at the tail of each row's k-run. The builder emits both (the
-    // source COO is canonical), and the delta encoder plus the
-    // cross-width storage oracle rely on them — a flipped narrow index
+    // source COO is canonical), and the cross-width storage oracle
+    // relies on them — a flipped narrow index
     // that stays in range still breaks the order and is caught here.
     for (index_t i = 0; i < nsr && out.size() < 64; ++i) {
       index_t prev = -1;
@@ -462,8 +374,8 @@ std::vector<Diagnostic> validate_view(const CrsdView<T>& v,
 }  // namespace detail
 
 /// Validates a raw builder output (or hand-assembled mutation fixture):
-/// first the encoded-stream integrity pass (u16 bounds, delta pointers and
-/// per-row decode), then — when the streams decode at all — the structural
+/// first the encoded-stream integrity pass (u16 bounds and sizing), then —
+/// when the streams decode at all — the structural
 /// invariants over the decoded view.
 template <Real T>
 std::vector<Diagnostic> validate(const CrsdStorage<T>& s,
@@ -488,8 +400,8 @@ std::vector<Diagnostic> validate(const CrsdMatrix<T>& m,
 /// the scatter ELL for scatter rows), and no container nonzero may lack a
 /// source entry. This is the end-to-end nnz-conservation proof that builder
 /// passes 4–6 dropped or invented nothing. Values compare exactly against
-/// the source *as quantized by the storage precision* — f32/f16 streams
-/// legitimately round (and f16 may flush tiny magnitudes to zero), but any
+/// the source *as quantized by the storage precision* — f32 streams
+/// legitimately round (and flush magnitudes below 2^-149 to zero), but any
 /// deviation beyond that round-trip is corruption.
 template <Real T>
 std::vector<Diagnostic> validate_against(const CrsdMatrix<T>& m,
@@ -599,7 +511,7 @@ std::vector<Diagnostic> validate_against(const CrsdMatrix<T>& m,
 
   // Whatever survives in the map was dropped by the container. Entries whose
   // value quantizes to zero in the storage precision are legitimately
-  // indistinguishable from fill (f16 flushes magnitudes below 2^-24).
+  // indistinguishable from fill (f32 flushes magnitudes below 2^-149).
   size64_t lost = 0;
   for (const auto& [kc, v] : src) {
     if (storage_quantize(v, vp) == T(0)) continue;
@@ -624,7 +536,7 @@ std::vector<Diagnostic> validate_against(const CrsdMatrix<T>& m,
 /// array of the two containers must be identical, down to the bit pattern
 /// of the (widened) value streams (memcmp, so -0.0 vs +0.0 and differing
 /// NaN payloads count as mismatches). Comparing decoded streams makes the
-/// oracle work across storage modes: a u16/delta-encoded build compares
+/// oracle work across storage modes: a u16-encoded build compares
 /// equal to an i32 build of the same content, and two builds of the same
 /// precision compare equal iff their raw streams do (the narrowing casts
 /// are injective). This is what the determinism suite uses to prove the

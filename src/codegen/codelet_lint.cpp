@@ -21,9 +21,6 @@ struct LintMeta {
   index_t num_rows = 0;
   index_t num_cols = 0;
   index_t mrows = 0;
-  index_t num_scatter_rows = 0;
-  ValuePrecision value_precision = ValuePrecision::kNative;
-  ScatterIndexMode scol_mode = ScatterIndexMode::kIndex32;
   const std::vector<DiagonalPattern>* patterns = nullptr;
   const std::vector<index_t>* cum_segments = nullptr;
   std::vector<SegmentInterior> interior;
@@ -35,9 +32,6 @@ LintMeta make_lint_meta(const CrsdMatrix<T>& m) {
   meta.num_rows = m.num_rows();
   meta.num_cols = m.num_cols();
   meta.mrows = m.mrows();
-  meta.num_scatter_rows = m.num_scatter_rows();
-  meta.value_precision = m.value_precision();
-  meta.scol_mode = m.scatter_index_mode();
   meta.patterns = &m.patterns();
   meta.cum_segments = &m.cum_segments();
   meta.interior.reserve(m.patterns().size());
@@ -285,72 +279,6 @@ void lint_cpu_body(const LintMeta& meta, const std::string& source,
   }
 }
 
-/// Storage-mode checks for compact-storage codelets (the SpMV CPU generator
-/// is the only one that emits them).
-///
-/// f16 values: the translation unit must carry the binary16 decoder
-/// (`crsd_h2f`, exact mirror of crsd::half_to_float) and every accumulation
-/// that touches a value stream must route the load through it — a raw
-/// `unit[...]`/`scatter_val[...]` product would multiply the bit pattern,
-/// which is numerically silent garbage, not a crash.
-///
-/// Delta-compressed scatter columns: each row decodes a varint byte range
-/// [row_bytes[i], row_bytes[i+1]) and both loops must be bounded by that
-/// range — the outer per-entry loop by `while (pos < end)` and the inner
-/// continuation-byte loop by `(byte & 0x80u) && pos < end`, so a malformed
-/// stream (truncated continuation byte) cannot read past the row's range.
-void lint_storage_modes(const LintMeta& meta, const std::string& source,
-                        std::vector<Diagnostic>& out) {
-  if (meta.value_precision == ValuePrecision::kFloat16) {
-    if (source.find("static inline float crsd_h2f(VT h)") ==
-            std::string::npos ||
-        source.find("struct VT { std::uint16_t bits; };") ==
-            std::string::npos) {
-      emit(out, Code::kLintHalfDecoder, -1,
-           "f16 storage but the crsd_h2f binary16 decoder is missing");
-    }
-    const std::regex val_product(R"(\+= .*(?:unit|scatter_val)\[)");
-    const std::vector<std::string> lines = split_lines(source);
-    for (std::size_t li = 0; li < lines.size(); ++li) {
-      if (contains(lines[li], "+= ") &&
-          std::regex_search(lines[li], val_product) &&
-          !contains(lines[li], "crsd_h2f(")) {
-        emit(out, Code::kLintHalfDecoder,
-             static_cast<std::int64_t>(li) + 1,
-             "f16 value stream accumulated without the crsd_h2f decode");
-      }
-    }
-  }
-  if (meta.scol_mode == ScatterIndexMode::kDelta &&
-      meta.num_scatter_rows > 0) {
-    if (source.find("const std::int32_t end = row_bytes[i + 1];") ==
-            std::string::npos ||
-        source.find("while (pos < end)") == std::string::npos) {
-      emit(out, Code::kLintDeltaGuard, -1,
-           "delta scatter columns but the per-row byte range "
-           "[row_bytes[i], row_bytes[i+1]) does not bound the decode loop");
-    }
-    bool guarded = false;
-    const std::vector<std::string> lines = split_lines(source);
-    for (std::size_t li = 0; li < lines.size(); ++li) {
-      const std::string& line = lines[li];
-      if (line.find("byte & 0x80u") == std::string::npos) continue;
-      if (line.find("(byte & 0x80u) && pos < end") != std::string::npos) {
-        guarded = true;
-      } else if (line.find("while") != std::string::npos) {
-        emit(out, Code::kLintDeltaGuard, static_cast<std::int64_t>(li) + 1,
-             "varint continuation loop lacks the byte-range guard "
-             "(`&& pos < end`); a truncated stream would read past the row");
-      }
-    }
-    if (!guarded) {
-      emit(out, Code::kLintDeltaGuard, -1,
-           "guarded varint decode loop "
-           "`while ((byte & 0x80u) && pos < end)` not found");
-    }
-  }
-}
-
 std::vector<Diagnostic> lint_cpu(const LintMeta& meta,
                                  const std::string& source,
                                  const std::string& prefix) {
@@ -363,7 +291,6 @@ std::vector<Diagnostic> lint_cpu(const LintMeta& meta,
     }
   }
   lint_cpu_body(meta, source, out);
-  lint_storage_modes(meta, source, out);
   return out;
 }
 

@@ -20,13 +20,7 @@
 //     extents equal mrows;
 //   * kLintBakedOffset     — every baked x offset belongs to its pattern's
 //     live-diagonal set, clamp bounds equal num_cols-1, and unclamped
-//     accesses are provably in range for every row of the pattern;
-//   * kLintHalfDecoder     — f16 storage ships the crsd_h2f binary16
-//     decoder and every value-stream accumulation routes through it;
-//   * kLintDeltaGuard      — delta-compressed scatter columns bound both
-//     varint decode loops by the row's byte range [row_bytes[i],
-//     row_bytes[i+1]) — including the continuation-byte inner loop, so a
-//     malformed stream cannot read out of range.
+//     accesses are provably in range for every row of the pattern.
 #pragma once
 
 #include <string>

@@ -39,18 +39,14 @@ std::string itos(std::int64_t v) { return std::to_string(v); }
 struct StorageCtx {
   bool raw = false;    ///< non-native storage: void* stream parameters
   bool widen = false;  ///< compact values: accumulate in double
-  bool half = false;   ///< f16 storage: decode bits on load
   ScatterIndexMode scol_mode = ScatterIndexMode::kIndex32;
 
   const char* vt() const { return raw ? "VT" : "T"; }
   const char* at() const { return widen ? "AT" : "T"; }
-  std::string load(const std::string& val_expr) const {
-    return half ? "crsd_h2f(" + val_expr + ")" : val_expr;
-  }
   std::string term(const std::string& val_expr,
                    const std::string& x_expr) const {
     if (!widen) return val_expr + " * " + x_expr;
-    return "(AT)" + load(val_expr) + " * (AT)" + x_expr;
+    return "(AT)" + val_expr + " * (AT)" + x_expr;
   }
   std::string store(const std::string& acc_expr) const {
     return widen ? "(T)" + acc_expr : acc_expr;
@@ -62,43 +58,8 @@ StorageCtx make_storage_ctx(const Meta& meta) {
   sc.raw = meta.value_precision != ValuePrecision::kNative ||
            meta.scol_mode != ScatterIndexMode::kIndex32;
   sc.widen = meta.value_precision != ValuePrecision::kNative;
-  sc.half = meta.value_precision == ValuePrecision::kFloat16;
   sc.scol_mode = meta.scol_mode;
   return sc;
-}
-
-/// Emits the binary16 storage type and its exact widening decoder (the
-/// generated-source mirror of crsd::half_to_float — same bit algorithm, so
-/// the codelet and the interpreted kernel decode identical floats).
-void emit_half_decoder(CodeWriter& w) {
-  w.line("struct VT { std::uint16_t bits; };");
-  w.open("static inline float crsd_h2f(VT h)");
-  w.line("const std::uint32_t sign = (std::uint32_t)(h.bits & 0x8000u) << 16;");
-  w.line("const std::uint32_t exp = (h.bits >> 10) & 0x1fu;");
-  w.line("const std::uint32_t man = h.bits & 0x3ffu;");
-  w.line("std::uint32_t f;");
-  w.open("if (exp == 0)");
-  w.open("if (man == 0)");
-  w.line("f = sign;");
-  w.close();
-  w.open("else");
-  w.line("int e = 0;");
-  w.line("std::uint32_t m = man;");
-  w.line("while ((m & 0x400u) == 0) { m <<= 1; ++e; }");
-  w.line("f = sign | ((std::uint32_t)(127 - 15 - e) << 23) | "
-         "((m & 0x3ffu) << 13);");
-  w.close();
-  w.close();
-  w.open("else if (exp == 31)");
-  w.line("f = sign | 0x7f800000u | (man << 13);");
-  w.close();
-  w.open("else");
-  w.line("f = sign | ((exp + (127 - 15)) << 23) | (man << 13);");
-  w.close();
-  w.line("float out;");
-  w.line("__builtin_memcpy(&out, &f, sizeof(out));");
-  w.line("return out;");
-  w.close();
 }
 
 /// True if diagonal `off` stays inside [0, num_cols) for every row the
@@ -327,16 +288,15 @@ void emit_cpu_scatter(CodeWriter& w, const Meta& meta,
   }
 
   // Raw-ABI scatter for compact storage: the value stream and the column
-  // representation travel untyped; delta mode additionally carries the
-  // per-row byte offsets in the aux pointer.
+  // representation travel untyped.
   w.open("extern \"C\" void " + opts.symbol_prefix +
          "_scatter(const void* scatter_val_stream, "
-         "const void* scatter_col_stream, const void* scatter_aux_stream, "
+         "const void* scatter_col_stream, "
          "const std::int32_t* scatter_rowno, const T* x, T* y, "
          "std::int32_t row_begin, std::int32_t row_end)");
   if (meta.num_scatter_rows == 0) {
     w.line("(void)scatter_val_stream; (void)scatter_col_stream;");
-    w.line("(void)scatter_aux_stream; (void)scatter_rowno;");
+    w.line("(void)scatter_rowno;");
     w.line("(void)x; (void)y; (void)row_begin; (void)row_end;");
     w.close();
     return;
@@ -346,65 +306,30 @@ void emit_cpu_scatter(CodeWriter& w, const Meta& meta,
   w.line("const std::int32_t i0 = row_begin < 0 ? 0 : row_begin;");
   w.line("const std::int32_t i1 = row_end > " + itos(nsr) + " ? " + itos(nsr) +
          " : row_end;");
-  if (sc.scol_mode == ScatterIndexMode::kDelta) {
-    w.line("const unsigned char* deltas = "
-           "(const unsigned char*)scatter_col_stream;");
-    w.line("const std::int32_t* row_bytes = "
-           "(const std::int32_t*)scatter_aux_stream;");
-    w.open("for (std::int32_t i = i0; i < i1; ++i)");
-    w.line(std::string(sc.at()) + " sum = " + sc.at() + "(0);");
-    w.line("std::int32_t pos = row_bytes[i];");
-    w.line("const std::int32_t end = row_bytes[i + 1];");
-    w.line("std::int32_t col = -1;");
-    w.line("std::int32_t k = 0;");
-    // Per-entry varint decode: absolute first column, then strictly
-    // positive gaps. Values live at the ELL slots k*nsr + i in k order.
-    w.open("while (pos < end)");
-    w.line("std::uint32_t u = 0;");
-    w.line("int sh = 0;");
-    w.line("unsigned char byte;");
-    w.open("do");
-    w.line("byte = deltas[pos++];");
-    w.line("u |= (std::uint32_t)(byte & 0x7fu) << sh;");
-    w.line("sh += 7;");
-    w.close(" while ((byte & 0x80u) && pos < end);");
-    w.line("col = col < 0 ? (std::int32_t)u : col + (std::int32_t)u;");
-    w.line("sum += " +
-           sc.term("scatter_val[i + (std::int64_t)k * " + itos(nsr) + "]",
-                   "x[col]") +
-           ";");
-    w.line("++k;");
-    w.close();
-    w.line("y[scatter_rowno[i]] = " + sc.store("sum") +
-           ";  // overwrite after the diagonal phase");
-    w.close();
-  } else {
-    const bool narrow = sc.scol_mode == ScatterIndexMode::kIndex16;
-    w.line(narrow ? "const std::uint16_t* scatter_col = "
-                    "(const std::uint16_t*)scatter_col_stream;"
-                  : "const std::int32_t* scatter_col = "
-                    "(const std::int32_t*)scatter_col_stream;");
-    w.line("(void)scatter_aux_stream;");
-    w.open("for (std::int32_t i = i0; i < i1; ++i)");
-    w.line(std::string(sc.at()) + " sum = " + sc.at() + "(0);");
-    for (index_t k = 0; k < meta.scatter_width; ++k) {
-      const std::string slot = "i + " + itos(static_cast<std::int64_t>(k) * nsr);
-      w.open("");
-      if (narrow) {
-        w.line("const std::uint32_t c = scatter_col[" + slot + "];");
-        w.line("if (c != 65535u) sum += " +
-               sc.term("scatter_val[" + slot + "]", "x[c]") + ";");
-      } else {
-        w.line("const std::int32_t c = scatter_col[" + slot + "];");
-        w.line("if (c >= 0) sum += " +
-               sc.term("scatter_val[" + slot + "]", "x[c]") + ";");
-      }
-      w.close();
+  const bool narrow = sc.scol_mode == ScatterIndexMode::kIndex16;
+  w.line(narrow ? "const std::uint16_t* scatter_col = "
+                  "(const std::uint16_t*)scatter_col_stream;"
+                : "const std::int32_t* scatter_col = "
+                  "(const std::int32_t*)scatter_col_stream;");
+  w.open("for (std::int32_t i = i0; i < i1; ++i)");
+  w.line(std::string(sc.at()) + " sum = " + sc.at() + "(0);");
+  for (index_t k = 0; k < meta.scatter_width; ++k) {
+    const std::string slot = "i + " + itos(static_cast<std::int64_t>(k) * nsr);
+    w.open("");
+    if (narrow) {
+      w.line("const std::uint32_t c = scatter_col[" + slot + "];");
+      w.line("if (c != 65535u) sum += " +
+             sc.term("scatter_val[" + slot + "]", "x[c]") + ";");
+    } else {
+      w.line("const std::int32_t c = scatter_col[" + slot + "];");
+      w.line("if (c >= 0) sum += " +
+             sc.term("scatter_val[" + slot + "]", "x[c]") + ";");
     }
-    w.line("y[scatter_rowno[i]] = " + sc.store("sum") +
-           ";  // overwrite after the diagonal phase");
     w.close();
   }
+  w.line("y[scatter_rowno[i]] = " + sc.store("sum") +
+         ";  // overwrite after the diagonal phase");
+  w.close();
   w.close();
 }
 
@@ -424,15 +349,11 @@ std::string generate_cpu(const Meta& meta, const CpuCodeletOptions& opts) {
            std::string(value_precision_name(meta.value_precision)) +
            ", scatter indices " +
            std::string(scatter_index_mode_name(meta.scol_mode)) + ".");
-    if (sc.half) {
-      emit_half_decoder(w);
-    } else {
-      w.line("using VT = " +
-             std::string(meta.value_precision == ValuePrecision::kFloat32
-                             ? "float"
-                             : "T") +
-             ";");
-    }
+    w.line("using VT = " +
+           std::string(meta.value_precision == ValuePrecision::kFloat32
+                           ? "float"
+                           : "T") +
+           ";");
     if (sc.widen) w.line("using AT = double;");
   }
   w.line();

@@ -29,13 +29,12 @@ class CrsdJitKernel {
                              const std::int32_t*, const T*, T*, std::int32_t,
                              std::int32_t);
   /// Compact-storage ABI: value/column streams travel untyped (the codelet
-  /// bakes the real element types — float/binary16 values, u16 or varint
-  /// byte-stream columns — into its own source).
+  /// bakes the real element types — float values, u16 columns — into its
+  /// own source).
   using RawDiagFn = void (*)(const void*, const T*, T*, std::int32_t,
                              std::int32_t);
-  using RawScatterFn = void (*)(const void*, const void*, const void*,
-                                const std::int32_t*, const T*, T*,
-                                std::int32_t, std::int32_t);
+  using RawScatterFn = void (*)(const void*, const void*, const std::int32_t*,
+                                const T*, T*, std::int32_t, std::int32_t);
 
   /// Generates and compiles the codelet for `m`'s structure.
   /// Throws crsd::Error if no compiler is available or compilation fails.
@@ -95,7 +94,6 @@ class CrsdJitKernel {
     switch (s.value_precision) {
       case ValuePrecision::kNative: return s.dia_val.data();
       case ValuePrecision::kFloat32: return s.dia_val_f32.data();
-      case ValuePrecision::kFloat16: return s.dia_val_f16.data();
     }
     return nullptr;
   }
@@ -104,7 +102,6 @@ class CrsdJitKernel {
     switch (s.value_precision) {
       case ValuePrecision::kNative: return s.scatter_val.data();
       case ValuePrecision::kFloat32: return s.scatter_val_f32.data();
-      case ValuePrecision::kFloat16: return s.scatter_val_f16.data();
     }
     return nullptr;
   }
@@ -113,15 +110,8 @@ class CrsdJitKernel {
     switch (s.scatter_index_mode) {
       case ScatterIndexMode::kIndex32: return s.scatter_col.data();
       case ScatterIndexMode::kIndex16: return s.scatter_col16.data();
-      case ScatterIndexMode::kDelta: return s.scatter_delta.data();
     }
     return nullptr;
-  }
-  static const void* scatter_aux_stream(const CrsdMatrix<T>& m) {
-    const auto& s = m.storage();
-    return s.scatter_index_mode == ScatterIndexMode::kDelta
-               ? static_cast<const void*>(s.scatter_delta_ptr.data())
-               : nullptr;
   }
 
   void run_diag(const CrsdMatrix<T>& m, const T* x, T* y, index_t b,
@@ -136,7 +126,7 @@ class CrsdJitKernel {
                    index_t e) const {
     if (raw_abi_) {
       raw_scatter_(scatter_val_stream(m), scatter_col_stream(m),
-                   scatter_aux_stream(m), m.scatter_rows().data(), x, y, b, e);
+                   m.scatter_rows().data(), x, y, b, e);
     } else {
       scatter_(m.scatter_val().data(), m.scatter_col().data(),
                m.scatter_rows().data(), x, y, b, e);

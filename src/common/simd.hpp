@@ -21,7 +21,6 @@
 
 #include <cstring>
 
-#include "common/half.hpp"
 #include "common/types.hpp"
 
 // Restrict qualifier for kernel pointer parameters.
@@ -200,33 +199,24 @@ inline void axpy_lanes(T* CRSD_RESTRICT y, const T* CRSD_RESTRICT a,
   }
 }
 
-/// Widens one stored element to double (identity for double, exact promote
-/// for float, bit decode for emulated half).
-inline double widen_to_double(double v) { return v; }
-inline double widen_to_double(float v) { return static_cast<double>(v); }
-inline double widen_to_double(half_t v) {
-  return static_cast<double>(half_to_float(v));
-}
-
 /// acc[0..n) = widen(a[0..n)) * widen(x[0..n))   (init == true)
 /// acc[0..n) += widen(a[0..n)) * widen(x[0..n))  (init == false)
 ///
 /// Widen-on-load companion to axpy_lanes for the compacted value streams
-/// (core/storage_mode.hpp): the value run `a` is stored narrow (f32/f16),
-/// the accumulator is always double. Written as a plain unit-stride loop —
-/// the compiler vectorizes the f32 case to convert+fma sweeps, and the f16
-/// decode is a scalar bit manipulation either way.
+/// (core/storage_mode.hpp): the value run `a` is stored narrow (f32), the
+/// accumulator is always double. Written as a plain unit-stride loop — the
+/// compiler vectorizes it to convert+fma sweeps.
 template <typename VT, Real T>
 inline void axpy_lanes_widen(double* CRSD_RESTRICT acc,
                              const VT* CRSD_RESTRICT a,
                              const T* CRSD_RESTRICT x, index_t n, bool init) {
   if (init) {
     for (index_t i = 0; i < n; ++i) {
-      acc[i] = widen_to_double(a[i]) * static_cast<double>(x[i]);
+      acc[i] = static_cast<double>(a[i]) * static_cast<double>(x[i]);
     }
   } else {
     for (index_t i = 0; i < n; ++i) {
-      acc[i] += widen_to_double(a[i]) * static_cast<double>(x[i]);
+      acc[i] += static_cast<double>(a[i]) * static_cast<double>(x[i]);
     }
   }
 }

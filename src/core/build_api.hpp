@@ -23,10 +23,9 @@
 
 namespace crsd {
 
-/// Unified build options. Implicitly constructible from CrsdConfig so the
-/// mechanical port from build_crsd(a, cfg) to build(a, cfg) is a rename;
-/// a default-constructed BuildOptions builds bit-for-bit what
-/// build_crsd(a) built.
+/// Unified build options. Implicitly constructible from CrsdConfig, so
+/// build(a, cfg) builds exactly detail::build_crsd_impl(a, cfg); a
+/// default-constructed BuildOptions builds the default CrsdConfig.
 struct BuildOptions {
   /// Construction knobs, including storage compaction (config.storage).
   CrsdConfig config;
@@ -53,13 +52,13 @@ struct BuildOptions {
   std::string cache_dir;
 
   BuildOptions() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): the deprecation-window
-  // bridge — every legacy build_crsd(a, cfg) call site ports by renaming.
+  // NOLINTNEXTLINE(google-explicit-constructor): lets every call site that
+  // holds only a CrsdConfig pass it straight to build(a, cfg).
   BuildOptions(const CrsdConfig& cfg) : config(cfg) {}
 };
 
 /// Builds a CRSD matrix from canonical COO — the facade entry point over
-/// the legacy build_crsd overloads. With opts.tune_from_cache set, a
+/// detail::build_crsd_impl. With opts.tune_from_cache set, a
 /// persistent-cache hit replaces the construction knobs with the cached
 /// winner's (zero measured trials, the OSKI re-ingest path); otherwise the
 /// build is exactly detail::build_crsd_impl(a, opts.config, pool).

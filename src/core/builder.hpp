@@ -50,7 +50,6 @@
 #include "common/types.hpp"
 #include "core/crsd_matrix.hpp"
 #include "core/storage_mode.hpp"
-#include "formats/delta_stream.hpp"
 #include "matrix/coo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -96,7 +95,7 @@ struct CrsdConfig {
 
   /// Construction parallelism. 1 (the default) runs the serial reference
   /// path; > 1 runs the parallel pipeline on the ThreadPool passed to
-  /// build_crsd (or the process-global pool when none is given). The
+  /// crsd::build (or the process-global pool when none is given). The
   /// output is bitwise identical either way; the value is an intent, the
   /// pool's width bounds the real concurrency.
   int threads = 1;
@@ -741,52 +740,10 @@ void compact_storage(CrsdStorage<T>& storage, const StorageOptions& opts) {
       std::vector<T>().swap(storage.dia_val);
       std::vector<T>().swap(storage.scatter_val);
       break;
-    case ValuePrecision::kFloat16:
-      storage.dia_val_f16.resize(storage.dia_val.size());
-      for (size64_t i = 0; i < storage.dia_val.size(); ++i) {
-        storage.dia_val_f16[i] =
-            float_to_half(static_cast<float>(storage.dia_val[i]));
-      }
-      storage.scatter_val_f16.resize(storage.scatter_val.size());
-      for (size64_t i = 0; i < storage.scatter_val.size(); ++i) {
-        storage.scatter_val_f16[i] =
-            float_to_half(static_cast<float>(storage.scatter_val[i]));
-      }
-      std::vector<T>().swap(storage.dia_val);
-      std::vector<T>().swap(storage.scatter_val);
-      break;
   }
   storage.value_precision = target;
 
-  const index_t nsr = static_cast<index_t>(storage.scatter_rowno.size());
-  if (opts.delta_scatter_indices) {
-    storage.scatter_delta.clear();
-    storage.scatter_delta_ptr.assign(1, 0);
-    std::vector<index_t> cols;
-    for (index_t i = 0; i < nsr; ++i) {
-      cols.clear();
-      for (index_t k = 0; k < storage.scatter_width; ++k) {
-        const index_t c =
-            storage.scatter_col[static_cast<size64_t>(k) * nsr +
-                                static_cast<size64_t>(i)];
-        if (c != kInvalidIndex) cols.push_back(c);
-      }
-      delta::encode_ascending(cols.data(), static_cast<index_t>(cols.size()),
-                              storage.scatter_delta);
-      if (storage.scatter_delta.size() >
-          static_cast<size64_t>(std::numeric_limits<index_t>::max())) {
-        check::Diagnostic d;
-        d.code = check::Code::kIndexOverflow;
-        d.severity = check::Severity::kError;
-        d.message = "scatter delta stream exceeds index_t range";
-        throw check::DiagnosticError(d.format(), {d});
-      }
-      storage.scatter_delta_ptr.push_back(
-          static_cast<index_t>(storage.scatter_delta.size()));
-    }
-    std::vector<index_t>().swap(storage.scatter_col);
-    storage.scatter_index_mode = ScatterIndexMode::kDelta;
-  } else if (opts.narrow_scatter_indices && storage.num_cols <= 0xffff) {
+  if (opts.narrow_scatter_indices && storage.num_cols <= 0xffff) {
     // Falls through (keeping i32) when the column count does not allow u16.
     storage.scatter_col16.resize(storage.scatter_col.size());
     for (size64_t i = 0; i < storage.scatter_col.size(); ++i) {
@@ -807,8 +764,7 @@ namespace detail {
 /// Builds a CRSD matrix from canonical COO. With cfg.threads > 1 the
 /// parallel pipeline runs on `pool` (or the process-global pool when null);
 /// the result is bitwise identical to the serial reference either way.
-/// Shared implementation behind crsd::build (core/build_api.hpp) and the
-/// deprecated build_crsd below.
+/// Implementation behind crsd::build (core/build_api.hpp).
 template <Real T>
 CrsdMatrix<T> build_crsd_impl(const Coo<T>& a, const CrsdConfig& cfg = {},
                               ThreadPool* pool = nullptr) {
@@ -863,16 +819,5 @@ CrsdMatrix<T> build_crsd_impl(const Coo<T>& a, const CrsdConfig& cfg = {},
 }
 
 }  // namespace detail
-
-/// Legacy entry point, kept for the deprecation window. New code goes
-/// through crsd::build(a, BuildOptions) in core/build_api.hpp, which folds
-/// CrsdConfig, storage compaction, partition policy, and tuning-cache
-/// defaulting into one options struct.
-template <Real T>
-[[deprecated("use crsd::build(a, BuildOptions) from core/build_api.hpp")]]
-CrsdMatrix<T> build_crsd(const Coo<T>& a, const CrsdConfig& cfg = {},
-                         ThreadPool* pool = nullptr) {
-  return detail::build_crsd_impl(a, cfg, pool);
-}
 
 }  // namespace crsd

@@ -17,24 +17,22 @@
 // branch-free.
 //
 // Storage modes (core/storage_mode.hpp): after construction the builder may
-// compact the streams — value streams to f32/f16 with widen-on-load +
-// double accumulation, scatter columns to u16 ELL or per-row varint delta
-// streams with decode-in-kernel. The native mode keeps the original layout
-// and arithmetic bit for bit.
+// compact the streams — value streams to f32 with widen-on-load + double
+// accumulation, scatter columns to u16 ELL. The native mode keeps the
+// original layout and arithmetic bit for bit.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/half.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/pattern.hpp"
 #include "core/storage_mode.hpp"
-#include "formats/delta_stream.hpp"
 
 namespace crsd {
 
@@ -104,11 +102,7 @@ struct CrsdStorage {
   ScatterIndexMode scatter_index_mode = ScatterIndexMode::kIndex32;
   std::vector<float> dia_val_f32;     ///< active iff value_precision == kFloat32
   std::vector<float> scatter_val_f32;
-  std::vector<half_t> dia_val_f16;    ///< active iff value_precision == kFloat16
-  std::vector<half_t> scatter_val_f16;
   std::vector<std::uint16_t> scatter_col16;  ///< u16 ELL, kScatterPad16 pad
-  std::vector<std::uint8_t> scatter_delta;   ///< per-row varint streams
-  std::vector<index_t> scatter_delta_ptr;    ///< size num_scatter_rows+1
   /// Bytes per pattern-index entry (2 or 4) chosen from each pattern's
   /// diagonal-offset range; empty means the historical uniform 4 bytes.
   std::vector<std::uint8_t> pattern_index_width;
@@ -167,11 +161,6 @@ class CrsdMatrix {
                        "f32 diagonal value array size mismatch");
         CRSD_CHECK(s_.scatter_val_f32.size() == ell_slots);
         break;
-      case ValuePrecision::kFloat16:
-        CRSD_CHECK_MSG(val_cursor == s_.dia_val_f16.size(),
-                       "f16 diagonal value array size mismatch");
-        CRSD_CHECK(s_.scatter_val_f16.size() == ell_slots);
-        break;
     }
     switch (s_.scatter_index_mode) {
       case ScatterIndexMode::kIndex32:
@@ -182,31 +171,6 @@ class CrsdMatrix {
                        "u16 scatter columns require num_cols <= 65535");
         CRSD_CHECK(s_.scatter_col16.size() == ell_slots);
         break;
-      case ScatterIndexMode::kDelta: {
-        CRSD_CHECK_MSG(s_.scatter_delta_ptr.size() ==
-                           s_.scatter_rowno.size() + 1,
-                       "delta stream pointer array size mismatch");
-        CRSD_CHECK(s_.scatter_delta_ptr.front() == 0);
-        CRSD_CHECK(std::is_sorted(s_.scatter_delta_ptr.begin(),
-                                  s_.scatter_delta_ptr.end()));
-        CRSD_CHECK(static_cast<size64_t>(s_.scatter_delta_ptr.back()) ==
-                   s_.scatter_delta.size());
-        // Decode-validate every row once here so the kernels can trust the
-        // streams (they re-decode per call but never re-verify).
-        std::vector<index_t> cols;
-        for (std::size_t i = 0; i + 1 < s_.scatter_delta_ptr.size(); ++i) {
-          cols.clear();
-          const bool ok = delta::decode_ascending(
-              s_.scatter_delta.data(),
-              static_cast<size64_t>(s_.scatter_delta_ptr[i]),
-              static_cast<size64_t>(s_.scatter_delta_ptr[i + 1]), s_.num_cols,
-              cols);
-          CRSD_CHECK_MSG(ok && static_cast<index_t>(cols.size()) <=
-                                   s_.scatter_width,
-                         "malformed scatter delta stream at row " << i);
-        }
-        break;
-      }
     }
     if (!s_.pattern_index_width.empty()) {
       CRSD_CHECK(s_.pattern_index_width.size() == s_.patterns.size());
@@ -226,7 +190,7 @@ class CrsdMatrix {
   index_t num_patterns() const {
     return static_cast<index_t>(s_.patterns.size());
   }
-  /// Native diagonal value stream. Empty in f32/f16 modes — mode-agnostic
+  /// Native diagonal value stream. Empty in f32 mode — mode-agnostic
   /// consumers should use decoded_dia_values()/dia_value() instead.
   const std::vector<T>& dia_values() const { return s_.dia_val; }
 
@@ -262,10 +226,10 @@ class CrsdMatrix {
     return static_cast<index_t>(s_.scatter_rowno.size());
   }
   index_t scatter_width() const { return s_.scatter_width; }
-  /// Native (i32 ELL) scatter columns. Empty in u16/delta modes — use
+  /// Native (i32 ELL) scatter columns. Empty in u16 mode — use
   /// decoded_scatter_col() for a mode-agnostic view.
   const std::vector<index_t>& scatter_col() const { return s_.scatter_col; }
-  /// Native scatter value stream. Empty in f32/f16 modes.
+  /// Native scatter value stream. Empty in f32 mode.
   const std::vector<T>& scatter_val() const { return s_.scatter_val; }
 
   // --- storage-mode introspection ---
@@ -289,8 +253,6 @@ class CrsdMatrix {
         return s_.dia_val[slot_idx];
       case ValuePrecision::kFloat32:
         return static_cast<T>(s_.dia_val_f32[slot_idx]);
-      case ValuePrecision::kFloat16:
-        return static_cast<T>(half_to_float(s_.dia_val_f16[slot_idx]));
     }
     return T(0);
   }
@@ -301,8 +263,6 @@ class CrsdMatrix {
         return s_.scatter_val[slot_idx];
       case ValuePrecision::kFloat32:
         return static_cast<T>(s_.scatter_val_f32[slot_idx]);
-      case ValuePrecision::kFloat16:
-        return static_cast<T>(half_to_float(s_.scatter_val_f16[slot_idx]));
     }
     return T(0);
   }
@@ -321,65 +281,16 @@ class CrsdMatrix {
   /// Materializes the scatter columns as i32 ELL with kInvalidIndex pads,
   /// regardless of the encoded representation.
   std::vector<index_t> decoded_scatter_col() const {
-    const index_t nsr = num_scatter_rows();
-    std::vector<index_t> out(scatter_slot_count(), kInvalidIndex);
-    switch (s_.scatter_index_mode) {
-      case ScatterIndexMode::kIndex32:
-        out = s_.scatter_col;
-        break;
-      case ScatterIndexMode::kIndex16:
-        for (size64_t i = 0; i < out.size(); ++i) {
-          out[i] = s_.scatter_col16[i] == kScatterPad16
-                       ? kInvalidIndex
-                       : static_cast<index_t>(s_.scatter_col16[i]);
-        }
-        break;
-      case ScatterIndexMode::kDelta: {
-        std::vector<index_t> cols;
-        for (index_t i = 0; i < nsr; ++i) {
-          cols.clear();
-          decode_scatter_row(i, cols);
-          for (std::size_t k = 0; k < cols.size(); ++k) {
-            out[k * static_cast<size64_t>(nsr) + static_cast<size64_t>(i)] =
-                cols[k];
-          }
-        }
-        break;
-      }
+    if (s_.scatter_index_mode == ScatterIndexMode::kIndex32) {
+      return s_.scatter_col;
+    }
+    std::vector<index_t> out(scatter_slot_count());
+    for (size64_t i = 0; i < out.size(); ++i) {
+      out[i] = s_.scatter_col16[i] == kScatterPad16
+                   ? kInvalidIndex
+                   : static_cast<index_t>(s_.scatter_col16[i]);
     }
     return out;
-  }
-  /// Decodes scatter row i's real columns (no pads) into `out` (appended).
-  void decode_scatter_row(index_t i, std::vector<index_t>& out) const {
-    switch (s_.scatter_index_mode) {
-      case ScatterIndexMode::kIndex32:
-      case ScatterIndexMode::kIndex16: {
-        const index_t nsr = num_scatter_rows();
-        for (index_t k = 0; k < s_.scatter_width; ++k) {
-          const size64_t slot_idx =
-              static_cast<size64_t>(k) * nsr + static_cast<size64_t>(i);
-          if (s_.scatter_index_mode == ScatterIndexMode::kIndex32) {
-            if (s_.scatter_col[slot_idx] != kInvalidIndex)
-              out.push_back(s_.scatter_col[slot_idx]);
-          } else if (s_.scatter_col16[slot_idx] != kScatterPad16) {
-            out.push_back(static_cast<index_t>(s_.scatter_col16[slot_idx]));
-          }
-        }
-        break;
-      }
-      case ScatterIndexMode::kDelta: {
-        const bool ok = delta::decode_ascending(
-            s_.scatter_delta.data(),
-            static_cast<size64_t>(
-                s_.scatter_delta_ptr[static_cast<std::size_t>(i)]),
-            static_cast<size64_t>(
-                s_.scatter_delta_ptr[static_cast<std::size_t>(i) + 1]),
-            s_.num_cols, out);
-        CRSD_ASSERT(ok);
-        (void)ok;
-        break;
-      }
-    }
   }
   /// Bytes per pattern-index entry for pattern p (2 or 4).
   int pattern_index_width(index_t p) const {
@@ -390,16 +301,8 @@ class CrsdMatrix {
   }
   /// Encoded size of the scatter column representation (excluding rowno).
   size64_t scatter_index_stream_bytes() const {
-    switch (s_.scatter_index_mode) {
-      case ScatterIndexMode::kIndex32:
-        return s_.scatter_col.size() * sizeof(index_t);
-      case ScatterIndexMode::kIndex16:
-        return s_.scatter_col16.size() * sizeof(std::uint16_t);
-      case ScatterIndexMode::kDelta:
-        return s_.scatter_delta.size() +
-               s_.scatter_delta_ptr.size() * sizeof(index_t);
-    }
-    return 0;
+    return scatter_slot_count() *
+           static_cast<size64_t>(scatter_index_width(s_.scatter_index_mode));
   }
   /// Pattern index metadata bytes at the recorded per-pattern widths.
   size64_t dia_index_bytes() const {
@@ -461,9 +364,6 @@ class CrsdMatrix {
       case ValuePrecision::kFloat32:
         return spmv_segments_impl<float>(s_.dia_val_f32.data(), seg_begin,
                                          seg_end, x, y);
-      case ValuePrecision::kFloat16:
-        return spmv_segments_impl<half_t>(s_.dia_val_f16.data(), seg_begin,
-                                          seg_end, x, y);
     }
   }
 
@@ -516,9 +416,6 @@ class CrsdMatrix {
       case ValuePrecision::kFloat32:
         return spmv_scatter_dispatch<float>(s_.scatter_val_f32.data(),
                                             row_begin, row_end, x, y);
-      case ValuePrecision::kFloat16:
-        return spmv_scatter_dispatch<half_t>(s_.scatter_val_f16.data(),
-                                             row_begin, row_end, x, y);
     }
   }
 
@@ -549,10 +446,6 @@ class CrsdMatrix {
       case ValuePrecision::kFloat32:
         st.dia_nnz = count_nonzero(s_.dia_val_f32);
         st.scatter_nnz = count_nonzero(s_.scatter_val_f32);
-        break;
-      case ValuePrecision::kFloat16:
-        st.dia_nnz = count_nonzero(s_.dia_val_f16);
-        st.scatter_nnz = count_nonzero(s_.scatter_val_f16);
         break;
     }
     size64_t ad_slots = 0;
@@ -597,13 +490,6 @@ class CrsdMatrix {
         for (size64_t i = 0; i < scatter_val.size(); ++i)
           s_.scatter_val_f32[i] = static_cast<float>(scatter_val[i]);
         break;
-      case ValuePrecision::kFloat16:
-        for (size64_t i = 0; i < dia_val.size(); ++i)
-          s_.dia_val_f16[i] = float_to_half(static_cast<float>(dia_val[i]));
-        for (size64_t i = 0; i < scatter_val.size(); ++i)
-          s_.scatter_val_f16[i] =
-              float_to_half(static_cast<float>(scatter_val[i]));
-        break;
     }
   }
 
@@ -621,26 +507,11 @@ class CrsdMatrix {
   }
 
  private:
-  /// Widens a stored value to the arithmetic type T.
-  template <typename VT>
-  static T load_value(VT v) {
-    if constexpr (std::is_same_v<VT, half_t>) {
-      return static_cast<T>(half_to_float(v));
-    } else {
-      return static_cast<T>(v);
-    }
-  }
-
-  static bool stream_nonzero(half_t v) { return (v.bits & 0x7fffu) != 0; }
-  template <typename VT>
-  static bool stream_nonzero(VT v) {
-    return v != VT(0);
-  }
   template <typename VT>
   static size64_t count_nonzero(const std::vector<VT>& v) {
     size64_t n = 0;
     for (const VT& e : v) {
-      if (stream_nonzero(e)) ++n;
+      if (e != VT(0)) ++n;
     }
     return n;
   }
@@ -669,8 +540,7 @@ class CrsdMatrix {
         for (index_t d = 0; d < ndias; ++d) {
           const index_t c = clamp_col(r + pat.offsets[static_cast<std::size_t>(d)]);
           sum += static_cast<Acc>(
-                     load_value(unit[static_cast<size64_t>(d) * s_.mrows +
-                                     lane])) *
+                     unit[static_cast<size64_t>(d) * s_.mrows + lane]) *
                  static_cast<Acc>(x[c]);
         }
         y[r] = static_cast<T>(sum);
@@ -694,33 +564,9 @@ class CrsdMatrix {
             static_cast<size64_t>(k) * nsr + static_cast<size64_t>(i);
         const CT c = scol[slot_idx];
         if (c != pad) {
-          sum += static_cast<Acc>(load_value(sval[slot_idx])) *
+          sum += static_cast<Acc>(sval[slot_idx]) *
                  static_cast<Acc>(x[static_cast<index_t>(c)]);
         }
-      }
-      y[s_.scatter_rowno[static_cast<std::size_t>(i)]] = static_cast<T>(sum);
-    }
-  }
-
-  /// Delta-stream scatter phase: decode each row's varint column stream,
-  /// then the same k-ascending accumulation as the ELL path — native mode
-  /// stays bitwise identical because pads contribute nothing either way.
-  template <typename VT>
-  void spmv_scatter_delta(const VT* sval, index_t row_begin, index_t row_end,
-                          const T* x, T* y) const {
-    using Acc = std::conditional_t<std::is_same_v<VT, T>, T, double>;
-    const index_t nsr = num_scatter_rows();
-    std::vector<index_t> cols;
-    for (index_t i = std::max<index_t>(row_begin, 0);
-         i < std::min(row_end, nsr); ++i) {
-      cols.clear();
-      decode_scatter_row(i, cols);
-      Acc sum = Acc(0);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        const size64_t slot_idx =
-            static_cast<size64_t>(k) * nsr + static_cast<size64_t>(i);
-        sum += static_cast<Acc>(load_value(sval[slot_idx])) *
-               static_cast<Acc>(x[cols[k]]);
       }
       y[s_.scatter_rowno[static_cast<std::size_t>(i)]] = static_cast<T>(sum);
     }
@@ -738,8 +584,6 @@ class CrsdMatrix {
         return spmv_scatter_ell<VT, std::uint16_t>(
             sval, s_.scatter_col16.data(), kScatterPad16, row_begin, row_end,
             x, y);
-      case ScatterIndexMode::kDelta:
-        return spmv_scatter_delta<VT>(sval, row_begin, row_end, x, y);
     }
   }
 
@@ -756,9 +600,6 @@ class CrsdMatrix {
       case ValuePrecision::kFloat32:
         return spmv_pattern_interior_impl<float>(s_.dia_val_f32.data(), p, g0,
                                                  g1, x, y, xbuf, acc);
-      case ValuePrecision::kFloat16:
-        return spmv_pattern_interior_impl<half_t>(s_.dia_val_f16.data(), p, g0,
-                                                  g1, x, y, xbuf, acc);
     }
   }
 

@@ -57,8 +57,8 @@ template <Real T>
 Coo<T> crsd_to_coo(const CrsdMatrix<T>& m) {
   Coo<T> out(m.num_rows(), m.num_cols());
   out.reserve(m.nnz());
-  // Decode once up front so compact storage (f32/f16 values, u16/delta
-  // columns) round-trips through the same ELL-shaped loops as native.
+  // Decode once up front so compact storage (f32 values, u16 columns)
+  // round-trips through the same ELL-shaped loops as native.
   const std::vector<T> dia_vals = m.decoded_dia_values();
   const std::vector<index_t> scatter_cols = m.decoded_scatter_col();
   const std::vector<T> scatter_vals = m.decoded_scatter_val();

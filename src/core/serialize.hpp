@@ -9,8 +9,10 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <vector>
 
+#include "check/diagnostics.hpp"
 #include "common/error.hpp"
 #include "core/crsd_matrix.hpp"
 
@@ -63,6 +65,21 @@ std::vector<P> read_vec(std::istream& is) {
   return v;
 }
 
+/// Reads a storage-mode tag and rejects any value above `max_tag` with a
+/// malformed-input diagnostic.
+inline std::uint8_t read_tag(std::istream& is, std::uint8_t max_tag,
+                             const char* what) {
+  const auto tag = read_pod<std::uint8_t>(is);
+  if (tag > max_tag) {
+    check::Diagnostic d;
+    d.code = check::Code::kMalformedInput;
+    d.message = std::string("unknown ") + what + " tag " +
+                std::to_string(int(tag));
+    throw check::DiagnosticError(d.format(), {d});
+  }
+  return tag;
+}
+
 }  // namespace detail
 
 /// Writes `m` to a binary stream.
@@ -93,9 +110,6 @@ void write_crsd(std::ostream& os, const CrsdMatrix<T>& m) {
     case ValuePrecision::kFloat32:
       detail::write_vec(os, s.dia_val_f32);
       break;
-    case ValuePrecision::kFloat16:
-      detail::write_vec(os, s.dia_val_f16);
-      break;
   }
   detail::write_vec(os, s.scatter_rowno);
   detail::write_pod<index_t>(os, s.scatter_width);
@@ -106,10 +120,6 @@ void write_crsd(std::ostream& os, const CrsdMatrix<T>& m) {
     case ScatterIndexMode::kIndex16:
       detail::write_vec(os, s.scatter_col16);
       break;
-    case ScatterIndexMode::kDelta:
-      detail::write_vec(os, s.scatter_delta);
-      detail::write_vec(os, s.scatter_delta_ptr);
-      break;
   }
   switch (s.value_precision) {
     case ValuePrecision::kNative:
@@ -118,16 +128,14 @@ void write_crsd(std::ostream& os, const CrsdMatrix<T>& m) {
     case ValuePrecision::kFloat32:
       detail::write_vec(os, s.scatter_val_f32);
       break;
-    case ValuePrecision::kFloat16:
-      detail::write_vec(os, s.scatter_val_f16);
-      break;
   }
   CRSD_CHECK_MSG(os.good(), "write failure while serializing CRSD");
 }
 
 /// Reads a CRSD matrix written by write_crsd. Throws on magic/precision
-/// mismatch or truncation. Structural invariants are re-validated by the
-/// CrsdMatrix constructor.
+/// mismatch or truncation, and check::DiagnosticError (kMalformedInput) on
+/// an unknown storage-mode tag. Structural invariants are re-validated by
+/// the CrsdMatrix constructor.
 template <Real T>
 CrsdMatrix<T> read_crsd(std::istream& is) {
   char magic[sizeof(detail::kCrsdMagic)];
@@ -158,12 +166,12 @@ CrsdMatrix<T> read_crsd(std::istream& is) {
     pat.groups = group_diagonals(pat.offsets);
     s.patterns.push_back(std::move(pat));
   }
-  const auto vp_tag = detail::read_pod<std::uint8_t>(is);
-  CRSD_CHECK_MSG(vp_tag <= 2, "unknown value-precision tag " << int(vp_tag));
-  s.value_precision = static_cast<ValuePrecision>(vp_tag);
-  const auto im_tag = detail::read_pod<std::uint8_t>(is);
-  CRSD_CHECK_MSG(im_tag <= 2, "unknown index-mode tag " << int(im_tag));
-  s.scatter_index_mode = static_cast<ScatterIndexMode>(im_tag);
+  s.value_precision = static_cast<ValuePrecision>(detail::read_tag(
+      is, static_cast<std::uint8_t>(ValuePrecision::kFloat32),
+      "value-precision"));
+  s.scatter_index_mode = static_cast<ScatterIndexMode>(detail::read_tag(
+      is, static_cast<std::uint8_t>(ScatterIndexMode::kIndex16),
+      "index-mode"));
   s.pattern_index_width = detail::read_vec<std::uint8_t>(is);
   switch (s.value_precision) {
     case ValuePrecision::kNative:
@@ -171,9 +179,6 @@ CrsdMatrix<T> read_crsd(std::istream& is) {
       break;
     case ValuePrecision::kFloat32:
       s.dia_val_f32 = detail::read_vec<float>(is);
-      break;
-    case ValuePrecision::kFloat16:
-      s.dia_val_f16 = detail::read_vec<half_t>(is);
       break;
   }
   s.scatter_rowno = detail::read_vec<index_t>(is);
@@ -185,10 +190,6 @@ CrsdMatrix<T> read_crsd(std::istream& is) {
     case ScatterIndexMode::kIndex16:
       s.scatter_col16 = detail::read_vec<std::uint16_t>(is);
       break;
-    case ScatterIndexMode::kDelta:
-      s.scatter_delta = detail::read_vec<std::uint8_t>(is);
-      s.scatter_delta_ptr = detail::read_vec<index_t>(is);
-      break;
   }
   switch (s.value_precision) {
     case ValuePrecision::kNative:
@@ -196,9 +197,6 @@ CrsdMatrix<T> read_crsd(std::istream& is) {
       break;
     case ValuePrecision::kFloat32:
       s.scatter_val_f32 = detail::read_vec<float>(is);
-      break;
-    case ValuePrecision::kFloat16:
-      s.scatter_val_f16 = detail::read_vec<half_t>(is);
       break;
   }
   return CrsdMatrix<T>(std::move(s));

@@ -3,10 +3,9 @@
 // A CRSD build can optionally compact its streams after the 6-pass
 // construction ("pass 7"):
 //
-//   value streams   kNative (T as built) | kFloat32 | kFloat16 (emulated)
+//   value streams   kNative (T as built) | kFloat32
 //   scatter columns kIndex32 (raw int32 ELL) | kIndex16 (uint16 ELL,
-//                   0xffff pad; requires num_cols <= 65535) | kDelta
-//                   (per-row varint byte streams, formats/delta_stream.hpp)
+//                   0xffff pad; requires num_cols <= 65535)
 //
 // Accumulator policy: a kernel whose value-stream type differs from the
 // arithmetic type T widens every loaded value and accumulates in double;
@@ -18,7 +17,6 @@
 
 #include <cstdint>
 
-#include "common/half.hpp"
 #include "common/types.hpp"
 
 namespace crsd {
@@ -28,14 +26,12 @@ namespace crsd {
 enum class ValuePrecision : std::uint8_t {
   kNative = 0,
   kFloat32 = 1,
-  kFloat16 = 2,
 };
 
 /// Representation of the scatter-part column indices.
 enum class ScatterIndexMode : std::uint8_t {
   kIndex32 = 0,
   kIndex16 = 1,
-  kDelta = 2,
 };
 
 /// Padding sentinel for u16 ELL scatter columns (kIndex16 is only selected
@@ -49,13 +45,10 @@ struct StorageOptions {
   ValuePrecision value_precision = ValuePrecision::kNative;
   /// Re-encode scatter columns as uint16 when the column count allows it.
   bool narrow_scatter_indices = false;
-  /// Re-encode scatter columns as per-row varint delta streams. Takes
-  /// precedence over narrow_scatter_indices when both are set.
-  bool delta_scatter_indices = false;
 
   bool is_default() const {
     return value_precision == ValuePrecision::kNative &&
-           !narrow_scatter_indices && !delta_scatter_indices;
+           !narrow_scatter_indices;
   }
 };
 
@@ -65,8 +58,6 @@ inline const char* value_precision_name(ValuePrecision p) {
       return "native";
     case ValuePrecision::kFloat32:
       return "f32";
-    case ValuePrecision::kFloat16:
-      return "f16";
   }
   return "?";
 }
@@ -77,8 +68,6 @@ inline const char* scatter_index_mode_name(ScatterIndexMode m) {
       return "i32";
     case ScatterIndexMode::kIndex16:
       return "i16";
-    case ScatterIndexMode::kDelta:
-      return "delta";
   }
   return "?";
 }
@@ -91,10 +80,13 @@ constexpr int value_stream_bytes(ValuePrecision p) {
       return static_cast<int>(sizeof(T));
     case ValuePrecision::kFloat32:
       return 4;
-    case ValuePrecision::kFloat16:
-      return 2;
   }
   return static_cast<int>(sizeof(T));
+}
+
+/// Bytes per stored scatter column entry under index mode `m`.
+constexpr int scatter_index_width(ScatterIndexMode m) {
+  return m == ScatterIndexMode::kIndex16 ? 2 : 4;
 }
 
 /// What survives of `v` after a round trip through the storage precision.
@@ -107,8 +99,6 @@ T storage_quantize(T v, ValuePrecision p) {
       return v;
     case ValuePrecision::kFloat32:
       return static_cast<T>(static_cast<float>(v));
-    case ValuePrecision::kFloat16:
-      return static_cast<T>(half_storage_round(static_cast<double>(v)));
   }
   return v;
 }
@@ -122,8 +112,6 @@ constexpr double storage_epsilon(ValuePrecision p) {
       return sizeof(T) == 8 ? 0x1p-52 : 0x1p-23;
     case ValuePrecision::kFloat32:
       return 0x1p-23;
-    case ValuePrecision::kFloat16:
-      return 0x1p-10;
   }
   return 0x1p-52;
 }

@@ -34,7 +34,7 @@ void update_values(CrsdMatrix<T>& m, const Coo<T>& a) {
 
   std::vector<T> dia_val(m.dia_slot_count(), T(0));
   std::vector<T> scatter_val(m.scatter_slot_count(), T(0));
-  // Mode-agnostic column view (u16/delta storage decodes to i32 ELL).
+  // Mode-agnostic column view (u16 storage decodes to i32 ELL).
   const std::vector<index_t> scatter_cols = m.decoded_scatter_col();
 
   const auto& rows = a.row_indices();

@@ -21,7 +21,6 @@
 
 // Common utilities: errors, fixed-width types, RNG, timers, thread pool.
 #include "common/error.hpp"
-#include "common/half.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -48,7 +47,6 @@
 #include "formats/bcsr.hpp"
 #include "formats/csr.hpp"
 #include "formats/dcsr.hpp"
-#include "formats/delta_stream.hpp"
 #include "formats/dia.hpp"
 #include "formats/ell.hpp"
 #include "formats/format.hpp"

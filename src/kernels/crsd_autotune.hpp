@@ -170,10 +170,7 @@ std::string tune_key_string(const gpusim::DeviceSpec& spec, const Coo<T>& a,
   os << "crsd-tune-v1|dev=" << spec.name << "|wf=" << spec.wavefront_size
      << "|fp=" << (std::is_same_v<T, double> ? "f64" : "f32")
      << "|vp=" << value_precision_name(opts.storage.value_precision)
-     << "|ix="
-     << (opts.storage.delta_scatter_indices
-             ? "delta"
-             : (opts.storage.narrow_scatter_indices ? "narrow" : "i32"))
+     << "|ix=" << (opts.storage.narrow_scatter_indices ? "narrow" : "i32")
      << "|shash=" << fnv1a64_hex(std::to_string(structure_hash(a)));
   os << "|mrows=";
   for (index_t v : space.mrows) os << v << ',';
@@ -296,7 +293,10 @@ struct CachedTuning {
 
 /// Looks up the persistent tuning cache without running any search. Returns
 /// the cached winner for this (matrix structure, device, precision, search
-/// space), or nullopt on a miss or when opts.use_cache is false. This is how
+/// space), or nullopt on a miss or when opts.use_cache is false. An entry
+/// whose mrows is outside space.mrows or not a multiple of the device's
+/// wavefront size could never have won a search on this key, and would
+/// fail at launch; it is a miss, so the caller re-tunes. This is how
 /// dispatch layers default their configuration from earlier tuning runs
 /// without paying for a search.
 template <Real T>
@@ -315,7 +315,10 @@ std::optional<CachedTuning> load_cached_tuning(const gpusim::DeviceSpec& spec,
   const std::string path =
       (std::filesystem::path(detail::tune_cache_dir(opts)) / (t.key + ".txt"))
           .string();
-  if (detail::tune_cache_load(path, t.config, t.local_memory, t.seconds)) {
+  if (detail::tune_cache_load(path, t.config, t.local_memory, t.seconds) &&
+      t.config.mrows % spec.wavefront_size == 0 &&
+      std::find(space.mrows.begin(), space.mrows.end(), t.config.mrows) !=
+          space.mrows.end()) {
     // The entry was stored under these storage options (they are part of
     // the key), so rebuild-from-cache must apply them too.
     t.config.storage = opts.storage;

@@ -82,30 +82,6 @@ size64_t dia_slot_at_segment(const CrsdMatrix<T>& m, index_t g) {
          static_cast<size64_t>(seg_in_p) * pat.slots_per_segment(m.mrows());
 }
 
-/// Encoded bytes of the scatter column representation for rows [sb, se) —
-/// the ranged analogue of scatter_index_stream_bytes() (full range matches
-/// it exactly, including the delta mode's row-pointer array).
-template <Real T>
-size64_t scatter_index_bytes_range(const CrsdMatrix<T>& m, index_t sb,
-                                   index_t se) {
-  const size64_t rows = static_cast<size64_t>(se > sb ? se - sb : 0);
-  const size64_t slots = rows * static_cast<size64_t>(m.scatter_width());
-  switch (m.scatter_index_mode()) {
-    case ScatterIndexMode::kIndex32:
-      return slots * sizeof(index_t);
-    case ScatterIndexMode::kIndex16:
-      return slots * sizeof(std::uint16_t);
-    case ScatterIndexMode::kDelta: {
-      const auto& dptr = m.storage().scatter_delta_ptr;
-      if (dptr.empty()) return 0;
-      return static_cast<size64_t>(dptr[static_cast<std::size_t>(se)] -
-                                   dptr[static_cast<std::size_t>(sb)]) +
-             (rows + 1) * sizeof(index_t);
-    }
-  }
-  return 0;
-}
-
 }  // namespace detail
 
 template <Real T>
@@ -147,7 +123,7 @@ gpusim::LaunchResult gpu_spmv_crsd_range(gpusim::Device& dev,
   // Storage-mode parameters: compact modes shrink the value and index
   // streams, which is exactly what the DRAM-transaction counters measure.
   const int vb = m.value_bytes();
-  const ScatterIndexMode scol_mode = m.scatter_index_mode();
+  const int cb = scatter_index_width(m.scatter_index_mode());
   const bool native = m.value_precision() == ValuePrecision::kNative;
 
   // The range's slice of the diagonal value stream, and its scatter-ELL
@@ -160,8 +136,7 @@ gpusim::LaunchResult gpu_spmv_crsd_range(gpusim::Device& dev,
   const index_t nsr_full = m.num_scatter_rows();
 
   // Device allocations: diagonal values, scatter ELL, vectors, and (for the
-  // interpreted kernel) the index metadata. Sizes follow the storage mode;
-  // delta mode ships the varint byte stream instead of an ELL column array.
+  // interpreted kernel) the index metadata. Sizes follow the storage mode.
   gpusim::Buffer b_v = dev.alloc((val1 - val0) * vb);
   gpusim::Buffer b_x =
       dev.alloc(static_cast<size64_t>(r.x_end - r.x_begin) * sizeof(T));
@@ -169,8 +144,8 @@ gpusim::LaunchResult gpu_spmv_crsd_range(gpusim::Device& dev,
       dev.alloc(static_cast<size64_t>(r.row_end - r.row_begin) * sizeof(T));
   gpusim::Buffer b_srow =
       dev.alloc(static_cast<size64_t>(nsr) * sizeof(index_t));
-  gpusim::Buffer b_scol = dev.alloc(
-      detail::scatter_index_bytes_range(m, r.scatter_begin, r.scatter_end));
+  gpusim::Buffer b_scol =
+      dev.alloc(static_cast<size64_t>(nsr) * m.scatter_width() * cb);
   gpusim::Buffer b_sval =
       dev.alloc(static_cast<size64_t>(nsr) * m.scatter_width() * vb);
   size64_t index_bytes = 0;
@@ -242,7 +217,7 @@ gpusim::LaunchResult gpu_spmv_crsd_range(gpusim::Device& dev,
         const index_t d = grp.first_diagonal + gd;
         const diag_offset_t off = pat.offsets[static_cast<std::size_t>(d)];
         // Coalesced value load of this diagonal's lanes, at the storage
-        // mode's element width (f32 halves the traffic, f16 quarters it).
+        // mode's element width (f32 halves the traffic).
         ctx.global_read_block(
             b_v, unit0 - val0 + static_cast<size64_t>(d) * mrows, lanes, vb);
         if (staged) {
@@ -326,26 +301,6 @@ gpusim::LaunchResult gpu_spmv_crsd_range(gpusim::Device& dev,
       const index_t gi0 = r.scatter_begin + i0;  // global scatter row
       ctx.global_read_block(b_srow, static_cast<size64_t>(i0), lanes,
                             sizeof(index_t));
-      if (scol_mode == ScatterIndexMode::kDelta) {
-        // Delta mode reads each row's varint byte stream once up front and
-        // decodes it in registers: one coalesced byte-range sweep plus
-        // shift/or/compare ALU work per stream byte, replacing the per-k
-        // 4-byte column loads below.
-        const auto& dptr = m.storage().scatter_delta_ptr;
-        const size64_t slice0 =
-            static_cast<size64_t>(dptr[static_cast<std::size_t>(
-                r.scatter_begin)]);
-        const size64_t byte0 =
-            static_cast<size64_t>(dptr[static_cast<std::size_t>(gi0)]) -
-            slice0;
-        const size64_t byte1 = static_cast<size64_t>(
-                                   dptr[static_cast<std::size_t>(gi0 + lanes)]) -
-                               slice0;
-        if (byte1 > byte0) {
-          ctx.global_read_block(b_scol, byte0, byte1 - byte0, 1);
-          ctx.alu(4 * (byte1 - byte0));
-        }
-      }
       std::vector<T> sums(native ? static_cast<std::size_t>(lanes) : 0, T(0));
       std::vector<double> dsums(native ? 0 : static_cast<std::size_t>(lanes),
                                 0.0);
@@ -353,16 +308,12 @@ gpusim::LaunchResult gpu_spmv_crsd_range(gpusim::Device& dev,
       for (index_t k = 0; k < m.scatter_width(); ++k) {
         // The container's ELL is column-major of stride nsr_full; the range
         // models its re-based slice of stride nsr. Both are coalesced. u16
-        // columns move half the bytes; delta columns were decoded above.
+        // columns move half the bytes.
         const size64_t gslot0 =
             static_cast<size64_t>(k) * nsr_full + static_cast<size64_t>(gi0);
         const size64_t slot0 =
             static_cast<size64_t>(k) * nsr + static_cast<size64_t>(i0);
-        if (scol_mode == ScatterIndexMode::kIndex32) {
-          ctx.global_read_block(b_scol, slot0, lanes, sizeof(index_t));
-        } else if (scol_mode == ScatterIndexMode::kIndex16) {
-          ctx.global_read_block(b_scol, slot0, lanes, sizeof(std::uint16_t));
-        }
+        ctx.global_read_block(b_scol, slot0, lanes, cb);
         ctx.global_read_block(b_sval, slot0, lanes, vb);
         size64_t useful = 0;
         for (index_t i = 0; i < lanes; ++i) {

@@ -3,8 +3,7 @@
 // spmv() overloads route CSR/DIA/ELL/HYB/CRSD uniformly; the COO overload
 // builds `format` first. The partitioned overload lives in
 // kernels/partitioned_spmv.hpp because its executor needs the crsd_runtime
-// library. The legacy gpu_spmv entry points remain as deprecated wrappers
-// for the deprecation window.
+// library.
 #pragma once
 
 #include <optional>
@@ -43,10 +42,6 @@ struct SpmvOptions {
   /// its local-memory decision — before falling back to CrsdConfig{}.
   bool tune_from_cache = true;
 };
-
-/// Compatibility alias for the deprecation window; new code says
-/// SpmvOptions.
-using GpuSpmvOptions = SpmvOptions;
 
 /// y = A*x for a built CSR container (Bell–Garland vector kernel, the
 /// stronger variant on the suite's row widths).
@@ -132,31 +127,6 @@ gpusim::LaunchResult spmv(gpusim::Device& dev, Format format, const Coo<T>& a,
     }
   }
   throw Error("unhandled format in spmv");
-}
-
-/// Legacy dispatcher, kept for the deprecation window.
-template <Real T>
-[[deprecated("use kernels::spmv(dev, format, a, x, y, SpmvOptions)")]]
-gpusim::LaunchResult gpu_spmv(gpusim::Device& dev, Format format,
-                              const Coo<T>& a, const T* x, T* y,
-                              const GpuSpmvOptions& opts,
-                              ThreadPool* pool = nullptr) {
-  return spmv(dev, format, a, x, y, opts, pool);
-}
-
-/// Legacy convenience overload: explicit CRSD build configuration,
-/// everything else defaulted. Passing a CrsdConfig (even a
-/// default-constructed one) pins the CRSD build to it — the tuning cache is
-/// not consulted.
-template <Real T>
-[[deprecated("use kernels::spmv with SpmvOptions::crsd_config")]]
-gpusim::LaunchResult gpu_spmv(gpusim::Device& dev, Format format,
-                              const Coo<T>& a, const T* x, T* y,
-                              const CrsdConfig& crsd_cfg = {},
-                              ThreadPool* pool = nullptr) {
-  SpmvOptions opts;
-  opts.crsd_config = crsd_cfg;
-  return spmv(dev, format, a, x, y, opts, pool);
 }
 
 }  // namespace crsd::kernels

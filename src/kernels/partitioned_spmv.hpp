@@ -70,10 +70,7 @@ std::string part_key_string(const gpusim::DeviceSpec& spec, const Coo<T>& a,
      << "|fp=" << (std::is_same_v<T, double> ? "f64" : "f32")
      << "|vp=" << value_precision_name(opts.config.storage.value_precision)
      << "|ix="
-     << (opts.config.storage.delta_scatter_indices
-             ? "delta"
-             : (opts.config.storage.narrow_scatter_indices ? "narrow"
-                                                           : "i32"))
+     << (opts.config.storage.narrow_scatter_indices ? "narrow" : "i32")
      << "|shash=" << fnv1a64_hex(std::to_string(structure_hash(a)))
      << "|block=" << pol.block_rows << "|maxr=" << pol.max_regions
      << "|minr=" << pol.min_region_rows << "|fill=" << pol.live_min_fill
@@ -86,9 +83,10 @@ std::string part_key_string(const gpusim::DeviceSpec& spec, const Coo<T>& a,
 /// Reads a cached region list. Returns false — a miss — on absent, torn,
 /// or unparseable entries, and on entries that do not partition
 /// [0, num_rows) (a matrix with the same structure hash but different row
-/// count cannot happen, but a truncated file can).
+/// count cannot happen, but a truncated file can) or hold a CRSD region
+/// whose mrows is not a multiple of `wavefront` (it would fail at launch).
 inline bool part_cache_load(const std::string& path, index_t num_rows,
-                            const CrsdConfig& base,
+                            index_t wavefront, const CrsdConfig& base,
                             std::vector<RowRegion>& regions) {
   std::ifstream in(path);
   if (!in.good()) return false;
@@ -112,7 +110,7 @@ inline bool part_cache_load(const std::string& path, index_t num_rows,
     else return false;
     regions.push_back(std::move(r));
   }
-  return validate_partition(num_rows, regions).empty();
+  return validate_partition(num_rows, regions, wavefront).empty();
 }
 
 /// Publishes a partition cache entry (write-temp + atomic rename, the tune
@@ -178,7 +176,8 @@ PlannedPartition plan_partition_cached(const gpusim::DeviceSpec& spec,
       (fs::path(dir) / (out.cache_key + ".txt")).string();
 
   std::vector<RowRegion> cached;
-  if (detail::part_cache_load(path, a.num_rows(), opts.config, cached)) {
+  if (detail::part_cache_load(path, a.num_rows(), spec.wavefront_size,
+                              opts.config, cached)) {
     out.plan.regions = std::move(cached);
     out.cache_hit = true;
     hits.add(1);

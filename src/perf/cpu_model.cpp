@@ -60,7 +60,7 @@ SweepCost crsd_sweep_cost(const CrsdStats& s, index_t num_rows,
   const size64_t scatter_slots =
       static_cast<size64_t>(s.num_scatter_rows) * s.scatter_width;
   // Stats built from a container carry the actual stream widths (a compact
-  // build stores f32/f16 values, u16 or delta-compressed scatter columns);
+  // build stores f32 values or u16 scatter columns);
   // zero means hand-assembled stats, which fall back to the historical
   // uniform assumption: `value_bytes` values and 4-byte indices.
   const size64_t vb =

@@ -208,6 +208,26 @@ struct ServeEngineImpl {
     // Urgent single-request closures capture entry pointers; make sure
     // none are still in flight before the registry is torn down.
     pool.drain_urgent();
+    // The async dispatcher drains the queue before it exits; in manual
+    // mode whatever was submitted after the last drain() is still queued
+    // and will never be computed.
+    std::vector<StatePtr> orphans;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      for (std::vector<StatePtr>& queue : pending_by_matrix) {
+        orphans.insert(orphans.end(), queue.begin(), queue.end());
+        queue.clear();
+      }
+      pending_total = 0;
+    }
+    for (const StatePtr& sp : orphans) {
+      std::lock_guard<std::mutex> lock(sp->mu);
+      sp->diag.code = check::Code::kServeShutdown;
+      sp->diag.severity = check::Severity::kError;
+      sp->diag.message = "serve engine destroyed before the request ran";
+      sp->status = RequestStatus::kFailed;
+      sp->cv.notify_all();
+    }
   }
 
   // ---------------------------------------------------------------- registry
@@ -224,9 +244,7 @@ struct ServeEngineImpl {
     h ^= fnv1a64(value_bytes);
     h = h * 1099511628211ULL +
         (static_cast<std::uint64_t>(storage.value_precision) * 4 +
-         (storage.delta_scatter_indices  ? 2
-          : storage.narrow_scatter_indices ? 1
-                                           : 0));
+         (storage.narrow_scatter_indices ? 1 : 0));
     return h;
   }
 

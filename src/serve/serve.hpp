@@ -100,7 +100,8 @@ enum class RequestStatus {
   kPending,   ///< queued or in flight
   kDone,      ///< result() is valid
   kRejected,  ///< admission control refused it; diagnostic() says why
-  kFailed,    ///< dispatch failed (e.g. batch verification); see diagnostic()
+  kFailed,    ///< dispatch failed (batch verification) or the engine was
+              ///< destroyed before dispatching it; see diagnostic()
 };
 
 /// Per-request future. Cheap to copy; all accessors are thread-safe.
@@ -162,6 +163,9 @@ struct DispatchStats {
 class ServeEngine {
  public:
   ServeEngine(ThreadPool& pool, ServeOptions opts = {});
+  /// Async mode finishes every queued request first. Requests still queued
+  /// in manual mode (no drain() since they were submitted) resolve as
+  /// kFailed with kServeShutdown, so no outliving handle waits forever.
   ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;

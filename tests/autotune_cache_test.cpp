@@ -100,7 +100,13 @@ TEST(AutotuneCache, CorruptedEntryIsAMissAndGetsRepaired) {
        {"", "not-a-cache-file\n",
         "crsd-tune-v1\nmrows 0\ngap 0\nmin_fill 0.5\nlocal 1\nseconds 1e-5\n",
         "crsd-tune-v1\nmrows 64\ngap 1\nmin_fill 2.5\nlocal 1\nseconds 1e-5\n",
-        "crsd-tune-v1\nmrows sixty-four\n"}) {
+        "crsd-tune-v1\nmrows sixty-four\n",
+        // Parses, but mrows 48 is outside the keyed space and not a
+        // multiple of the 32-wide wavefront: the launch would throw.
+        "crsd-tune-v1\nmrows 48\ngap 1\nmin_fill 0.5\nlocal 1\nseconds 1e-5\n",
+        // A wavefront multiple the keyed space never searched.
+        "crsd-tune-v1\nmrows 96\ngap 1\nmin_fill 0.5\nlocal 1\nseconds 1e-5\n",
+    }) {
     {
       std::ofstream out(entry);
       out << garbage;
@@ -132,7 +138,7 @@ TEST(AutotuneCache, KeyTracksStructureNotValues) {
 }
 
 TEST(AutotuneCache, StorageModeKeysTheCache) {
-  // An fp32 (or narrow/delta-index) tuning run streams different bytes and
+  // An fp32 (or narrow-index) tuning run streams different bytes and
   // can crown a different winner, so it must not reuse — or overwrite — the
   // entry the fp64 run stored for the same structure.
   TempCacheDir dir("storage");
@@ -172,15 +178,6 @@ TEST(AutotuneCache, StorageModeKeysTheCache) {
   EXPECT_TRUE(fp32_warm.cache_hit);
   EXPECT_EQ(fp32_warm.best_config.storage.value_precision,
             ValuePrecision::kFloat32);
-
-  // Delta-index tuning keys a third entry.
-  kernels::AutotuneOptions delta_opts = fp64_opts;
-  delta_opts.storage.delta_scatter_indices = true;
-  const auto delta_cold = kernels::autotune_crsd(dev, a, small_space(),
-                                                 delta_opts);
-  EXPECT_FALSE(delta_cold.cache_hit);
-  EXPECT_NE(delta_cold.cache_key, fp64_cold.cache_key);
-  EXPECT_NE(delta_cold.cache_key, fp32_cold.cache_key);
 }
 
 TEST(AutotuneCache, PruningAccountsForEveryTrial) {

@@ -1,11 +1,10 @@
 // Facade-parity suite for the unified build API: crsd::build must produce
-// bitwise-identical storage to the legacy build_crsd overloads (via
-// check::validate_same_storage) across every storage mode and thread count,
-// the CrsdConfig bridge conversion must keep designated-initializer call
-// sites working, and tune_from_cache must adopt a cached autotune winner —
-// construction knobs only, the caller's storage/threads stay — with zero
-// measured trials. The legacy overloads themselves are exercised under a
-// deprecation-warning pragma; everything else in the tree is ported.
+// bitwise-identical storage to the builder it wraps, detail::build_crsd_impl
+// (via check::validate_same_storage), across every storage mode and thread
+// count, the CrsdConfig bridge conversion must keep designated-initializer
+// call sites working, and tune_from_cache must adopt a cached autotune
+// winner — construction knobs only, the caller's storage/threads stay — with
+// zero measured trials.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -36,29 +35,15 @@ Coo<double> mixed_matrix(std::uint64_t seed = 5) {
 std::vector<StorageOptions> all_modes() {
   return {
       {},  // fp64, raw int32 scatter columns
-      {ValuePrecision::kNative, true, false},
-      {ValuePrecision::kNative, false, true},
-      {ValuePrecision::kFloat32, true, false},
-      {ValuePrecision::kFloat32, false, true},
-      {ValuePrecision::kFloat16, true, false},
+      {ValuePrecision::kNative, true},
+      {ValuePrecision::kFloat32, true},
   };
 }
 
 std::string mode_name(const StorageOptions& s) {
   return std::string(value_precision_name(s.value_precision)) +
-         (s.delta_scatter_indices ? "+delta"
-                                  : (s.narrow_scatter_indices ? "+i16" : ""));
+         (s.narrow_scatter_indices ? "+i16" : "");
 }
-
-// The legacy entry points under test are deprecated on purpose; this suite
-// is the one in-tree caller allowed to reach them.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-CrsdMatrix<double> legacy_build(const Coo<double>& a, const CrsdConfig& cfg,
-                                ThreadPool* pool = nullptr) {
-  return build_crsd(a, cfg, pool);
-}
-#pragma GCC diagnostic pop
 
 TEST(BuildApiParity, MatchesLegacyBuilderBitwiseAcrossStorageModes) {
   const auto a = mixed_matrix();
@@ -66,7 +51,7 @@ TEST(BuildApiParity, MatchesLegacyBuilderBitwiseAcrossStorageModes) {
     CrsdConfig cfg;
     cfg.mrows = 64;
     cfg.storage = mode;
-    const auto legacy = legacy_build(a, cfg);
+    const auto legacy = detail::build_crsd_impl(a, cfg);
     const auto unified = build(a, BuildOptions{cfg});
     EXPECT_TRUE(check::validate_same_storage(unified, legacy).empty())
         << "mode " << mode_name(mode);
@@ -80,7 +65,7 @@ TEST(BuildApiParity, MatchesLegacyParallelBuilderBitwise) {
     cfg.mrows = 32;
     cfg.threads = threads;
     ThreadPool pool(threads);
-    const auto legacy = legacy_build(a, cfg, &pool);
+    const auto legacy = detail::build_crsd_impl(a, cfg, &pool);
     const auto unified = build(a, cfg, &pool);
     EXPECT_TRUE(check::validate_same_storage(unified, legacy).empty())
         << threads << " threads";
@@ -89,7 +74,7 @@ TEST(BuildApiParity, MatchesLegacyParallelBuilderBitwise) {
 
 TEST(BuildApiParity, DefaultOptionsMatchDefaultLegacyBuild) {
   const auto a = mixed_matrix();
-  const auto legacy = legacy_build(a, CrsdConfig{});
+  const auto legacy = detail::build_crsd_impl(a, CrsdConfig{});
   const auto unified = build(a);
   EXPECT_TRUE(check::validate_same_storage(unified, legacy).empty());
 }

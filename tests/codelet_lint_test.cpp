@@ -384,86 +384,43 @@ TEST(CheckedJit, CleanGpuSourceRunsUnderTheChecker) {
   }
 }
 
-// --- Storage-mode rules: f16 decoder routing, delta byte-range guard. ----
+// --- Compact storage: the raw-ABI codelets lint clean and stay gated. ----
 
-CrsdMatrix<double> compact_matrix(ValuePrecision vp, bool narrow, bool delta) {
+CrsdMatrix<double> compact_matrix(ValuePrecision vp, bool narrow) {
   Rng rng(3);
   Coo<double> a = astro_convection(24, 8, 8, /*unstructured=*/false, rng);
   inject_scatter(a, 25, rng);
   CrsdConfig cfg;
   cfg.mrows = 16;
-  cfg.storage = {vp, narrow, delta};
+  cfg.storage = {vp, narrow};
   return build(a, cfg);
 }
 
 TEST(CodeletLint, CleanOnCompactStorageModes) {
   for (const StorageOptions s :
-       {StorageOptions{ValuePrecision::kFloat16, true, false},
-        StorageOptions{ValuePrecision::kNative, false, true},
-        StorageOptions{ValuePrecision::kFloat32, false, true}}) {
-    const auto m = compact_matrix(s.value_precision, s.narrow_scatter_indices,
-                                  s.delta_scatter_indices);
+       {StorageOptions{ValuePrecision::kNative, true},
+        StorageOptions{ValuePrecision::kFloat32, false},
+        StorageOptions{ValuePrecision::kFloat32, true}}) {
+    const auto m = compact_matrix(s.value_precision, s.narrow_scatter_indices);
     const auto diags =
         lint_cpu_codelet_source(m, generate_cpu_codelet_source(m));
     EXPECT_TRUE(diags.empty()) << check::format_diagnostics(diags);
   }
 }
 
-TEST(CodeletLint, FlagsHalfDecoderBypass) {
-  const auto m = compact_matrix(ValuePrecision::kFloat16, true, false);
-  // Drop the decode on one value load: the accumulation would multiply the
-  // raw binary16 bit pattern.
-  const std::string src = mutated(generate_cpu_codelet_source(m),
-                                  "crsd_h2f(unit[", "(unit[");
-  EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src),
-                       Code::kLintHalfDecoder));
-}
-
-TEST(CodeletLint, FlagsMissingHalfDecoder) {
-  const auto m = compact_matrix(ValuePrecision::kFloat16, true, false);
-  const std::string src =
-      mutated(generate_cpu_codelet_source(m),
-              "static inline float crsd_h2f(VT h)",
-              "static inline float crsd_h2f_off(VT h)");
-  EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src),
-                       Code::kLintHalfDecoder));
-}
-
-TEST(CodeletLint, FlagsUnguardedVarintContinuationLoop) {
-  const auto m = compact_matrix(ValuePrecision::kNative, false, true);
-  // Strip the byte-range guard from the continuation loop: a truncated
-  // stream would read past the row's range.
-  const std::string src =
-      mutated(generate_cpu_codelet_source(m),
-              "while ((byte & 0x80u) && pos < end);",
-              "while (byte & 0x80u);");
-  const auto diags = lint_cpu_codelet_source(m, src);
-  EXPECT_TRUE(has_code(diags, Code::kLintDeltaGuard))
-      << check::format_diagnostics(diags);
-}
-
-TEST(CodeletLint, FlagsMissingDeltaByteRange) {
-  const auto m = compact_matrix(ValuePrecision::kNative, false, true);
-  const std::string src =
-      mutated(generate_cpu_codelet_source(m),
-              "const std::int32_t end = row_bytes[i + 1];",
-              "const std::int32_t end = 2147483647;");
-  EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src),
-                       Code::kLintDeltaGuard));
-}
-
 TEST(CheckedJit, RejectsMutatedCompactSourceWithoutCompiling) {
-  const auto m = compact_matrix(ValuePrecision::kFloat16, true, false);
+  const auto m = compact_matrix(ValuePrecision::kFloat32, true);
   JitCompiler compiler = fresh_compiler();
   const std::string bad = mutated(generate_cpu_codelet_source(m),
-                                  "crsd_h2f(unit[", "(unit[");
+                                  "lane < 16", "lane < 15");
+  EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, bad), Code::kLintTripCount));
   EXPECT_FALSE(make_jit_kernel(m, compiler, Checked::kYes, &bad).has_value());
   EXPECT_EQ(compiler.compilations(), 0);
 }
 
 TEST(CheckedJit, CleanCompactSourceCompilesAndMatchesScalar) {
   if (!JitCompiler::compiler_available()) GTEST_SKIP();
-  const auto m = compact_matrix(ValuePrecision::kFloat32, false, true);
+  const auto m = compact_matrix(ValuePrecision::kFloat32, true);
   JitCompiler compiler = fresh_compiler();
   auto kernel = make_jit_kernel(m, compiler);
   ASSERT_TRUE(kernel.has_value());

@@ -1,8 +1,8 @@
 // Mixed-precision / compact-index storage suite: tolerance-gated parity of
 // every compact storage mode against the fp64 build over paper-suite
 // structures, bitwise reproducibility of the native-value modes, mutation
-// fixtures proving the validator catches corrupted narrow/delta index
-// streams, serialization round trips, value updates with re-quantization,
+// fixtures proving the validator catches corrupted narrow index streams,
+// serialization round trips, value updates with re-quantization,
 // the footprint diet, and simulated-memcheck cleanliness of the
 // compact-mode kernels.
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "check/validate.hpp"
 #include "codegen/crsd_jit_kernel.hpp"
 #include "common/rng.hpp"
-#include "formats/delta_stream.hpp"
 #include "core/build_api.hpp"
 #include "core/serialize.hpp"
 #include "core/update.hpp"
@@ -33,19 +32,15 @@ namespace {
 /// Every non-default mode, headline (fp32 + u16 ELL) first.
 const std::vector<StorageOptions>& compact_modes() {
   static const std::vector<StorageOptions> modes = {
-      {ValuePrecision::kFloat32, true, false},
-      {ValuePrecision::kFloat32, false, true},
-      {ValuePrecision::kNative, true, false},
-      {ValuePrecision::kNative, false, true},
-      {ValuePrecision::kFloat16, true, false},
+      {ValuePrecision::kFloat32, true},
+      {ValuePrecision::kNative, true},
   };
   return modes;
 }
 
 std::string mode_name(const StorageOptions& s) {
   return std::string(value_precision_name(s.value_precision)) +
-         (s.delta_scatter_indices ? "+delta"
-                                  : (s.narrow_scatter_indices ? "+i16" : ""));
+         (s.narrow_scatter_indices ? "+i16" : "");
 }
 
 /// Structured + scatter mix with every builder feature engaged.
@@ -117,7 +112,7 @@ TEST(MixedPrecision, ParityOverPaperSuiteStructures) {
 }
 
 TEST(MixedPrecision, NativeValueCompactIndexModesAreBitwise) {
-  // u16/delta columns re-encode positions, not values, and the kernels
+  // u16 columns re-encode positions, not values, and the kernels
   // visit columns in the same ascending order — so with native value
   // streams the sweep must reproduce the fp64 baseline bit for bit.
   const auto a = mixed_matrix();
@@ -144,7 +139,7 @@ TEST(MixedPrecision, NativeValueCompactIndexModesAreBitwise) {
 
 TEST(MixedPrecision, ValidatorCatchesFlippedNarrowIndex) {
   const auto a = mixed_matrix();
-  const auto m = build_mode(a, {ValuePrecision::kNative, true, false});
+  const auto m = build_mode(a, {ValuePrecision::kNative, true});
   ASSERT_EQ(m.scatter_index_mode(), ScatterIndexMode::kIndex16);
   ASSERT_TRUE(check::validate(m.storage()).empty());
 
@@ -184,57 +179,6 @@ TEST(MixedPrecision, ValidatorCatchesFlippedNarrowIndex) {
   ASSERT_TRUE(flipped);
   EXPECT_FALSE(check::validate(s2).empty())
       << "duplicated u16 column (order violation) not flagged";
-}
-
-TEST(MixedPrecision, ValidatorCatchesCorruptDeltaStream) {
-  const auto a = mixed_matrix();
-  const auto m = build_mode(a, {ValuePrecision::kNative, false, true});
-  ASSERT_EQ(m.scatter_index_mode(), ScatterIndexMode::kDelta);
-  ASSERT_TRUE(check::validate(m.storage()).empty());
-  ASSERT_FALSE(m.storage().scatter_delta.empty());
-
-  // Setting a continuation bit mid-stream derails the varint decoder.
-  {
-    CrsdStorage<double> s = m.storage();
-    s.scatter_delta[s.scatter_delta.size() / 2] |= 0x80u;
-    const auto diags = check::validate(s);
-    EXPECT_TRUE(check::has_errors(diags));
-    bool delta_code = false;
-    for (const auto& d : diags) {
-      delta_code = delta_code || d.code == check::Code::kDeltaStream;
-    }
-    EXPECT_TRUE(delta_code) << check::format_diagnostics(diags);
-  }
-  // A zero gap (duplicate column) is an encoding-level error. Locate the
-  // first gap varint of a row with >= 2 live entries — the byte right after
-  // the absolute-first-column varint — and zero it.
-  {
-    CrsdStorage<double> s = m.storage();
-    bool mutated = false;
-    for (std::size_t i = 0; i + 1 < s.scatter_delta_ptr.size(); ++i) {
-      const size64_t begin = static_cast<size64_t>(s.scatter_delta_ptr[i]);
-      const size64_t end = static_cast<size64_t>(s.scatter_delta_ptr[i + 1]);
-      size64_t pos = begin;
-      std::uint32_t first_col = 0;
-      if (!delta::read_varint(s.scatter_delta.data(), end, pos, first_col) ||
-          pos >= end) {
-        continue;  // row with fewer than two entries
-      }
-      s.scatter_delta[static_cast<std::size_t>(pos)] = 0u;  // gap := 0
-      mutated = true;
-      break;
-    }
-    ASSERT_TRUE(mutated);
-    const auto diags = check::validate(s);
-    EXPECT_TRUE(check::has_errors(diags)) << check::format_diagnostics(diags);
-  }
-  // Delta pointers that do not cover the stream are rejected outright.
-  {
-    CrsdStorage<double> s = m.storage();
-    s.scatter_delta_ptr.back() =
-        static_cast<index_t>(s.scatter_delta.size() + 3);
-    EXPECT_TRUE(check::has_errors(check::validate(s)));
-  }
 }
 
 TEST(MixedPrecision, SerializeRoundTripEveryMode) {
@@ -296,7 +240,7 @@ TEST(MixedPrecision, FootprintDietAndGauge) {
   const double base =
       double(fp64.footprint_bytes()) / double(fp64.nnz());
 
-  const auto fp32 = build_mode(a, {ValuePrecision::kFloat32, true, false});
+  const auto fp32 = build_mode(a, {ValuePrecision::kFloat32, true});
   const double diet =
       double(fp32.footprint_bytes()) / double(fp32.nnz());
   EXPECT_LE(diet, 0.75 * base) << "fp32+i16 must shed >= 25% of bytes/nnz";
@@ -304,9 +248,6 @@ TEST(MixedPrecision, FootprintDietAndGauge) {
   const double gauge =
       obs::Registry::global().gauge("crsd.storage.bytes_per_nnz").value();
   EXPECT_DOUBLE_EQ(gauge, diet);
-
-  const auto fp16 = build_mode(a, {ValuePrecision::kFloat16, true, false});
-  EXPECT_LE(double(fp16.footprint_bytes()), 0.5 * double(fp64.footprint_bytes()));
 }
 
 TEST(MixedPrecision, GpuKernelMatchesCpuAndPassesMemcheck) {
@@ -361,9 +302,8 @@ TEST(MixedPrecision, JitCodeletParity) {
     const auto y_ref = spmv_of(m, x);
     std::vector<double> y(static_cast<std::size_t>(a.num_rows()));
     kernel->spmv(m, x.data(), y.data());
-    // The codelet mirrors the container kernels' accumulation order and
-    // half-decode bit algorithm, so parity is exact, not just within
-    // tolerance.
+    // The codelet mirrors the container kernels' accumulation order, so
+    // parity is exact, not just within tolerance.
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_EQ(y[i], y_ref[i]) << mode_name(mode) << " row " << i;
     }

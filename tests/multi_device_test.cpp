@@ -39,18 +39,14 @@ Coo<double> mixed_matrix(int seed = 7) {
 std::vector<StorageOptions> all_modes() {
   return {
       {},  // fp64, raw int32 scatter columns
-      {ValuePrecision::kNative, true, false},
-      {ValuePrecision::kNative, false, true},
-      {ValuePrecision::kFloat32, true, false},
-      {ValuePrecision::kFloat32, false, true},
-      {ValuePrecision::kFloat16, true, false},
+      {ValuePrecision::kNative, true},
+      {ValuePrecision::kFloat32, true},
   };
 }
 
 std::string mode_name(const StorageOptions& s) {
   return std::string(value_precision_name(s.value_precision)) +
-         (s.delta_scatter_indices ? "+delta"
-                                  : (s.narrow_scatter_indices ? "+i16" : ""));
+         (s.narrow_scatter_indices ? "+i16" : "");
 }
 
 TEST(MultiDevice, ShardPlanPartitionsTheMatrix) {

@@ -1,7 +1,7 @@
 // Observability subsystem tests: span recording, nesting, and cross-thread
 // merge order; the Chrome-trace exporter's schema; the metrics registry and
 // its JSON dump; the zero-allocation guarantee of disabled spans; and the
-// gpu_spmv dispatcher honoring GpuSpmvOptions (work-group size, CRSD
+// kernels::spmv dispatcher honoring SpmvOptions (work-group size, CRSD
 // execution options, tuning-cache defaulting).
 #include "crsd.hpp"
 
@@ -324,7 +324,7 @@ TEST(Metrics, InstrumentedSubsystemsReportIntoTheRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// GpuSpmvOptions through the dispatcher
+// SpmvOptions through the dispatcher
 // ---------------------------------------------------------------------------
 
 TEST(GpuSpmvOptions, WorkGroupSizeReachesTheKernels) {
@@ -333,13 +333,13 @@ TEST(GpuSpmvOptions, WorkGroupSizeReachesTheKernels) {
   std::vector<double> y_small(static_cast<std::size_t>(a.num_rows()), 0.0);
   std::vector<double> y_large = y_small;
 
-  kernels::GpuSpmvOptions small;
+  kernels::SpmvOptions small;
   small.work_group_size = 64;
   gpusim::Device dev_small(gpusim::DeviceSpec::tesla_c2050());
   const auto r_small = kernels::spmv(dev_small, Format::kEll, a, x.data(),
                                          y_small.data(), small);
 
-  kernels::GpuSpmvOptions large;
+  kernels::SpmvOptions large;
   large.work_group_size = 256;
   gpusim::Device dev_large(gpusim::DeviceSpec::tesla_c2050());
   const auto r_large = kernels::spmv(dev_large, Format::kEll, a, x.data(),
@@ -357,14 +357,14 @@ TEST(GpuSpmvOptions, CrsdOptionsReachTheKernel) {
   std::vector<double> y_local(static_cast<std::size_t>(a.num_rows()), 0.0);
   std::vector<double> y_global = y_local;
 
-  kernels::GpuSpmvOptions with_local;
+  kernels::SpmvOptions with_local;
   with_local.crsd_config = CrsdConfig{.mrows = 32};
   with_local.crsd.use_local_memory = true;
   gpusim::Device dev_a(gpusim::DeviceSpec::tesla_c2050());
   const auto r_local = kernels::spmv(dev_a, Format::kCrsd, a, x.data(),
                                          y_local.data(), with_local);
 
-  kernels::GpuSpmvOptions without_local;
+  kernels::SpmvOptions without_local;
   without_local.crsd_config = CrsdConfig{.mrows = 32};
   without_local.crsd.use_local_memory = false;
   gpusim::Device dev_b(gpusim::DeviceSpec::tesla_c2050());
@@ -427,13 +427,13 @@ TEST(GpuSpmvOptions, CrsdDefaultsFromTuningCacheAndExplicitConfigWins) {
   gpusim::Device dev_tuned(gpusim::DeviceSpec::tesla_c2050());
   const auto r_tuned =
       kernels::spmv(dev_tuned, Format::kCrsd, a, x.data(), y_tuned.data(),
-                        kernels::GpuSpmvOptions{});
+                        kernels::SpmvOptions{});
   EXPECT_EQ(r_tuned.counters.local_bytes, 0u)
       << "cached tuning (local memory off) was not honored";
 
   // An explicit CrsdConfig pins the build: local memory keeps its stock
   // default (on), proving the cache was not consulted.
-  kernels::GpuSpmvOptions explicit_opts;
+  kernels::SpmvOptions explicit_opts;
   explicit_opts.crsd_config = CrsdConfig{.mrows = 32};
   gpusim::Device dev_explicit(gpusim::DeviceSpec::tesla_c2050());
   const auto r_explicit =

@@ -3,12 +3,16 @@
 // partitioned container's CPU/executor parity with the COO reference,
 // partition mutation fixtures (overlapping regions, non-covering regions, a
 // lying per-region mrows descriptor), the persistent partition cache's
-// warm-run contract, and the partitioned launch-model extraction. Suite
-// names contain "Partition" so the TSan CI job picks them up via -R.
+// warm-run contract and its rejection of device-illegal entries, and the
+// partitioned launch-model extraction. Suite names contain "Partition" so
+// the TSan CI job picks them up via -R.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "analysis/launch_model.hpp"
@@ -273,6 +277,60 @@ TEST(PartitionCacheSuite, WarmRunReusesPlanWithZeroMeasuredTrials) {
   EXPECT_EQ(warm.measured_trials, 0);
   EXPECT_EQ(warm.plan.summary(), cold.plan.summary());
   EXPECT_EQ(warm.cache_key, cold.cache_key);
+}
+
+TEST(PartitionCacheSuite, IllegalCachedMrowsIsAMissAndRelaunchesBitwise) {
+  const auto a = partially_diagonal(2048, 512, 16);
+  BuildOptions opts;
+  opts.cache_dir = fresh_cache_dir("cache-mrows");
+  const gpusim::DeviceSpec spec;  // wavefront 32
+  const auto cold = kernels::plan_partition_cached(spec, a, opts);
+  ASSERT_FALSE(cold.cache_hit);
+
+  // Rewrite one CRSD region of the stored entry to mrows 48: it parses and
+  // still covers the rows, but no launch on this device can run it.
+  const fs::path entry = fs::path(opts.cache_dir) / (cold.cache_key + ".txt");
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(entry);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  bool rewritten = false;
+  for (std::string& line : lines) {
+    std::istringstream ls(line);
+    std::string tag, format;
+    index_t begin = 0, end = 0, mrows = 0;
+    if (!rewritten && ls >> tag >> begin >> end >> format >> mrows &&
+        tag == "region" && format == "crsd") {
+      line = "region " + std::to_string(begin) + ' ' + std::to_string(end) +
+             " crsd 48";
+      rewritten = true;
+    }
+  }
+  ASSERT_TRUE(rewritten) << cold.plan.summary();
+  {
+    std::ofstream out(entry, std::ios::trunc);
+    for (const std::string& line : lines) out << line << '\n';
+  }
+
+  const auto again = kernels::plan_partition_cached(spec, a, opts);
+  EXPECT_FALSE(again.cache_hit);
+  EXPECT_GT(again.measured_trials, 0);
+  EXPECT_TRUE(
+      validate_partition(a.num_rows(), again.plan.regions, spec.wavefront_size)
+          .empty())
+      << again.plan.summary();
+
+  const auto m = PartitionedMatrix<double>::build(a, again.plan);
+  Rng rng(29);
+  std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
+  for (auto& v : x) v = rng.next_double(-1.0, 1.0);
+  std::vector<double> want(static_cast<std::size_t>(a.num_rows()), -1.0);
+  m.spmv(x.data(), want.data());
+  gpusim::Device dev(spec);
+  std::vector<double> got(want.size(), -1.0);
+  kernels::spmv(dev, m, x.data(), got.data());
+  EXPECT_EQ(got, want);
 }
 
 TEST(PartitionCacheSuite, PolicyChangeKeysADifferentEntry) {

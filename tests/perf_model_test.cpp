@@ -68,18 +68,6 @@ TEST(SweepCosts, CrsdUsesActualStreamWidthsFromStats) {
   EXPECT_LT(diet.bytes, full.bytes);
   const size64_t dia_value_saving = fp64.stats().dia_slots * (8 - 4);
   EXPECT_GT(full.bytes - diet.bytes, dia_value_saving);
-
-  // Delta-compressed scatter columns cost their encoded byte count.
-  CrsdConfig delta_cfg{.mrows = 64};
-  delta_cfg.storage.delta_scatter_indices = true;
-  const auto delta = build(a, delta_cfg);
-  ASSERT_EQ(delta.scatter_index_mode(), ScatterIndexMode::kDelta);
-  const SweepCost delta_cost = crsd_sweep_cost(delta.stats(), a.num_rows(), 8);
-  const size64_t scatter_slots =
-      static_cast<size64_t>(fp64.stats().num_scatter_rows) *
-      fp64.stats().scatter_width;
-  EXPECT_EQ(full.bytes - delta_cost.bytes,
-            scatter_slots * 4 - delta.stats().scatter_index_bytes);
 }
 
 TEST(SweepCosts, HandBuiltStatsFallBackToUniformWidths) {

@@ -190,14 +190,14 @@ TEST(Serialize, HostileCountsAndCutPayloadsThrowError) {
                              sizeof(index_t);
   // Pattern 0's offset count follows its start row and segment count.
   const std::size_t offsets_count = header + 2 * sizeof(index_t);
-  std::size_t dia_count = header;
+  std::size_t tags = header;
   for (const DiagonalPattern& p : m.patterns()) {
-    dia_count += 2 * sizeof(index_t) + sizeof(std::uint64_t) +
-                 p.offsets.size() * sizeof(diag_offset_t);
+    tags += 2 * sizeof(index_t) + sizeof(std::uint64_t) +
+            p.offsets.size() * sizeof(diag_offset_t);
   }
   // Value-precision and index-mode tags, then the index-width vector.
-  dia_count += 2 + sizeof(std::uint64_t) +
-               m.storage().pattern_index_width.size();
+  const std::size_t dia_count = tags + 2 + sizeof(std::uint64_t) +
+                                m.storage().pattern_index_width.size();
   ASSERT_EQ(u64_at(payload, offsets_count), m.patterns()[0].offsets.size());
   ASSERT_EQ(u64_at(payload, dia_count), m.dia_slot_count());
 
@@ -228,6 +228,25 @@ TEST(Serialize, HostileCountsAndCutPayloadsThrowError) {
       0, dia_count + sizeof(std::uint64_t) +
              m.dia_slot_count() * sizeof(double) / 2));
   EXPECT_THROW(read_crsd<double>(cut), Error);
+
+  // Tag 2 names no storage mode: neither the value-precision tag nor the
+  // index-mode tag may carry it.
+  ASSERT_EQ(payload[tags], 0);      // native values
+  ASSERT_EQ(payload[tags + 1], 0);  // i32 scatter columns
+  for (const std::size_t at : {tags, tags + 1}) {
+    SCOPED_TRACE("tag at " + std::to_string(at));
+    std::string hostile = payload;
+    hostile[at] = 2;
+    std::stringstream is(hostile);
+    try {
+      read_crsd<double>(is);
+      ADD_FAILURE() << "tag 2 was accepted";
+    } catch (const check::DiagnosticError& e) {
+      EXPECT_TRUE(check::has_code(e.diagnostics(),
+                                  check::Code::kMalformedInput))
+          << e.what();
+    }
+  }
 }
 
 class SerializeSuite : public ::testing::TestWithParam<int> {};

@@ -1,12 +1,14 @@
 // Serving-engine semantics: bitwise parity of coalesced SpMM batches vs
 // per-request single-vector SpMV across every storage mode, admission
-// control, registry dedup, the batch-verification mutation fixture, and
-// async-mode concurrency (the suite name contains "Serve" so the TSan CI
-// job runs it).
+// control, registry dedup, the batch-verification mutation fixture,
+// async-mode concurrency, and teardown with requests still queued or in
+// flight (the suite name contains "Serve" so the TSan CI job runs it).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,17 +36,14 @@ struct StorageMode {
 const std::vector<StorageMode>& storage_modes() {
   static const std::vector<StorageMode> m = {
       {"fp64", {}},
-      {"fp64+i16", {ValuePrecision::kNative, true, false}},
-      {"fp64+delta", {ValuePrecision::kNative, false, true}},
-      {"fp32+i16", {ValuePrecision::kFloat32, true, false}},
-      {"fp32+delta", {ValuePrecision::kFloat32, false, true}},
-      {"fp16+i16", {ValuePrecision::kFloat16, true, false}},
+      {"fp64+i16", {ValuePrecision::kNative, true}},
+      {"fp32+i16", {ValuePrecision::kFloat32, true}},
   };
   return m;
 }
 
-/// A band matrix with off-pattern scatter points, so the narrow/delta
-/// scatter index modes actually have a scatter stream to encode.
+/// A band matrix with off-pattern scatter points, so the narrow scatter
+/// index modes actually have a scatter stream to encode.
 Coo<double> test_matrix() {
   Rng rng(7);
   Coo<double> a = dense_band(96, 4);
@@ -169,7 +168,7 @@ TEST(Serve, RegistryDedupsByStructureHash) {
   // Same structure, different storage mode: its own entry (the built
   // streams differ), but the structure hash matches.
   const MatrixInfo narrow = engine.register_matrix(
-      a, StorageOptions{ValuePrecision::kNative, true, false});
+      a, StorageOptions{ValuePrecision::kNative, true});
   EXPECT_FALSE(narrow.dedup_hit);
   EXPECT_NE(narrow.id, first.id);
   EXPECT_EQ(narrow.structure_hash, first.structure_hash);
@@ -448,6 +447,91 @@ TEST(Serve, TwoLanesKeepEachMatrixOnOneLane) {
 
 TEST(Serve, AsyncTwoLanesKeepEachMatrixOnOneLane) {
   expect_two_lanes_serve_full_batches(true);
+}
+
+/// Polls until `h` leaves kPending or `timeout` passes (RequestHandle has
+/// no timed wait, and a plain wait() would hang the suite on a regression).
+bool resolves_within(const serve::RequestHandle& h,
+                     std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (h.status() == RequestStatus::kPending) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(Serve, TeardownWithoutDrainFailsPendingRequests) {
+  ThreadPool pool(2);
+  const Coo<double> band = test_matrix();
+  const Coo<double> stencil = stencil_5pt_2d(12, 12);
+  std::vector<serve::RequestHandle> handles;
+  {
+    ServeEngine engine(pool);
+    const serve::MatrixId ids[] = {engine.register_matrix(band).id,
+                                   engine.register_matrix(stencil).id};
+    const Coo<double>* coos[] = {&band, &stencil};
+    for (int r = 0; r < 11; ++r) {
+      const int mi = r % 2;
+      handles.push_back(engine.submit(ids[mi], "teardown",
+                                      make_x(coos[mi]->num_cols(), r)));
+    }
+    ASSERT_EQ(engine.pending(), 11u);
+  }  // destroyed with every request still queued: no drain() ran
+  for (const serve::RequestHandle& h : handles) {
+    ASSERT_EQ(h.status(), RequestStatus::kFailed);
+    EXPECT_EQ(h.diagnostic().code, check::Code::kServeShutdown);
+    EXPECT_EQ(h.served_batch_k(), 0);
+  }
+}
+
+TEST(Serve, AsyncTeardownFinishesQueuedAndInFlightRequests) {
+  ThreadPool pool(4);
+  ServeOptions so;
+  so.max_batch = 8;
+  so.max_queue_depth = 1024;
+  so.coalescing_window_us = 20000;
+  so.async = true;
+  so.tune_from_cache = false;
+  Rng rng(23);
+  // Tall enough that one k=8 apply takes milliseconds, so the first batch
+  // is still running when the second wave is queued and the engine dies.
+  Coo<double> band = dense_band(1 << 17, 4);
+  inject_scatter(band, 64, rng);
+  std::vector<std::vector<double>> xs;
+  for (int r = 0; r < 13; ++r) xs.push_back(make_x(band.num_cols(), r));
+
+  std::vector<serve::RequestHandle> handles;
+  std::optional<CrsdMatrix<double>> m;
+  {
+    ServeEngine engine(pool, so);
+    const serve::MatrixId id = engine.register_matrix(band).id;
+    m.emplace(engine.matrix(id));
+    // A full batch flushes at once; wait until the dispatcher took it.
+    for (std::size_t r = 0; r < 8; ++r) {
+      handles.push_back(engine.submit(id, "t", xs[r]));
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (engine.pending() != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(engine.pending(), 0u);
+    // The second wave queues behind the in-flight batch (a partial batch,
+    // inside a 20 ms coalescing window).
+    for (std::size_t r = 8; r < xs.size(); ++r) {
+      handles.push_back(engine.submit(id, "t", xs[r]));
+    }
+  }
+  std::vector<double> ref(static_cast<std::size_t>(band.num_rows()));
+  for (std::size_t r = 0; r < handles.size(); ++r) {
+    ASSERT_TRUE(resolves_within(handles[r], std::chrono::seconds(30)))
+        << "request " << r << " still pending after teardown";
+    if (handles[r].status() != RequestStatus::kDone) continue;
+    m->spmv(xs[r].data(), ref.data());
+    EXPECT_TRUE(bitwise_equal(handles[r].result(), ref)) << "request " << r;
+  }
 }
 
 }  // namespace
