@@ -1,11 +1,15 @@
 // Adaptive row-region partitioner benchmark + CI gate: on the partially
 // diagonal family — a diagonal-dominant stripe stacked over ragged
 // scattered rows, the shape the paper's single-format CRSD punts on — the
-// partitioned container (regions placed by the model, formats and mrows
-// picked by measured trials, launches overlapped one-queue-per-region on
-// the task-graph runtime) must beat the best single-format launch by
-// >= 1.15x geomean of simulated seconds. Everything runs on the simulator's
-// deterministic virtual timeline, so the gate is noise-free.
+// partitioned container (CRSD regions placed by the model, each region's
+// mrows picked by measured trials, launches overlapped one queue and one
+// private simulated device per region on the task-graph runtime) must beat
+// the best single-format launch by >= 1.15x geomean of simulated seconds.
+// Everything runs on the simulator's deterministic virtual timeline, so
+// the gate is noise-free, and every value the JSON holds is a modeled time
+// or a count: CI diffs it against the committed BENCH_partition.json, so a
+// change that moves a plan, a trial count or a modeled time must re-record
+// it.
 //
 // Also asserted per member (CI runs the binary as one assertion):
 //  * native storage: the executor's y is bitwise-identical to the

@@ -266,28 +266,19 @@ void attach_exec_plan(LaunchModel& lm, const ExecPlan<T>& plan,
   lm.plan = std::move(slices);
 }
 
-/// One region of a partitioned launch as the analyzer sees it. ELL/CSR
-/// regions carry no CRSD launch model — their kernels have no staging
-/// barriers or pattern metadata to prove anything about, and their
-/// row-disjointness is what the partition check establishes.
+/// One region of a partitioned launch as the analyzer sees it.
 struct RegionLaunchModel {
   RowRegion region;
-  std::optional<LaunchModel> crsd;  ///< set iff region.format == kCrsd
+  LaunchModel crsd;
 };
 
 /// A partitioned launch: the validated region cover plus one abstract CRSD
-/// launch model per CRSD region. Because the executor gives every region a
+/// launch model per region. Because the executor gives every region a
 /// private device and a disjoint y window, proving each region's model
 /// proves the composed launch — there is no cross-region stream to model.
 struct PartitionedLaunchModel {
   index_t num_rows = 0;
   std::vector<RegionLaunchModel> regions;
-
-  index_t num_crsd_regions() const {
-    index_t n = 0;
-    for (const RegionLaunchModel& r : regions) n += r.crsd.has_value() ? 1 : 0;
-    return n;
-  }
 };
 
 /// Extracts the abstract launch model of a partitioned launch. Throws a
@@ -308,10 +299,7 @@ PartitionedLaunchModel build_launch_model(const PartitionedMatrix<T>& m,
   pm.num_rows = m.num_rows();
   pm.regions.reserve(m.parts().size());
   for (const auto& part : m.parts()) {
-    RegionLaunchModel rm;
-    rm.region = part.region;
-    if (part.crsd) rm.crsd = build_launch_model(*part.crsd, opts);
-    pm.regions.push_back(std::move(rm));
+    pm.regions.push_back({part.region, build_launch_model(*part.crsd, opts)});
   }
   return pm;
 }

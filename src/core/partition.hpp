@@ -1,26 +1,22 @@
 // Adaptive row-region partitioner (ROADMAP item #2): split one matrix into
-// variable-height row regions and store each in the format the cost model
-// predicts fastest — CRSD for the diagonal-dominant stripes, ELL for regular
-// short rows, CSR for the irregular remainder — with a per-region `mrows`
-// replacing the container-global constant. This opens the *partially*
-// diagonal matrices the paper's format punts on: CRSD with one global
-// scatter-ELL pays max-width padding for every irregular row, while a
-// partitioned container confines each structure to the region that has it.
+// variable-height row regions, each stored as its own CRSD container with
+// its own `mrows` in place of the container-global constant. The executor
+// (kernels/partitioned_spmv.hpp) runs the regions concurrently, one
+// task-graph queue per region, so cost-balanced regions shorten the
+// makespan, and each region's segment height can fit its own rows.
 //
 // The inspector is model-driven and deterministic: it walks fixed-height
-// analysis blocks, derives per-block structure statistics (matrix/stats.hpp,
-// the same diagonal histograms core/inspect.hpp fingerprints), prices each
-// candidate format with the perf:: sweep models, and merges same-choice
-// blocks into regions. Planning never launches anything; the measured
-// refinement and the persistent partition cache live with the executor in
-// kernels/partitioned_spmv.hpp.
+// analysis blocks, derives per-block diagonal histograms (matrix/stats.hpp,
+// the same ones core/inspect.hpp fingerprints), prices each block with the
+// perf:: CRSD sweep model, and splits the row space into cost-balanced
+// regions at block boundaries. Planning never launches anything; the
+// measured mrows refinement and the persistent partition cache live with
+// the executor in kernels/partitioned_spmv.hpp.
 #pragma once
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -33,9 +29,6 @@
 #include "common/types.hpp"
 #include "core/builder.hpp"
 #include "core/crsd_matrix.hpp"
-#include "formats/csr.hpp"
-#include "formats/ell.hpp"
-#include "formats/format.hpp"
 #include "gpusim/device.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/stats.hpp"
@@ -45,57 +38,47 @@
 
 namespace crsd {
 
-/// Inspector knobs. Defaults are sized for the paper suite: 256-row analysis
-/// blocks (one candidate work-group of the largest mrows), at most 8 regions
-/// so per-region overheads stay amortized, and a small required gain before
-/// a split beats the best single-format container.
+// Planner constants. The partition cache key prints every one of them
+// (kernels/partitioned_spmv.hpp), so editing one re-keys the stored plans.
+
+/// Analysis granularity: region boundaries fall on multiples of this, one
+/// work-group of the tallest mrows candidate.
+inline constexpr index_t kPartitionBlockRows = 256;
+/// The overlap re-split never leaves a region shorter than this.
+inline constexpr index_t kPartitionMinRegionRows = 256;
+/// Candidate per-region segment heights, in race order.
+inline constexpr index_t kPartitionMrowsCandidates[] = {32, 64, 128, 256};
+/// A diagonal this dense inside a block counts toward its CRSD diagonal
+/// part; sparser diagonals are priced as scatter rows.
+inline constexpr double kPartitionLiveMinFill = 0.5;
+
+/// The mrows candidates a device with this wavefront can launch (the §III-B
+/// constraint: a multiple of the wavefront; any candidate when
+/// wavefront <= 0), in candidate order.
+inline std::vector<index_t> partition_mrows_candidates(index_t wavefront) {
+  std::vector<index_t> out;
+  for (index_t c : kPartitionMrowsCandidates) {
+    if (wavefront > 0 && c % wavefront != 0) continue;
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// Inspector policy.
 struct PartitionPolicy {
-  /// Analysis granularity: region boundaries fall on multiples of this.
-  index_t block_rows = 256;
-
-  /// Hard cap on emitted regions; the planner merges the cheapest adjacent
-  /// pairs until it fits.
-  index_t max_regions = 8;
-
-  /// Regions shorter than this merge into the cheaper neighbour — a
-  /// 256-row CSR sliver between two CRSD stripes costs more in launch
-  /// bookkeeping than its format win.
-  index_t min_region_rows = 256;
-
-  /// Candidate per-region segment heights; values that are not multiples of
-  /// the device wavefront are skipped (the §III-B constraint).
-  std::vector<index_t> mrows_candidates = {32, 64, 128, 256};
-
-  /// A diagonal this dense inside a block counts toward its CRSD diagonal
-  /// part; sparser diagonals are priced as scatter rows.
-  double live_min_fill = 0.5;
-
-  /// Keep one region unless the split is predicted at least this much
-  /// faster than the best single format (serial cost ratio).
-  double min_gain = 1.02;
-
-  /// Formats the planner may assign besides CRSD.
-  bool allow_ell = true;
-  bool allow_csr = true;
-
   /// Target number of concurrently executable regions. The executor runs
   /// each region on its own task-graph queue (makespan = max region time),
-  /// so after the format-driven merge the planner re-splits the most
-  /// expensive regions at block boundaries until it reaches this count or
-  /// runs out of splittable rows — regions keep their format, only the
-  /// boundaries move, and predicted costs stay balanced. 1 disables the
-  /// re-split: boundaries then fall only where the cheapest format changes.
+  /// so the planner splits the most expensive region at a block boundary
+  /// until it reaches this count or runs out of splittable rows, keeping
+  /// predicted costs balanced. 1 keeps the whole matrix in one region.
   index_t overlap_regions = 4;
 };
 
-/// One contiguous run of rows and the format/configuration it is stored in.
-/// For kCrsd regions `config` carries the region's own mrows and liveness
-/// knobs; ELL/CSR regions only use config.storage-independent state (their
-/// containers store native values).
+/// One contiguous run of rows and the CRSD configuration it is stored in;
+/// `config` carries the region's own mrows.
 struct RowRegion {
   index_t row_begin = 0;
   index_t row_end = 0;
-  Format format = Format::kCrsd;
   CrsdConfig config;
 };
 
@@ -108,27 +91,21 @@ struct PartitionPlan {
   double predicted_serial_seconds = 0.0;
   /// Max per-region predicted cost (regions overlap on the task graph).
   double predicted_overlap_seconds = 0.0;
-  /// Predicted cost of the best single-format container, for the gain gate.
-  double predicted_single_seconds = 0.0;
-  Format single_format = Format::kCrsd;
 
   std::string summary() const {
     std::ostringstream os;
     os << regions.size() << " region(s):";
     for (const RowRegion& r : regions) {
-      os << " [" << r.row_begin << "," << r.row_end << ")="
-         << format_name(r.format);
-      if (r.format == Format::kCrsd) os << "/m" << r.config.mrows;
+      os << " [" << r.row_begin << "," << r.row_end << ")=CRSD/m"
+         << r.config.mrows;
     }
     return os.str();
   }
 };
 
-/// Partition validity, mirroring the shard partition rule
-/// (rt::validate_shard_partition): regions must disjointly cover [0,
-/// num_rows) in order, carry a supported format, and CRSD regions need a
-/// legal mrows (a multiple of `wavefront` when one is given). Returns
-/// kPlanPartition diagnostics; empty = valid.
+/// Partition validity: regions must disjointly cover [0, num_rows) in
+/// order, and each needs a legal mrows (a multiple of `wavefront` when one
+/// is given). Returns kPlanPartition diagnostics; empty = valid.
 inline std::vector<check::Diagnostic> validate_partition(
     index_t num_rows, const std::vector<RowRegion>& regions,
     index_t wavefront = 0) {
@@ -155,24 +132,15 @@ inline std::vector<check::Diagnostic> validate_partition(
          << ") do not continue the partition at " << cursor;
       fail(os.str(), static_cast<std::int64_t>(i));
     }
-    if (r.format != Format::kCrsd && r.format != Format::kEll &&
-        r.format != Format::kCsr) {
+    if (r.config.mrows < 1) {
       std::ostringstream os;
-      os << "region " << i << " format " << format_name(r.format)
-         << " is not partitionable (CRSD/ELL/CSR only)";
+      os << "region " << i << " mrows " << r.config.mrows << " is not >= 1";
       fail(os.str(), static_cast<std::int64_t>(i));
-    }
-    if (r.format == Format::kCrsd) {
-      if (r.config.mrows < 1) {
-        std::ostringstream os;
-        os << "region " << i << " mrows " << r.config.mrows << " is not >= 1";
-        fail(os.str(), static_cast<std::int64_t>(i));
-      } else if (wavefront > 0 && r.config.mrows % wavefront != 0) {
-        std::ostringstream os;
-        os << "region " << i << " mrows " << r.config.mrows
-           << " is not a multiple of the wavefront size " << wavefront;
-        fail(os.str(), static_cast<std::int64_t>(i));
-      }
+    } else if (wavefront > 0 && r.config.mrows % wavefront != 0) {
+      std::ostringstream os;
+      os << "region " << i << " mrows " << r.config.mrows
+         << " is not a multiple of the wavefront size " << wavefront;
+      fail(os.str(), static_cast<std::int64_t>(i));
     }
     cursor = std::max(cursor, r.row_end);
   }
@@ -187,75 +155,23 @@ inline std::vector<check::Diagnostic> validate_partition(
 
 namespace detail {
 
-/// Per-block candidate costs (CPU-roofline proxy seconds; relative only).
-struct BlockCost {
-  double crsd = 0.0;
-  double ell = 0.0;
-  double csr = 0.0;
-
-  double of(Format f) const {
-    switch (f) {
-      case Format::kCrsd: return crsd;
-      case Format::kEll: return ell;
-      case Format::kCsr: return csr;
-      default: return std::numeric_limits<double>::infinity();
-    }
-  }
-};
-
-/// Prices one row block under each candidate format. The CRSD estimate
-/// classifies the block's diagonals by occupancy (live_min_fill, the same
-/// notion the builder's liveness rule uses) and prices live diagonals as
-/// streamed value slots and the leftover nonzeros as scatter-ELL rows — no
-/// container is built.
-///
-/// The per-format traffic is GPU-flavored, not the raw CPU sweep: the
-/// simulated csr_vector kernel spends one wavefront-wide step per
-/// ceil(nnz/wavefront) of every row, so short rows stream mostly padding —
-/// the effect that makes CSR lose the diagonal stripes on the device even
-/// though a CPU sweep would read fewer bytes. ELL and the CRSD scatter part
-/// stream their padded slots coalesced, exactly what the padded-element
-/// sweep costs model. The absolute scale is still the roofline proxy's;
-/// only the ordering matters, and the wavefront term is what makes the
-/// ordering track the simulator.
+/// Prices one row block as CRSD (CPU-roofline proxy seconds; relative
+/// only). Diagonals at least kPartitionLiveMinFill occupied inside the
+/// block — the builder's liveness rule — are priced as streamed value
+/// slots, the leftover nonzeros as scatter-ELL rows; no container is built.
 template <Real T>
-BlockCost price_block(const Coo<T>& block, const gpusim::DeviceSpec& spec,
-                      const PartitionPolicy& pol, int crsd_value_bytes) {
+double price_block(const Coo<T>& block, int crsd_value_bytes) {
   const StructureStats st = compute_stats(block);
   const perf::CpuSystemSpec sys;
   const bool dp = std::is_same_v<T, double>;
   const int vb = static_cast<int>(sizeof(T));
-  const size64_t wf = std::max<index_t>(1, spec.wavefront_size);
 
-  // Per-row nnz histogram (rows are re-based to 0 by row_slice).
-  std::vector<index_t> row_nnz(static_cast<std::size_t>(block.num_rows()), 0);
-  for (size64_t k = 0; k < block.nnz(); ++k) {
-    ++row_nnz[static_cast<std::size_t>(block.row_indices()[k])];
-  }
-
-  BlockCost cost;
-  // csr_vector: every occupied row costs ceil(nnz/wavefront) full-wavefront
-  // steps of value+index traffic.
-  size64_t csr_slots = 0;
-  for (index_t w : row_nnz) {
-    if (w > 0) csr_slots += (static_cast<size64_t>(w) + wf - 1) / wf * wf;
-  }
-  perf::SweepCost csr_cost;
-  csr_cost.bytes = csr_slots * (static_cast<size64_t>(vb) + sizeof(index_t)) +
-                   (static_cast<size64_t>(st.num_rows) + 1) * sizeof(index_t) +
-                   (static_cast<size64_t>(st.num_cols) +
-                    static_cast<size64_t>(st.num_rows)) *
-                       static_cast<size64_t>(vb);
-  csr_cost.flops = 2 * csr_slots;
-  cost.csr = perf::roofline_seconds(sys, csr_cost, 1, dp);
-  cost.ell = perf::roofline_seconds(sys, perf::ell_sweep_cost(st, vb), 1, dp);
-
-  // CRSD: live diagonals stream their slots, everything else scatters.
+  // Live diagonals stream their slots, everything else scatters.
   std::vector<diag_offset_t> live;
   size64_t dia_slots = 0;
   size64_t dia_nnz = 0;
   for (const auto& d : st.diagonals) {
-    if (d.nnz >= 2 && d.fill() >= pol.live_min_fill) {
+    if (d.nnz >= 2 && d.fill() >= kPartitionLiveMinFill) {
       live.push_back(d.offset);
       dia_slots += d.length;
       dia_nnz += d.nnz;
@@ -286,42 +202,25 @@ BlockCost price_block(const Coo<T>& block, const gpusim::DeviceSpec& spec,
     }
   }
   cs.value_bytes = crsd_value_bytes;
-  perf::SweepCost crsd_cost =
+  perf::SweepCost cost =
       perf::crsd_sweep_cost(cs, block.num_rows(), crsd_value_bytes);
-  // Align vector traffic with the CSR/ELL models: every format gathers the
-  // same full-width x over the block, but crsd_sweep_cost only charges
-  // 2*num_rows vector elements (x reuse plus the y write). Without the
-  // correction CRSD looks artificially cheap on short wide blocks and the
-  // planner never leaves it.
+  // Every block gathers from the full-width x, but crsd_sweep_cost only
+  // charges 2*num_rows vector elements (x reuse plus the y write); charge
+  // the rest so short wide blocks are not priced artificially cheap.
   if (st.num_cols > st.num_rows) {
-    crsd_cost.bytes += static_cast<size64_t>(st.num_cols - st.num_rows) *
-                       static_cast<size64_t>(vb);
+    cost.bytes += static_cast<size64_t>(st.num_cols - st.num_rows) *
+                  static_cast<size64_t>(vb);
   }
-  cost.crsd = perf::roofline_seconds(sys, crsd_cost, 1, dp);
-
-  if (!pol.allow_ell) cost.ell = std::numeric_limits<double>::infinity();
-  if (!pol.allow_csr) cost.csr = std::numeric_limits<double>::infinity();
-  return cost;
-}
-
-/// Deterministic per-block winner; CRSD wins ties (the paper's default).
-inline Format cheapest_format(const BlockCost& c) {
-  Format best = Format::kCrsd;
-  double best_cost = c.crsd;
-  if (c.ell < best_cost) {
-    best = Format::kEll;
-    best_cost = c.ell;
-  }
-  if (c.csr < best_cost) best = Format::kCsr;
-  return best;
+  return perf::roofline_seconds(sys, cost, 1, dp);
 }
 
 }  // namespace detail
 
-/// Walks `a` in fixed-height blocks, prices each under CRSD/ELL/CSR with
-/// the perf:: sweep models, and merges the per-block winners into a region
-/// plan. Deterministic: same matrix, policy, and device spec give the same
-/// plan. Per-region mrows is a model-side default here; the executor layer
+/// Walks `a` in kPartitionBlockRows-row blocks, prices each as CRSD with
+/// the perf:: sweep model, and splits the rows into up to
+/// pol.overlap_regions cost-balanced regions. Deterministic: same matrix,
+/// policy, and device spec give the same plan. Per-region mrows is a
+/// model-side default here; the executor layer
 /// (kernels/partitioned_spmv.hpp) refines it with measured trials and the
 /// persistent cache.
 template <Real T>
@@ -329,224 +228,95 @@ PartitionPlan plan_partition(const Coo<T>& a, const gpusim::DeviceSpec& spec,
                              const PartitionPolicy& pol = {},
                              const CrsdConfig& base = {}) {
   CRSD_CHECK_MSG(a.is_canonical(), "plan_partition requires canonical COO");
-  CRSD_CHECK_MSG(pol.block_rows >= 1, "block_rows must be >= 1");
   obs::Span span("partition/plan", "nnz", static_cast<std::int64_t>(a.nnz()));
 
   const index_t n = a.num_rows();
-  const index_t nblocks = (n + pol.block_rows - 1) / pol.block_rows;
+  const index_t nblocks = (n + kPartitionBlockRows - 1) / kPartitionBlockRows;
   const int crsd_vb = value_stream_bytes<T>(base.storage.value_precision);
 
-  // Per-block format pricing.
-  std::vector<detail::BlockCost> costs(static_cast<std::size_t>(nblocks));
+  std::vector<double> costs(static_cast<std::size_t>(nblocks));
   for (index_t b = 0; b < nblocks; ++b) {
-    const index_t r0 = b * pol.block_rows;
-    const index_t r1 = std::min<index_t>(r0 + pol.block_rows, n);
+    const index_t r0 = b * kPartitionBlockRows;
+    const index_t r1 = std::min<index_t>(r0 + kPartitionBlockRows, n);
     costs[static_cast<std::size_t>(b)] =
-        detail::price_block(a.row_slice(r0, r1), spec, pol, crsd_vb);
+        detail::price_block(a.row_slice(r0, r1), crsd_vb);
   }
-
-  // The single-format baseline the split has to beat: one format over all
-  // blocks (the block sum is the same proxy the regions are priced with, so
-  // the comparison is apples to apples).
-  double single_crsd = 0.0, single_ell = 0.0, single_csr = 0.0;
-  for (const auto& c : costs) {
-    single_crsd += c.crsd;
-    single_ell += c.ell;
-    single_csr += c.csr;
-  }
-  detail::BlockCost single_cost{single_crsd, single_ell, single_csr};
-  const Format single_format = detail::cheapest_format(single_cost);
-  const double single_best = single_cost.of(single_format);
-
-  // Working region list: runs of blocks with per-format cost sums.
-  struct Work {
-    index_t block_begin = 0, block_end = 0;
-    detail::BlockCost cost;
-    Format format = Format::kCrsd;
+  auto rows_of = [&](index_t b0, index_t b1) {
+    return std::min<index_t>(b1 * kPartitionBlockRows, n) -
+           b0 * kPartitionBlockRows;
   };
-  auto merged = [](const Work& x, const Work& y) {
-    Work w;
-    w.block_begin = x.block_begin;
-    w.block_end = y.block_end;
-    w.cost = {x.cost.crsd + y.cost.crsd, x.cost.ell + y.cost.ell,
-              x.cost.csr + y.cost.csr};
-    w.format = detail::cheapest_format(w.cost);
-    return w;
+  auto cost_of = [&](index_t b0, index_t b1) {
+    double c = 0.0;
+    for (index_t b = b0; b < b1; ++b) c += costs[static_cast<std::size_t>(b)];
+    return c;
   };
-
-  std::vector<Work> work;
-  for (index_t b = 0; b < nblocks; ++b) {
-    Work w;
-    w.block_begin = b;
-    w.block_end = b + 1;
-    w.cost = costs[static_cast<std::size_t>(b)];
-    w.format = detail::cheapest_format(w.cost);
-    if (!work.empty() && work.back().format == w.format) {
-      work.back() = merged(work.back(), w);
-    } else {
-      work.push_back(w);
-    }
-  }
-
-  // Absorb regions shorter than min_region_rows into the cheaper neighbour,
-  // then enforce max_regions by merging the adjacent pair whose merge costs
-  // the least. Both loops re-coalesce equal-format neighbours.
-  auto coalesce = [&] {
-    std::vector<Work> out;
-    for (const Work& w : work) {
-      if (!out.empty() && out.back().format == w.format) {
-        out.back() = merged(out.back(), w);
-      } else {
-        out.push_back(w);
-      }
-    }
-    work.swap(out);
-  };
-  auto region_rows = [&](const Work& w) {
-    return std::min<index_t>(w.block_end * pol.block_rows, n) -
-           w.block_begin * pol.block_rows;
-  };
-  bool changed = true;
-  while (changed && work.size() > 1) {
-    changed = false;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      if (region_rows(work[i]) >= pol.min_region_rows) continue;
-      const bool has_left = i > 0;
-      const bool has_right = i + 1 < work.size();
-      std::size_t into = has_left ? i - 1 : i + 1;
-      if (has_left && has_right) {
-        const Work left = merged(work[i - 1], work[i]);
-        const Work right = merged(work[i], work[i + 1]);
-        into = left.cost.of(left.format) <= right.cost.of(right.format)
-                   ? i - 1
-                   : i + 1;
-      }
-      const std::size_t lo = std::min(into, i);
-      work[lo] = merged(work[lo], work[std::max(into, i)]);
-      work.erase(work.begin() + static_cast<std::ptrdiff_t>(lo) + 1);
-      changed = true;
-      break;
-    }
-    if (changed) coalesce();
-  }
-  while (work.size() > static_cast<std::size_t>(std::max<index_t>(
-                           1, pol.max_regions))) {
-    std::size_t best_i = 0;
-    double best_penalty = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i + 1 < work.size(); ++i) {
-      const Work m = merged(work[i], work[i + 1]);
-      const double penalty = m.cost.of(m.format) -
-                             work[i].cost.of(work[i].format) -
-                             work[i + 1].cost.of(work[i + 1].format);
-      if (penalty < best_penalty) {
-        best_penalty = penalty;
-        best_i = i;
-      }
-    }
-    work[best_i] = merged(work[best_i], work[best_i + 1]);
-    work.erase(work.begin() + static_cast<std::ptrdiff_t>(best_i) + 1);
-    coalesce();
-  }
-
-  // Gain gate: splitting must be predicted min_gain times faster than the
-  // best single format, else emit one region of that format.
-  double split_total = 0.0;
-  for (const Work& w : work) split_total += w.cost.of(w.format);
-  if (work.size() > 1 && single_best <= split_total * pol.min_gain) {
-    Work w = work.front();
-    for (std::size_t i = 1; i < work.size(); ++i) w = merged(w, work[i]);
-    w.format = single_format;
-    work.assign(1, w);
-  }
 
   // Overlap re-split: the executor overlaps regions on separate task-graph
-  // queues, so more (balanced) regions shorten the makespan even when the
-  // format never changes. Repeatedly halve the most expensive region at the
-  // block boundary nearest its cost midpoint; the half keeps its parent's
-  // format so format choice stays purely model-driven.
-  if (pol.overlap_regions > 1) {
-    const auto target = static_cast<std::size_t>(std::clamp<index_t>(
-        pol.overlap_regions, 1, std::max<index_t>(1, pol.max_regions)));
-    auto format_cost = [&](index_t b0, index_t b1, Format f) {
-      double c = 0.0;
-      for (index_t b = b0; b < b1; ++b) {
-        c += costs[static_cast<std::size_t>(b)].of(f);
+  // queues, so balanced regions shorten the makespan. Starting from one
+  // region, repeatedly halve the most expensive region at the block
+  // boundary nearest its cost midpoint.
+  struct Work {
+    index_t block_begin = 0, block_end = 0;
+    double cost = 0.0;
+  };
+  std::vector<Work> work;
+  if (nblocks > 0) work.push_back({0, nblocks, cost_of(0, nblocks)});
+  const auto target =
+      static_cast<std::size_t>(std::max<index_t>(1, pol.overlap_regions));
+  while (work.size() < target) {
+    std::size_t best = work.size();
+    double best_cost = -1.0;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      const Work& w = work[i];
+      if (w.block_end - w.block_begin < 2) continue;
+      if (rows_of(w.block_begin, w.block_end) < 2 * kPartitionMinRegionRows) {
+        continue;
       }
-      return c;
-    };
-    while (work.size() < target) {
-      std::size_t best = work.size();
-      double best_cost = -1.0;
-      for (std::size_t i = 0; i < work.size(); ++i) {
-        const Work& w = work[i];
-        if (w.block_end - w.block_begin < 2) continue;
-        if (region_rows(w) < 2 * pol.min_region_rows) continue;
-        const double c = w.cost.of(w.format);
-        if (c > best_cost) {
-          best_cost = c;
-          best = i;
-        }
+      if (w.cost > best_cost) {
+        best_cost = w.cost;
+        best = i;
       }
-      if (best == work.size()) break;
-      const Work w = work[best];
-      const double total = format_cost(w.block_begin, w.block_end, w.format);
-      auto rows_of = [&](index_t b0, index_t b1) {
-        return std::min<index_t>(b1 * pol.block_rows, n) - b0 * pol.block_rows;
-      };
-      index_t cut = 0;
-      double acc = 0.0;
-      for (index_t b = w.block_begin; b + 1 < w.block_end; ++b) {
-        acc += costs[static_cast<std::size_t>(b)].of(w.format);
-        if (rows_of(w.block_begin, b + 1) < pol.min_region_rows) continue;
-        if (rows_of(b + 1, w.block_end) < pol.min_region_rows) break;
-        cut = b + 1;
-        if (acc >= total * 0.5) break;
-      }
-      if (cut == 0) break;  // no boundary leaves both halves long enough
-      auto make_half = [&](index_t b0, index_t b1) {
-        Work h;
-        h.block_begin = b0;
-        h.block_end = b1;
-        h.cost = {format_cost(b0, b1, Format::kCrsd),
-                  format_cost(b0, b1, Format::kEll),
-                  format_cost(b0, b1, Format::kCsr)};
-        h.format = w.format;
-        return h;
-      };
-      work[best] = make_half(w.block_begin, cut);
-      work.insert(work.begin() + static_cast<std::ptrdiff_t>(best) + 1,
-                  make_half(cut, w.block_end));
     }
+    if (best == work.size()) break;
+    const Work w = work[best];
+    index_t cut = 0;
+    double acc = 0.0;
+    for (index_t b = w.block_begin; b + 1 < w.block_end; ++b) {
+      acc += costs[static_cast<std::size_t>(b)];
+      if (rows_of(w.block_begin, b + 1) < kPartitionMinRegionRows) continue;
+      if (rows_of(b + 1, w.block_end) < kPartitionMinRegionRows) break;
+      cut = b + 1;
+      if (acc >= w.cost * 0.5) break;
+    }
+    if (cut == 0) break;  // no boundary leaves both halves long enough
+    work[best] = {w.block_begin, cut, cost_of(w.block_begin, cut)};
+    work.insert(work.begin() + static_cast<std::ptrdiff_t>(best) + 1,
+                {cut, w.block_end, cost_of(cut, w.block_end)});
   }
 
-  // Emit regions; CRSD regions default their mrows to the candidate closest
-  // to the builder default that is wavefront-legal and not taller than the
-  // region.
+  // Emit regions; each defaults its mrows to the candidate closest to the
+  // builder default that is wavefront-legal and not taller than the region.
+  const std::vector<index_t> candidates =
+      partition_mrows_candidates(spec.wavefront_size);
   PartitionPlan plan;
-  plan.single_format = single_format;
-  plan.predicted_single_seconds = single_best;
   for (const Work& w : work) {
     RowRegion r;
-    r.row_begin = w.block_begin * pol.block_rows;
-    r.row_end = std::min<index_t>(w.block_end * pol.block_rows, n);
-    r.format = w.format;
+    r.row_begin = w.block_begin * kPartitionBlockRows;
+    r.row_end = std::min<index_t>(w.block_end * kPartitionBlockRows, n);
     r.config = base;
-    if (r.format == Format::kCrsd) {
-      index_t chosen = 0;
-      for (index_t c : pol.mrows_candidates) {
-        if (spec.wavefront_size > 0 && c % spec.wavefront_size != 0) continue;
-        if (chosen == 0 ||
-            (c <= r.row_end - r.row_begin &&
-             std::abs(c - CrsdConfig{}.mrows) <
-                 std::abs(chosen - CrsdConfig{}.mrows))) {
-          chosen = c;
-        }
+    index_t chosen = 0;
+    for (index_t c : candidates) {
+      if (chosen == 0 ||
+          (c <= r.row_end - r.row_begin &&
+           std::abs(c - CrsdConfig{}.mrows) <
+               std::abs(chosen - CrsdConfig{}.mrows))) {
+        chosen = c;
       }
-      r.config.mrows = chosen > 0 ? chosen : base.mrows;
     }
-    const double c = w.cost.of(w.format);
-    plan.predicted_serial_seconds += c;
-    plan.predicted_overlap_seconds = std::max(plan.predicted_overlap_seconds, c);
+    r.config.mrows = chosen > 0 ? chosen : base.mrows;
+    plan.predicted_serial_seconds += w.cost;
+    plan.predicted_overlap_seconds =
+        std::max(plan.predicted_overlap_seconds, w.cost);
     plan.regions.push_back(std::move(r));
   }
 
@@ -556,7 +326,7 @@ PartitionPlan plan_partition(const Coo<T>& a, const gpusim::DeviceSpec& spec,
   return plan;
 }
 
-/// A matrix stored as per-region containers. Region r owns rows
+/// A matrix stored as per-region CRSD containers. Region r owns rows
 /// [row_begin, row_end) with the full column space: its container is built
 /// from the row slice re-based to 0, so y[row_begin + i] comes from region
 /// row i while x is shared by every region.
@@ -565,9 +335,7 @@ class PartitionedMatrix {
  public:
   struct Part {
     RowRegion region;
-    std::unique_ptr<CrsdMatrix<T>> crsd;  ///< set iff region.format == kCrsd
-    std::unique_ptr<EllMatrix<T>> ell;    ///< set iff region.format == kEll
-    std::unique_ptr<CsrMatrix<T>> csr;    ///< set iff region.format == kCsr
+    std::unique_ptr<CrsdMatrix<T>> crsd;
   };
 
   /// Builds each region's container from its row slice. Throws a
@@ -590,20 +358,8 @@ class PartitionedMatrix {
       const Coo<T> slice = a.row_slice(region.row_begin, region.row_end);
       Part part;
       part.region = region;
-      switch (region.format) {
-        case Format::kCrsd:
-          part.crsd = std::make_unique<CrsdMatrix<T>>(
-              detail::build_crsd_impl(slice, region.config, pool));
-          break;
-        case Format::kEll:
-          part.ell = std::make_unique<EllMatrix<T>>(EllMatrix<T>::from_coo(slice));
-          break;
-        case Format::kCsr:
-          part.csr = std::make_unique<CsrMatrix<T>>(CsrMatrix<T>::from_coo(slice));
-          break;
-        default:
-          throw Error("unsupported region format in PartitionedMatrix");
-      }
+      part.crsd = std::make_unique<CrsdMatrix<T>>(
+          detail::build_crsd_impl(slice, region.config, pool));
       m.parts_.push_back(std::move(part));
     }
     return m;
@@ -615,8 +371,8 @@ class PartitionedMatrix {
   const std::vector<Part>& parts() const { return parts_; }
 
   /// Mutable part access for mutation fixtures: tests plant defects (an
-  /// overlapping region, a lying mrows descriptor, a swapped container) and
-  /// check that check::validate_against refutes exactly the planted one.
+  /// overlapping region, a lying mrows descriptor) and check that
+  /// check::validate_against refutes exactly the planted one.
   std::vector<Part>& mutable_parts() { return parts_; }
 
   std::vector<RowRegion> regions() const {
@@ -629,29 +385,12 @@ class PartitionedMatrix {
   /// y = A*x, single thread — the executor's bitwise reference: each region
   /// accumulates its rows exactly as its standalone container would.
   void spmv(const T* x, T* y) const {
-    for (const Part& p : parts_) {
-      T* y_region = y + p.region.row_begin;
-      if (p.crsd) p.crsd->spmv(x, y_region);
-      else if (p.ell) p.ell->spmv(x, y_region);
-      else if (p.csr) p.csr->spmv(x, y_region);
-    }
+    for (const Part& p : parts_) p.crsd->spmv(x, y + p.region.row_begin);
   }
 
   size64_t footprint_bytes() const {
     size64_t bytes = 0;
-    for (const Part& p : parts_) {
-      if (p.crsd) {
-        bytes += p.crsd->footprint_bytes();
-      } else if (p.ell) {
-        bytes += static_cast<size64_t>(p.ell->width()) *
-                 static_cast<size64_t>(p.ell->num_rows()) *
-                 (sizeof(T) + sizeof(index_t));
-      } else if (p.csr) {
-        bytes += p.csr->nnz() * (sizeof(T) + sizeof(index_t)) +
-                 (static_cast<size64_t>(p.csr->num_rows()) + 1) *
-                     sizeof(index_t);
-      }
-    }
+    for (const Part& p : parts_) bytes += p.crsd->footprint_bytes();
     return bytes;
   }
 
@@ -659,9 +398,8 @@ class PartitionedMatrix {
     std::ostringstream os;
     os << parts_.size() << " region(s):";
     for (const Part& p : parts_) {
-      os << " [" << p.region.row_begin << "," << p.region.row_end << ")="
-         << format_name(p.region.format);
-      if (p.crsd) os << "/m" << p.crsd->mrows();
+      os << " [" << p.region.row_begin << "," << p.region.row_end
+         << ")=CRSD/m" << p.crsd->mrows();
     }
     return os.str();
   }
@@ -676,11 +414,10 @@ class PartitionedMatrix {
 namespace check {
 
 /// Partitioned extension of validate_against: the region list must be a
-/// valid partition, every part's container must match its declared region
-/// (format, row count, and — for CRSD — the per-region mrows; a mutated
-/// region descriptor is a kPlanPartition finding), and each region must
-/// store exactly its row slice of `a` (CRSD through the quantization-aware
-/// container validator, ELL/CSR by exact round trip).
+/// valid partition, every part's container must carry its region
+/// descriptor's mrows (a mutated descriptor is a kPlanPartition finding),
+/// and each region must store exactly its row slice of `a`, checked by the
+/// quantization-aware container validator.
 template <Real T>
 std::vector<Diagnostic> validate_against(const PartitionedMatrix<T>& pm,
                                          const Coo<T>& a) {
@@ -703,54 +440,23 @@ std::vector<Diagnostic> validate_against(const PartitionedMatrix<T>& pm,
   for (std::size_t i = 0; i < pm.parts().size(); ++i) {
     const auto& part = pm.parts()[i];
     const RowRegion& r = part.region;
-    const std::int64_t which = static_cast<std::int64_t>(i);
-    const int have = (part.crsd ? 1 : 0) + (part.ell ? 1 : 0) +
-                     (part.csr ? 1 : 0);
-    const bool matches =
-        have == 1 && ((r.format == Format::kCrsd && part.crsd) ||
-                      (r.format == Format::kEll && part.ell) ||
-                      (r.format == Format::kCsr && part.csr));
-    if (!matches) {
-      std::ostringstream os;
-      os << "region " << i << " container does not match its declared format "
-         << format_name(r.format);
-      fail(Code::kPlanPartition, os.str(), which);
-      continue;
-    }
     if (r.row_begin < 0 || r.row_end > a.num_rows() ||
         r.row_begin >= r.row_end) {
       continue;  // already reported by validate_partition
     }
-    const Coo<T> slice = a.row_slice(r.row_begin, r.row_end);
-    if (part.crsd) {
-      if (part.crsd->mrows() != r.config.mrows) {
-        std::ostringstream os;
-        os << "region " << i << " container mrows " << part.crsd->mrows()
-           << " differs from its descriptor's " << r.config.mrows;
-        fail(Code::kPlanPartition, os.str(), which);
-      }
-      std::vector<Diagnostic> region_diags =
-          validate_against(*part.crsd, slice);
-      for (Diagnostic& d : region_diags) {
-        d.message = "region " + std::to_string(i) + ": " + d.message;
-        diags.push_back(std::move(d));
-      }
-      nnz_seen += part.crsd->nnz();
-    } else {
-      Coo<T> round_trip = part.ell ? part.ell->to_coo() : part.csr->to_coo();
-      const size64_t part_nnz = part.ell ? part.ell->nnz() : part.csr->nnz();
-      nnz_seen += part_nnz;
-      const bool same = round_trip.nnz() == slice.nnz() &&
-                        round_trip.row_indices() == slice.row_indices() &&
-                        round_trip.col_indices() == slice.col_indices() &&
-                        round_trip.values() == slice.values();
-      if (!same) {
-        std::ostringstream os;
-        os << "region " << i << " " << format_name(r.format)
-           << " container does not round-trip its row slice";
-        fail(Code::kNnzMismatch, os.str(), which);
-      }
+    if (part.crsd->mrows() != r.config.mrows) {
+      std::ostringstream os;
+      os << "region " << i << " container mrows " << part.crsd->mrows()
+         << " differs from its descriptor's " << r.config.mrows;
+      fail(Code::kPlanPartition, os.str(), static_cast<std::int64_t>(i));
     }
+    std::vector<Diagnostic> region_diags = validate_against(
+        *part.crsd, a.row_slice(r.row_begin, r.row_end));
+    for (Diagnostic& d : region_diags) {
+      d.message = "region " + std::to_string(i) + ": " + d.message;
+      diags.push_back(std::move(d));
+    }
+    nnz_seen += part.crsd->nnz();
   }
   if (diags.empty() && nnz_seen != a.nnz()) {
     std::ostringstream os;

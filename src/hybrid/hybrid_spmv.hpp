@@ -28,16 +28,16 @@
 
 namespace crsd::hybrid {
 
+/// Host threads the CPU branch is priced with, on the
+/// perf::CpuSystemSpec::xeon_x5550_2s() roofline.
+inline constexpr int kHybridCpuThreads = 8;
+
 struct HybridConfig {
-  int cpu_threads = 8;
   /// Model a fresh x download and y upload around every SpMV (a solver that
   /// keeps vectors resident would set this false and pay only once).
   bool transfer_vectors_each_spmv = true;
-  /// H2D/D2H pipeline depth of the GPU branch.
-  int transfer_chunks = 4;
   CrsdConfig crsd;
   PcieSpec pcie = PcieSpec::pcie_gen2_x16();
-  perf::CpuSystemSpec cpu = perf::CpuSystemSpec::xeon_x5550_2s();
 };
 
 struct HybridTiming {
@@ -86,9 +86,10 @@ class HybridSpmv {
     const index_t mrows = m_.mrows();
     const index_t split_seg =
         std::min((split + mrows - 1) / mrows, m_.num_segments_total());
-    const auto& srow = m_.scatter_rows();
-    const index_t scatter_split = static_cast<index_t>(
-        std::lower_bound(srow.begin(), srow.end(), split) - srow.begin());
+    // The GPU branch: segments [0, split_seg) and the scatter rows whose
+    // target lies above the split.
+    const rt::Shard shard = rt::make_shard(m_, 0, split_seg);
+    const index_t scatter_split = shard.range.scatter_end;
 
     ThreadPool local_pool(1);
     ThreadPool& exec_pool = pool != nullptr ? *pool : local_pool;
@@ -102,32 +103,15 @@ class HybridSpmv {
     const rt::QueueId host_q = g.add_queue("host");
 
     rt::MultiDeviceOptions mopts;
-    mopts.transfer_chunks = cfg_.transfer_chunks;
     mopts.transfer_vectors = cfg_.transfer_vectors_each_spmv;
     mopts.pcie = cfg_.pcie;
 
-    // GPU branch: segments [0, split_seg) and the scatter rows whose target
-    // lies above the split, as one pipelined shard. D2H lands directly in
-    // the caller's y (the branches write disjoint rows, so no Reduce is
-    // needed — the join barrier is the graph's root).
+    // GPU branch as one pipelined shard. D2H lands directly in the caller's
+    // y (the branches write disjoint rows, so no Reduce is needed — the
+    // join barrier is the graph's root).
     std::vector<T> x_stage, y_dev;
     rt::NodeId gpu_tail = -1;
     if (split_seg > 0 || scatter_split > 0) {
-      rt::Shard shard;
-      shard.range.seg_begin = 0;
-      shard.range.seg_end = split_seg;
-      shard.range.scatter_begin = 0;
-      shard.range.scatter_end = scatter_split;
-      shard.range.row_begin = 0;
-      shard.range.row_end = split;
-      index_t lo = m_.num_cols();
-      index_t hi = 0;
-      rt::detail::widen_for_diagonals(m_, 0, split_seg, &lo, &hi);
-      rt::detail::widen_for_scatter(m_, 0, scatter_split, &lo, &hi);
-      if (lo >= hi) lo = hi = 0;
-      shard.range.x_begin = lo;
-      shard.range.x_end = hi;
-
       const rt::ShardPipeline pipe = rt::append_shard_pipeline(
           g, lane, dev, m_, shard, mopts, "gpu", x, x_stage, y_dev, y);
       gpu_tail = pipe.tail;
@@ -139,8 +123,9 @@ class HybridSpmv {
     if (split_seg < m_.num_segments_total() ||
         scatter_split < m_.num_scatter_rows()) {
       const double cpu_seconds = perf::cpu_spmv_seconds(
-          cfg_.cpu, cpu_slice_cost(split_seg, scatter_split),
-          cfg_.cpu_threads, std::is_same_v<T, double>);
+          perf::CpuSystemSpec::xeon_x5550_2s(),
+          cpu_slice_cost(split_seg, scatter_split), kHybridCpuThreads,
+          std::is_same_v<T, double>);
       cpu_tail = g.add_node(
           rt::NodeKind::kCpuCompute, cpu_q, "cpu.slice",
           [this, split_seg, scatter_split, x, y, cpu_seconds] {
@@ -194,8 +179,9 @@ class HybridSpmv {
           cfg.pcie, static_cast<size64_t>(a.num_cols() + n) * sizeof(T));
     }
     const double t_cpu_pred = perf::cpu_spmv_seconds(
-        cfg.cpu, perf::crsd_sweep_cost(m.stats(), n, m.value_bytes()),
-        cfg.cpu_threads, dp);
+        perf::CpuSystemSpec::xeon_x5550_2s(),
+        perf::crsd_sweep_cost(m.stats(), n, m.value_bytes()),
+        kHybridCpuThreads, dp);
     const double f =
         (1.0 / t_gpu_pred) / (1.0 / t_gpu_pred + 1.0 / t_cpu_pred);
 

@@ -56,6 +56,7 @@ struct CrsdGpuRange {
   bool empty() const {
     return seg_begin >= seg_end && scatter_begin >= scatter_end;
   }
+  bool operator==(const CrsdGpuRange&) const = default;
 
   template <Real T>
   static CrsdGpuRange full(const CrsdMatrix<T>& m) {

@@ -3,29 +3,28 @@
 //
 //  * plan_partition_cached — the model-driven region boundaries
 //    (core/partition.hpp) plus a measured refinement of each region's
-//    format and mrows (trial launches on private simulated devices, the
-//    autotuner's discipline), fed through the persistent tuning-cache
-//    directory keyed by structure hash, device, precision, and policy.
-//    Warm runs load the stored region list with zero measured trials.
+//    mrows (trial launches on private simulated devices, the autotuner's
+//    discipline), fed through the persistent tuning-cache directory keyed
+//    by structure hash, device, precision, and policy. Warm runs load the
+//    stored region list with zero measured trials.
 //  * crsd::build_partitioned — BuildOptions-driven build: cached plan, then
 //    per-region containers.
 //  * kernels::spmv(dev, PartitionedMatrix, ...) — lowers each region
-//    through its format kernel and composes the launches on the
-//    rt::TaskGraph runtime, one queue and one private device per region, so
-//    regions overlap exactly like multi-device shards. The makespan comes
-//    from the graph's deterministic virtual timeline.
+//    through gpu_spmv_crsd and composes the launches on the rt::TaskGraph
+//    runtime, one queue and one private device per region, so regions
+//    overlap exactly like multi-device shards. The makespan comes from the
+//    graph's deterministic virtual timeline.
 //
 // This header needs the crsd_runtime library (GraphExecutor); it is
 // deliberately not part of the crsd.hpp facade, mirroring runtime/.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,8 +36,6 @@
 #include "gpusim/device.hpp"
 #include "kernels/crsd_autotune.hpp"
 #include "kernels/crsd_gpu.hpp"
-#include "kernels/csr_gpu.hpp"
-#include "kernels/ell_gpu.hpp"
 #include "kernels/gpu_spmv.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -50,8 +47,7 @@ namespace crsd::kernels {
 struct PlannedPartition {
   PartitionPlan plan;
   bool cache_hit = false;
-  /// Trial launches spent refining per-region formats and mrows; 0 on a
-  /// cache hit.
+  /// Trial launches spent refining per-region mrows; 0 on a cache hit.
   index_t measured_trials = 0;
   std::string cache_key;
 };
@@ -59,12 +55,12 @@ struct PlannedPartition {
 namespace detail {
 
 /// Serialized planning inputs; hashing this yields the partition cache key
-/// (same discipline as tune_key_string — any change to policy, device,
-/// precision, or matrix structure keys a different entry).
+/// (same discipline as tune_key_string — any change to policy, planner
+/// constants, device, precision, or matrix structure keys a different
+/// entry).
 template <Real T>
 std::string part_key_string(const gpusim::DeviceSpec& spec, const Coo<T>& a,
                             const BuildOptions& opts) {
-  const PartitionPolicy& pol = opts.partition;
   std::ostringstream os;
   os << "crsd-part-v1|dev=" << spec.name << "|wf=" << spec.wavefront_size
      << "|fp=" << (std::is_same_v<T, double> ? "f64" : "f32")
@@ -72,19 +68,20 @@ std::string part_key_string(const gpusim::DeviceSpec& spec, const Coo<T>& a,
      << "|ix="
      << (opts.config.storage.narrow_scatter_indices ? "narrow" : "i32")
      << "|shash=" << fnv1a64_hex(std::to_string(structure_hash(a)))
-     << "|block=" << pol.block_rows << "|maxr=" << pol.max_regions
-     << "|minr=" << pol.min_region_rows << "|fill=" << pol.live_min_fill
-     << "|gain=" << pol.min_gain << "|ell=" << (pol.allow_ell ? 1 : 0)
-     << "|csr=" << (pol.allow_csr ? 1 : 0) << "|mrows=";
-  for (index_t v : pol.mrows_candidates) os << v << ',';
+     << "|regions=" << opts.partition.overlap_regions
+     << "|block=" << kPartitionBlockRows
+     << "|minr=" << kPartitionMinRegionRows
+     << "|fill=" << kPartitionLiveMinFill << "|mrows=";
+  for (index_t v : kPartitionMrowsCandidates) os << v << ',';
   return os.str();
 }
 
 /// Reads a cached region list. Returns false — a miss — on absent, torn,
-/// or unparseable entries, and on entries that do not partition
-/// [0, num_rows) (a matrix with the same structure hash but different row
-/// count cannot happen, but a truncated file can) or hold a CRSD region
-/// whose mrows is not a multiple of `wavefront` (it would fail at launch).
+/// or unparseable entries, on entries that do not partition [0, num_rows)
+/// (a matrix with the same structure hash but different row count cannot
+/// happen, but a truncated file can), and on a region whose mrows is not
+/// one of the device's candidates: no cold plan could have stored it, and
+/// it would fail at launch or pad the region to an arbitrary height.
 inline bool part_cache_load(const std::string& path, index_t num_rows,
                             index_t wavefront, const CrsdConfig& base,
                             std::vector<RowRegion>& regions) {
@@ -92,6 +89,7 @@ inline bool part_cache_load(const std::string& path, index_t num_rows,
   if (!in.good()) return false;
   std::string header;
   if (!std::getline(in, header) || header != "crsd-part-v1") return false;
+  const std::vector<index_t> legal = partition_mrows_candidates(wavefront);
   regions.clear();
   std::string line;
   while (std::getline(in, line)) {
@@ -101,13 +99,10 @@ inline bool part_cache_load(const std::string& path, index_t num_rows,
     RowRegion r;
     r.config = base;
     if (!(ls >> tag >> r.row_begin >> r.row_end >> format >> r.config.mrows) ||
-        tag != "region") {
+        tag != "region" || format != "crsd" ||
+        std::find(legal.begin(), legal.end(), r.config.mrows) == legal.end()) {
       return false;
     }
-    if (format == "crsd") r.format = Format::kCrsd;
-    else if (format == "ell") r.format = Format::kEll;
-    else if (format == "csr") r.format = Format::kCsr;
-    else return false;
     regions.push_back(std::move(r));
   }
   return validate_partition(num_rows, regions, wavefront).empty();
@@ -129,11 +124,8 @@ inline void part_cache_store(const std::string& dir, const std::string& path,
     std::ofstream out(tmp);
     out << "crsd-part-v1\n";
     for (const RowRegion& r : regions) {
-      const char* name = r.format == Format::kCrsd
-                             ? "crsd"
-                             : (r.format == Format::kEll ? "ell" : "csr");
-      out << "region " << r.row_begin << ' ' << r.row_end << ' ' << name
-          << ' ' << r.config.mrows << '\n';
+      out << "region " << r.row_begin << ' ' << r.row_end << " crsd "
+          << r.config.mrows << '\n';
     }
     out.flush();
     if (!out.good()) {
@@ -149,8 +141,8 @@ inline void part_cache_store(const std::string& dir, const std::string& path,
 
 /// Plans a row partition for `a` on `spec`, consulting the persistent cache
 /// first. A miss runs the model-driven planner for boundaries, then refines
-/// each region's format and mrows by trial launches on private devices (one
-/// per candidate, concurrently on `pool`), and publishes the winning region
+/// each region's mrows by trial launches on private devices (one per
+/// candidate, concurrently on `pool`), and publishes the winning region
 /// list; a hit returns the stored regions with zero measured trials.
 template <Real T>
 PlannedPartition plan_partition_cached(const gpusim::DeviceSpec& spec,
@@ -188,45 +180,16 @@ PlannedPartition plan_partition_cached(const gpusim::DeviceSpec& spec,
   out.plan = plan_partition(a, spec, opts.partition, opts.config);
 
   // Measured refinement: the model decided the region boundaries; trial
-  // launches on private devices decide what runs inside them. Per region,
-  // race one CRSD candidate per wavefront-legal mrows against an ELL and a
-  // CSR build of the same slice and keep the measured-fastest — the CPU
-  // roofline proxy orders formats well enough to place boundaries but not
-  // to call the csr_vector-vs-scatter-ELL race on the device, so that call
-  // is always measured. Fixed candidate order keeps tie-breaks
+  // launches on private devices pick each region's mrows. Per region, race
+  // one CRSD build per wavefront-legal candidate and keep the
+  // measured-fastest. Fixed candidate order keeps tie-breaks
   // deterministic.
-  {
+  const std::vector<index_t> candidates =
+      partition_mrows_candidates(spec.wavefront_size);
+  if (candidates.size() > 1) {
     obs::Span refine_span("partition/refine");
     for (RowRegion& region : out.plan.regions) {
-      struct Candidate {
-        Format format;
-        index_t mrows;  ///< only meaningful for kCrsd
-      };
-      std::vector<Candidate> candidates;
-      for (index_t c : opts.partition.mrows_candidates) {
-        if (spec.wavefront_size > 0 && c % spec.wavefront_size != 0) continue;
-        candidates.push_back({Format::kCrsd, c});
-      }
       const Coo<T> slice = a.row_slice(region.row_begin, region.row_end);
-      // ELL only enters the race when its padding is sane — one long row
-      // would otherwise make the trial build itself the cost.
-      size64_t ell_width = 0;
-      {
-        std::vector<size64_t> counts(
-            static_cast<std::size_t>(slice.num_rows()), 0);
-        for (size64_t k = 0; k < slice.nnz(); ++k) {
-          const auto w =
-              ++counts[static_cast<std::size_t>(slice.row_indices()[k])];
-          ell_width = std::max(ell_width, w);
-        }
-      }
-      if (opts.partition.allow_ell &&
-          ell_width * static_cast<size64_t>(slice.num_rows()) <=
-              4 * std::max<size64_t>(1, slice.nnz())) {
-        candidates.push_back({Format::kEll, 0});
-      }
-      if (opts.partition.allow_csr) candidates.push_back({Format::kCsr, 0});
-      if (candidates.size() <= 1) continue;
       std::vector<double> seconds(candidates.size(),
                                   std::numeric_limits<double>::infinity());
       std::vector<std::function<void()>> tasks;
@@ -235,33 +198,13 @@ PlannedPartition plan_partition_cached(const gpusim::DeviceSpec& spec,
           gpusim::Device trial_dev(spec);
           std::vector<T> x(static_cast<std::size_t>(slice.num_cols()), T(1));
           std::vector<T> y(static_cast<std::size_t>(slice.num_rows()));
-          switch (candidates[c].format) {
-            case Format::kCrsd: {
-              CrsdConfig cfg = region.config;
-              cfg.mrows = candidates[c].mrows;
-              const CrsdMatrix<T> m =
-                  crsd::detail::build_crsd_impl(slice, cfg, nullptr);
-              seconds[c] =
-                  gpu_spmv_crsd(trial_dev, m, x.data(), y.data(), {}, nullptr)
-                      .seconds;
-              break;
-            }
-            case Format::kEll: {
-              const auto m = EllMatrix<T>::from_coo(slice);
-              seconds[c] = gpu_spmv_ell(trial_dev, m, x.data(), y.data(),
-                                        SpmvOptions{}.work_group_size, nullptr)
-                               .seconds;
-              break;
-            }
-            default: {
-              const auto m = CsrMatrix<T>::from_coo(slice);
-              seconds[c] =
-                  gpu_spmv_csr_vector(trial_dev, m, x.data(), y.data(),
-                                      SpmvOptions{}.work_group_size, nullptr)
-                      .seconds;
-              break;
-            }
-          }
+          CrsdConfig cfg = region.config;
+          cfg.mrows = candidates[c];
+          const CrsdMatrix<T> m =
+              crsd::detail::build_crsd_impl(slice, cfg, nullptr);
+          seconds[c] =
+              gpu_spmv_crsd(trial_dev, m, x.data(), y.data(), {}, nullptr)
+                  .seconds;
         });
       }
       detail::run_trial_tasks(pool, tasks);
@@ -270,10 +213,7 @@ PlannedPartition plan_partition_cached(const gpusim::DeviceSpec& spec,
       for (std::size_t c = 1; c < candidates.size(); ++c) {
         if (seconds[c] < seconds[best]) best = c;
       }
-      region.format = candidates[best].format;
-      if (region.format == Format::kCrsd) {
-        region.config.mrows = candidates[best].mrows;
-      }
+      region.config.mrows = candidates[best];
     }
   }
 
@@ -329,21 +269,10 @@ PartitionedLaunchResult spmv(gpusim::Device& dev,
         "partition.launch." + std::to_string(i),
         [&part, &dev_i = devs[i], x, y, &opts,
          &out = res.region_seconds[i]] {
-          T* y_region = y + part.region.row_begin;
-          double s = 0.0;
-          if (part.crsd) {
-            s = gpu_spmv_crsd(dev_i, *part.crsd, x, y_region, opts.crsd,
-                              nullptr)
-                    .seconds;
-          } else if (part.ell) {
-            s = gpu_spmv_ell(dev_i, *part.ell, x, y_region,
-                             opts.work_group_size, nullptr)
-                    .seconds;
-          } else if (part.csr) {
-            s = gpu_spmv_csr_vector(dev_i, *part.csr, x, y_region,
-                                    opts.work_group_size, nullptr)
-                    .seconds;
-          }
+          const double s = gpu_spmv_crsd(dev_i, *part.crsd, x,
+                                         y + part.region.row_begin,
+                                         opts.crsd, nullptr)
+                               .seconds;
           out = s;
           return s;
         });

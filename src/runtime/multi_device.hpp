@@ -26,17 +26,17 @@
 
 namespace crsd::rt {
 
+/// H2D/D2H pipeline depth per shard: the shard's segment run is split into
+/// up to this many launch parts, each fed by its own x chunk.
+inline constexpr int kShardTransferChunks = 4;
+/// Host-side bandwidth charged by Reduce nodes (read partial + write y).
+inline constexpr double kHostCopyGbps = 18.0;
+
 struct MultiDeviceOptions {
-  /// H2D/D2H pipeline depth per shard: the shard's segment run is split
-  /// into this many launch parts, each fed by its own x chunk.
-  int transfer_chunks = 4;
   /// Move x down / y up around the sweep. False models device-resident
   /// vectors (e.g. inside a solver): no transfer nodes at all.
   bool transfer_vectors = true;
   hybrid::PcieSpec pcie = hybrid::PcieSpec::pcie_gen2_x16();
-  /// Host-side bandwidth charged by Reduce nodes (read partial + write y).
-  double host_copy_gbps = 18.0;
-  kernels::CrsdGpuOptions kernel;
 };
 
 /// The three in-order queues one device contributes to a graph.
@@ -63,10 +63,8 @@ struct ShardDelivery {
 /// `deliveries` is empty when no transfer nodes were emitted (resident
 /// vectors).
 struct ShardPipeline {
-  std::vector<NodeId> launches;
   std::vector<ShardDelivery> deliveries;
   NodeId tail = -1;
-  index_t parts = 0;
 };
 
 namespace detail {
@@ -154,9 +152,8 @@ ShardPipeline append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
              dev.spec().latency_hiding_wavefronts / waves_per_seg);
   const index_t max_parts = std::max<index_t>(1, seg_count / saturation_segs);
   const index_t parts = std::max<index_t>(
-      1, std::min<index_t>(opts.transfer_chunks,
+      1, std::min<index_t>(kShardTransferChunks,
                            std::min(max_parts, std::max<index_t>(seg_count, 1))));
-  pipe.parts = parts;
 
   const auto& srow = m.scatter_rows();
   const index_t* skip_begin = srow.data() + r.scatter_begin;
@@ -198,13 +195,11 @@ ShardPipeline append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
     const NodeId launch = g.add_node(
         NodeKind::kLaunch, lane.compute,
         tag + ".launch." + std::to_string(part),
-        [&dev, &m, pr, x_window, y_window, &opts] {
-          return kernels::gpu_spmv_crsd_range(dev, m, pr, x_window, y_window,
-                                              opts.kernel)
+        [&dev, &m, pr, x_window, y_window] {
+          return kernels::gpu_spmv_crsd_range(dev, m, pr, x_window, y_window)
               .seconds;
         });
     if (h2d >= 0) g.add_edge(h2d, launch);
-    pipe.launches.push_back(launch);
     prev_launch = launch;
 
     if (transfer) {
@@ -339,12 +334,12 @@ class MultiDeviceSpmv {
         // shard partial after its compute tail.
         last_reduce = g.add_node(
             NodeKind::kReduce, host, "reduce." + std::to_string(d),
-            [this, y, part_base, row0, elems = shard.y_elems()] {
+            [y, part_base, row0, elems = shard.y_elems()] {
               for (index_t i = 0; i < elems; ++i) {
                 y[row0 + i] = part_base[static_cast<std::size_t>(i)];
               }
               const double bytes = 2.0 * double(elems) * sizeof(T);
-              return bytes / (opts_.host_copy_gbps * 1e9);
+              return bytes / (kHostCopyGbps * 1e9);
             });
         if (pipe.tail >= 0) g.add_edge(pipe.tail, last_reduce);
       } else {
@@ -359,25 +354,25 @@ class MultiDeviceSpmv {
             reduce = g.add_node(
                 NodeKind::kReduce, host,
                 "reduce." + std::to_string(d) + ".scatter",
-                [this, y, part_base, row0, skip_begin, skip_end] {
+                [y, part_base, row0, skip_begin, skip_end] {
                   size64_t elems = 0;
                   for (const index_t* s = skip_begin; s != skip_end; ++s) {
                     y[*s] = part_base[static_cast<std::size_t>(*s - row0)];
                     ++elems;
                   }
                   const double bytes = 2.0 * double(elems) * sizeof(T);
-                  return bytes / (opts_.host_copy_gbps * 1e9);
+                  return bytes / (kHostCopyGbps * 1e9);
                 });
           } else {
             reduce = g.add_node(
                 NodeKind::kReduce, host,
                 "reduce." + std::to_string(d) + "." + std::to_string(p),
-                [this, y, part_base, row0, r0 = del.row_begin,
+                [y, part_base, row0, r0 = del.row_begin,
                  r1 = del.row_end, skip_begin, skip_end] {
                   const size64_t bytes = detail::copy_rows_skipping(
                       part_base, y + row0, r0, r1, row0, skip_begin,
                       skip_end);
-                  return 2.0 * double(bytes) / (opts_.host_copy_gbps * 1e9);
+                  return 2.0 * double(bytes) / (kHostCopyGbps * 1e9);
                 });
           }
           g.add_edge(del.d2h, reduce);

@@ -76,9 +76,43 @@ void widen_for_scatter(const CrsdMatrix<T>& m, index_t scatter_begin,
 
 }  // namespace detail
 
+/// The shard that runs segments [seg_begin, seg_end): their row slice, the
+/// slice of the scatter-row list whose rows fall inside it, and the
+/// x-window its kernels read. The single source of every derived field, so
+/// the planners and the validator agree by construction.
+template <Real T>
+Shard make_shard(const CrsdMatrix<T>& m, index_t seg_begin, index_t seg_end) {
+  Shard sh;
+  sh.range.seg_begin = seg_begin;
+  sh.range.seg_end = seg_end;
+  const RowRange rows =
+      segment_row_range(seg_begin, seg_end, m.mrows(), m.num_rows());
+  sh.range.row_begin = rows.begin;
+  sh.range.row_end = rows.end;
+  // Scatter rows are sorted by row number; the shard owns the rows whose
+  // target falls in its row slice.
+  const auto& srow = m.scatter_rows();
+  sh.range.scatter_begin = static_cast<index_t>(
+      std::lower_bound(srow.begin(), srow.end(), rows.begin) - srow.begin());
+  sh.range.scatter_end = static_cast<index_t>(
+      std::lower_bound(srow.begin(), srow.end(), rows.end) - srow.begin());
+
+  index_t lo = m.num_cols();
+  index_t hi = 0;
+  detail::widen_for_diagonals(m, seg_begin, seg_end, &lo, &hi);
+  detail::widen_for_scatter(m, sh.range.scatter_begin, sh.range.scatter_end,
+                            &lo, &hi);
+  if (lo >= hi) {  // empty shard reads nothing
+    lo = 0;
+    hi = 0;
+  }
+  sh.range.x_begin = lo;
+  sh.range.x_end = hi;
+  return sh;
+}
+
 /// Splits the matrix into `num_shards` contiguous segment runs, balanced by
-/// the same per-segment byte/flop cost the ExecPlan inspector uses, and
-/// derives each shard's row slice, scatter slice, and x-window.
+/// the same per-segment byte/flop cost the ExecPlan inspector uses.
 template <Real T>
 std::vector<Shard> plan_shards(const CrsdMatrix<T>& m, int num_shards) {
   CRSD_CHECK_MSG(num_shards >= 1, "plan_shards needs >= 1 shard");
@@ -96,47 +130,19 @@ std::vector<Shard> plan_shards(const CrsdMatrix<T>& m, int num_shards) {
   const ParallelPlan plan =
       ParallelPlan::weighted_partition(0, segs, num_shards, seg_cost);
 
-  const auto& srow = m.scatter_rows();
   std::vector<Shard> shards;
+  shards.reserve(static_cast<std::size_t>(plan.num_parts()));
   for (int s = 0; s < plan.num_parts(); ++s) {
-    Shard sh;
-    sh.range.seg_begin = plan.part_begin(s);
-    sh.range.seg_end = plan.part_end(s);
-    const RowRange rows = segment_row_range(sh.range.seg_begin,
-                                            sh.range.seg_end, mrows,
-                                            m.num_rows());
-    sh.range.row_begin = rows.begin;
-    sh.range.row_end = rows.end;
-    // Scatter rows are sorted by row number; the shard owns the rows whose
-    // target falls in its row slice.
-    sh.range.scatter_begin = static_cast<index_t>(
-        std::lower_bound(srow.begin(), srow.end(), sh.range.row_begin) -
-        srow.begin());
-    sh.range.scatter_end = static_cast<index_t>(
-        std::lower_bound(srow.begin(), srow.end(), sh.range.row_end) -
-        srow.begin());
-
-    index_t lo = m.num_cols();
-    index_t hi = 0;
-    detail::widen_for_diagonals(m, sh.range.seg_begin, sh.range.seg_end, &lo,
-                                &hi);
-    detail::widen_for_scatter(m, sh.range.scatter_begin,
-                              sh.range.scatter_end, &lo, &hi);
-    if (lo >= hi) {  // empty shard reads nothing
-      lo = 0;
-      hi = 0;
-    }
-    sh.range.x_begin = lo;
-    sh.range.x_end = hi;
-    shards.push_back(sh);
+    shards.push_back(make_shard(m, plan.part_begin(s), plan.part_end(s)));
   }
   return shards;
 }
 
 /// Partition check, mirroring the static analyzer's plan-partition rule:
-/// shard segment runs and scatter slices must disjointly cover their
-/// domains in order, and each shard's row slice must match its segments.
-/// Returns kPlanPartition diagnostics; empty = valid.
+/// shard segment runs must tile [0, num_segments_total()) in order, and
+/// every shard must equal make_shard of its run — row slice, scatter slice
+/// and x-window included, so a launch can never read outside the x it is
+/// given. Returns kPlanPartition diagnostics; empty = valid.
 template <Real T>
 std::vector<check::Diagnostic> validate_shard_partition(
     const CrsdMatrix<T>& m, const std::vector<Shard>& shards) {
@@ -149,9 +155,16 @@ std::vector<check::Diagnostic> validate_shard_partition(
     d.offset = which;
     diags.push_back(std::move(d));
   };
+  auto describe = [](const kernels::CrsdGpuRange& r) {
+    std::ostringstream os;
+    os << "rows [" << r.row_begin << ", " << r.row_end << "), scatter ["
+       << r.scatter_begin << ", " << r.scatter_end << "), x [" << r.x_begin
+       << ", " << r.x_end << ")";
+    return os.str();
+  };
 
+  const index_t total = m.num_segments_total();
   index_t seg_cursor = 0;
-  index_t scatter_cursor = 0;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const auto& r = shards[s].range;
     if (r.seg_begin != seg_cursor || r.seg_end < r.seg_begin) {
@@ -160,35 +173,23 @@ std::vector<check::Diagnostic> validate_shard_partition(
          << ") do not continue the partition at " << seg_cursor;
       fail(os.str(), static_cast<std::int64_t>(s));
     }
-    if (r.scatter_begin != scatter_cursor || r.scatter_end < r.scatter_begin) {
-      std::ostringstream os;
-      os << "shard " << s << " scatter slice [" << r.scatter_begin << ", "
-         << r.scatter_end << ") does not continue the partition at "
-         << scatter_cursor;
-      fail(os.str(), static_cast<std::int64_t>(s));
-    }
-    const RowRange want =
-        segment_row_range(r.seg_begin, r.seg_end, m.mrows(), m.num_rows());
-    if (r.row_begin != want.begin || r.row_end != want.end) {
-      std::ostringstream os;
-      os << "shard " << s << " rows [" << r.row_begin << ", " << r.row_end
-         << ") do not match its segment run (want [" << want.begin << ", "
-         << want.end << "))";
-      fail(os.str(), static_cast<std::int64_t>(s));
+    if (r.seg_begin >= 0 && r.seg_begin <= r.seg_end && r.seg_end <= total) {
+      const kernels::CrsdGpuRange want =
+          make_shard(m, r.seg_begin, r.seg_end).range;
+      if (r != want) {
+        std::ostringstream os;
+        os << "shard " << s << " " << describe(r)
+           << " do not match its segment run (want " << describe(want)
+           << ")";
+        fail(os.str(), static_cast<std::int64_t>(s));
+      }
     }
     seg_cursor = std::max(seg_cursor, r.seg_end);
-    scatter_cursor = std::max(scatter_cursor, r.scatter_end);
   }
-  if (seg_cursor != m.num_segments_total()) {
+  if (seg_cursor != total) {
     std::ostringstream os;
-    os << "shards cover segments [0, " << seg_cursor << ") of [0, "
-       << m.num_segments_total() << ")";
-    fail(os.str(), -1);
-  }
-  if (scatter_cursor != m.num_scatter_rows()) {
-    std::ostringstream os;
-    os << "shards cover scatter rows [0, " << scatter_cursor << ") of [0, "
-       << m.num_scatter_rows() << ")";
+    os << "shards cover segments [0, " << seg_cursor << ") of [0, " << total
+       << ")";
     fail(os.str(), -1);
   }
   return diags;

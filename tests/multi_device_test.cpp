@@ -1,9 +1,9 @@
 // Multi-device sharded SpMV suite: bitwise identity of the sharded sweep
 // against the single-device launch across 1/2/4 devices and every storage
 // mode, shard-plan structure, x-window coverage, the broken-partition
-// mutation fixture, scatter-safe pipelined D2H, and memcheck-clean ranged
-// launches. Suite names contain "MultiDevice" so the TSan CI job picks them
-// up via its -R filter.
+// mutation fixtures (x windows included), scatter-safe pipelined D2H, and
+// memcheck-clean ranged launches. Suite names contain "MultiDevice" so the
+// TSan CI job picks them up via its -R filter.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -196,6 +196,24 @@ TEST(MultiDevice, BrokenPartitionIsRejected) {
     auto shards = plan_shards(m, 2);
     shards[0].range.row_end -= 1;
     EXPECT_THROW(MultiDeviceSpmv<double>(m, shards), check::DiagnosticError);
+  }
+  // x windows that disagree with the segment run: a shifted start makes the
+  // launch index before the staged window, and a longer end stages x past
+  // the columns the shard reads.
+  for (const bool shift_begin : {true, false}) {
+    auto shards = plan_shards(m, 2);
+    if (shift_begin) {
+      shards[1].range.x_begin += 8;
+    } else {
+      shards.back().range.x_end += 1;
+    }
+    try {
+      const MultiDeviceSpmv<double> engine(m, shards);
+      FAIL() << "x window accepted, shift_begin=" << shift_begin;
+    } catch (const check::DiagnosticError& e) {
+      ASSERT_FALSE(e.diagnostics().empty());
+      EXPECT_EQ(e.diagnostics()[0].code, check::Code::kPlanPartition);
+    }
   }
 }
 

@@ -3,11 +3,13 @@
 // partitioned container's CPU/executor parity with the COO reference,
 // partition mutation fixtures (overlapping regions, non-covering regions, a
 // lying per-region mrows descriptor), the persistent partition cache's
-// warm-run contract and its rejection of device-illegal entries, and the
-// partitioned launch-model extraction. Suite names contain "Partition" so
-// the TSan CI job picks them up via -R.
+// warm-run contract and its rejection of illegal entries, a seeded mutation
+// fuzz over the partition and tune cache loaders, and the partitioned
+// launch-model extraction. Suite names contain "Partition" so the TSan CI
+// job picks them up via -R.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -68,26 +70,33 @@ std::string fresh_cache_dir(const char* tag) {
   return dir.string();
 }
 
-TEST(PartitionPlan, SplitsPartiallyDiagonalMatrixIntoValidRegions) {
-  // A wide-spread ragged bottom (up to 160 nnz/row): scatter-ELL and ELL
-  // pay max-width padding over the whole stripe, so the model hands the
-  // bottom to CSR while the diagonal stripe stays CRSD.
-  const auto a = partially_diagonal(4096, 1024, 160);
-  const gpusim::DeviceSpec spec;  // default: wavefront 32
-  const PartitionPlan plan = plan_partition(a, spec);
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
 
-  ASSERT_GE(plan.regions.size(), 2u) << plan.summary();
-  EXPECT_TRUE(
-      validate_partition(a.num_rows(), plan.regions, spec.wavefront_size)
-          .empty())
-      << plan.summary();
-  // The diagonal stripe stays CRSD; the scattered stripe leaves it.
-  EXPECT_EQ(plan.regions.front().format, Format::kCrsd) << plan.summary();
-  EXPECT_NE(plan.regions.back().format, Format::kCrsd) << plan.summary();
-  // The split must be predicted to beat the single-format baseline, and the
-  // serial/overlap accounting must be consistent.
-  EXPECT_LT(plan.predicted_serial_seconds, plan.predicted_single_seconds);
-  EXPECT_LE(plan.predicted_overlap_seconds, plan.predicted_serial_seconds);
+void write_file(const fs::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+/// Builds `plan` and checks that the executor's launch is bitwise equal to
+/// the partitioned CPU reference.
+void expect_relaunch_bitwise(const Coo<double>& a, const PartitionPlan& plan,
+                             const gpusim::DeviceSpec& spec,
+                             const std::string& label) {
+  const auto m = PartitionedMatrix<double>::build(a, plan);
+  Rng rng(29);
+  std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
+  for (auto& v : x) v = rng.next_double(-1.0, 1.0);
+  std::vector<double> want(static_cast<std::size_t>(a.num_rows()), -1.0);
+  m.spmv(x.data(), want.data());
+  gpusim::Device dev(spec);
+  std::vector<double> got(want.size(), -1.0);
+  kernels::spmv(dev, m, x.data(), got.data());
+  EXPECT_EQ(got, want) << label;
 }
 
 TEST(PartitionPlan, IsDeterministic) {
@@ -100,21 +109,19 @@ TEST(PartitionPlan, IsDeterministic) {
 }
 
 TEST(PartitionPlan, UniformDiagonalMatrixCollapsesToOneRegion) {
-  // With the overlap re-split disabled, boundaries come only from format
-  // changes — a uniform matrix has none.
+  // With the overlap re-split disabled the whole matrix is one region.
   Rng rng(3);
   const auto a = full_diagonals(4096, {-16, -1, 0, 1, 16}, rng);
   PartitionPolicy pol;
   pol.overlap_regions = 1;
   const PartitionPlan plan = plan_partition(a, gpusim::DeviceSpec{}, pol);
   ASSERT_EQ(plan.regions.size(), 1u) << plan.summary();
-  EXPECT_EQ(plan.regions.front().format, Format::kCrsd);
   EXPECT_EQ(plan.regions.front().row_begin, 0);
   EXPECT_EQ(plan.regions.front().row_end, a.num_rows());
 }
 
 TEST(PartitionPlan, UniformMatrixSplitsBalancedRegionsForOverlap) {
-  // Default policy: the planner re-splits even a single-format plan into
+  // Default policy: the planner splits even a uniform matrix into
   // overlap_regions balanced stripes so the executor's queues overlap.
   Rng rng(3);
   const auto a = full_diagonals(4096, {-16, -1, 0, 1, 16}, rng);
@@ -124,22 +131,18 @@ TEST(PartitionPlan, UniformMatrixSplitsBalancedRegionsForOverlap) {
             static_cast<std::size_t>(pol.overlap_regions))
       << plan.summary();
   EXPECT_TRUE(validate_partition(a.num_rows(), plan.regions).empty());
-  for (const RowRegion& r : plan.regions) {
-    EXPECT_EQ(r.format, Format::kCrsd) << plan.summary();
-  }
   EXPECT_LT(plan.predicted_overlap_seconds,
             plan.predicted_serial_seconds);
 }
 
-TEST(PartitionPlan, RespectsMaxRegionsAndWavefront) {
+TEST(PartitionPlan, RespectsOverlapRegionsAndWavefront) {
   const auto a = partially_diagonal(4096, 2048, 24);
   PartitionPolicy pol;
-  pol.max_regions = 2;
+  pol.overlap_regions = 2;
   const gpusim::DeviceSpec spec;
   const PartitionPlan plan = plan_partition(a, spec, pol);
   EXPECT_LE(plan.regions.size(), 2u) << plan.summary();
   for (const RowRegion& r : plan.regions) {
-    if (r.format != Format::kCrsd) continue;
     EXPECT_EQ(r.config.mrows % spec.wavefront_size, 0) << plan.summary();
   }
 }
@@ -286,51 +289,42 @@ TEST(PartitionCacheSuite, IllegalCachedMrowsIsAMissAndRelaunchesBitwise) {
   const gpusim::DeviceSpec spec;  // wavefront 32
   const auto cold = kernels::plan_partition_cached(spec, a, opts);
   ASSERT_FALSE(cold.cache_hit);
-
-  // Rewrite one CRSD region of the stored entry to mrows 48: it parses and
-  // still covers the rows, but no launch on this device can run it.
   const fs::path entry = fs::path(opts.cache_dir) / (cold.cache_key + ".txt");
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(entry);
-    for (std::string line; std::getline(in, line);) lines.push_back(line);
-  }
-  bool rewritten = false;
-  for (std::string& line : lines) {
-    std::istringstream ls(line);
-    std::string tag, format;
-    index_t begin = 0, end = 0, mrows = 0;
-    if (!rewritten && ls >> tag >> begin >> end >> format >> mrows &&
-        tag == "region" && format == "crsd") {
-      line = "region " + std::to_string(begin) + ' ' + std::to_string(end) +
-             " crsd 48";
-      rewritten = true;
+  const std::string stored = read_file(entry);
+
+  // Rewrite one region of the stored entry to each mrows below. Each parses
+  // and still covers the rows, but no cold plan could have stored it: no
+  // launch on this device can run 48, 96 is not a candidate, and 33554432
+  // would pad the region into one segment of that many rows.
+  for (index_t bad : {48, 96, 33554432}) {
+    std::istringstream in(stored);
+    std::ostringstream out;
+    bool rewritten = false;
+    for (std::string line; std::getline(in, line);) {
+      std::istringstream ls(line);
+      std::string tag, format;
+      index_t begin = 0, end = 0, mrows = 0;
+      if (!rewritten && ls >> tag >> begin >> end >> format >> mrows &&
+          tag == "region" && format == "crsd") {
+        line = "region " + std::to_string(begin) + ' ' + std::to_string(end) +
+               " crsd " + std::to_string(bad);
+        rewritten = true;
+      }
+      out << line << '\n';
     }
-  }
-  ASSERT_TRUE(rewritten) << cold.plan.summary();
-  {
-    std::ofstream out(entry, std::ios::trunc);
-    for (const std::string& line : lines) out << line << '\n';
-  }
+    ASSERT_TRUE(rewritten) << cold.plan.summary();
+    write_file(entry, out.str());
 
-  const auto again = kernels::plan_partition_cached(spec, a, opts);
-  EXPECT_FALSE(again.cache_hit);
-  EXPECT_GT(again.measured_trials, 0);
-  EXPECT_TRUE(
-      validate_partition(a.num_rows(), again.plan.regions, spec.wavefront_size)
-          .empty())
-      << again.plan.summary();
-
-  const auto m = PartitionedMatrix<double>::build(a, again.plan);
-  Rng rng(29);
-  std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
-  for (auto& v : x) v = rng.next_double(-1.0, 1.0);
-  std::vector<double> want(static_cast<std::size_t>(a.num_rows()), -1.0);
-  m.spmv(x.data(), want.data());
-  gpusim::Device dev(spec);
-  std::vector<double> got(want.size(), -1.0);
-  kernels::spmv(dev, m, x.data(), got.data());
-  EXPECT_EQ(got, want);
+    const std::string label = "mrows " + std::to_string(bad);
+    const auto again = kernels::plan_partition_cached(spec, a, opts);
+    EXPECT_FALSE(again.cache_hit) << label;
+    EXPECT_GT(again.measured_trials, 0) << label;
+    EXPECT_TRUE(validate_partition(a.num_rows(), again.plan.regions,
+                                   spec.wavefront_size)
+                    .empty())
+        << label << ": " << again.plan.summary();
+    expect_relaunch_bitwise(a, again.plan, spec, label);
+  }
 }
 
 TEST(PartitionCacheSuite, PolicyChangeKeysADifferentEntry) {
@@ -341,10 +335,131 @@ TEST(PartitionCacheSuite, PolicyChangeKeysADifferentEntry) {
   const auto base = kernels::plan_partition_cached(spec, a, opts);
 
   BuildOptions other = opts;
-  other.partition.max_regions = 2;
+  other.partition.overlap_regions = 1;
   const auto changed = kernels::plan_partition_cached(spec, a, other);
   EXPECT_NE(changed.cache_key, base.cache_key);
   EXPECT_FALSE(changed.cache_hit);
+  EXPECT_EQ(changed.plan.regions.size(), 1u) << changed.plan.summary();
+}
+
+// --- Seeded mutation fuzz over both persistent-cache loaders. ------------
+
+enum class EntryMutation { kByteFlip, kTruncate, kDropLine, kDuplicateLine };
+
+void mutate_entry(std::string& text, EntryMutation kind, Rng& rng) {
+  static const std::string kBytes = "0123456789 \n\t-.e";
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  switch (kind) {
+    case EntryMutation::kByteFlip:
+      if (text.empty()) break;
+      text[pick(text.size())] = rng.next_below(2) == 0
+                                    ? kBytes[pick(kBytes.size())]
+                                    : static_cast<char>(rng.next_below(256));
+      break;
+    case EntryMutation::kTruncate:
+      text.resize(pick(text.size() + 1));
+      break;
+    case EntryMutation::kDropLine:
+    case EntryMutation::kDuplicateLine: {
+      std::vector<std::string> lines;
+      std::istringstream in(text);
+      for (std::string line; std::getline(in, line);) lines.push_back(line);
+      if (lines.empty()) break;
+      const std::size_t at = pick(lines.size());
+      if (kind == EntryMutation::kDropLine) {
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      } else {
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                     lines[at]);
+      }
+      text.clear();
+      for (const std::string& line : lines) text += line + '\n';
+      break;
+    }
+  }
+}
+
+TEST(PartitionCacheFuzz, MutatedEntriesMissOrPassTheLoaderChecks) {
+  // Freshly stored crsd-part-v1 and crsd-tune-v1 entries, mutated by seeded
+  // byte flips, truncations, and dropped or duplicated lines. Every lookup
+  // must be a miss or a hit that passes the loader's own checks; a
+  // partition miss re-plans and relaunches bitwise; nothing throws.
+  const auto a = partially_diagonal(1024, 256, 8);
+  const gpusim::DeviceSpec spec;  // wavefront 32
+  BuildOptions opts;
+  opts.cache_dir = fresh_cache_dir("fuzz");
+  const auto cold = kernels::plan_partition_cached(spec, a, opts);
+  const fs::path part_entry =
+      fs::path(opts.cache_dir) / (cold.cache_key + ".txt");
+  const std::string part_text = read_file(part_entry);
+  const std::vector<index_t> legal =
+      partition_mrows_candidates(spec.wavefront_size);
+
+  kernels::AutotuneSpace space;
+  space.mrows = {32, 64};
+  space.fill_max_gap_segments = {0, 1};
+  space.live_min_fill = {0.5};
+  space.use_local_memory = {true};
+  kernels::AutotuneOptions topts;
+  topts.cache_dir = opts.cache_dir;
+  gpusim::Device dev(spec);
+  const auto tuned = kernels::autotune_crsd(dev, a, space, topts);
+  const fs::path tune_entry =
+      fs::path(opts.cache_dir) / (tuned.cache_key + ".txt");
+  const std::string tune_text = read_file(tune_entry);
+
+  int part_hits = 0, part_misses = 0, tune_hits = 0, tune_misses = 0;
+  for (int i = 0; i < 120; ++i) {
+    Rng rng(0x5eed0000u + static_cast<std::uint64_t>(i));
+    const auto kind = static_cast<EntryMutation>(rng.next_below(4));
+    const std::string label = "case " + std::to_string(i);
+
+    std::string text = part_text;
+    mutate_entry(text, kind, rng);
+    write_file(part_entry, text);
+    try {
+      const auto got = kernels::plan_partition_cached(spec, a, opts);
+      (got.cache_hit ? part_hits : part_misses) += 1;
+      EXPECT_TRUE(validate_partition(a.num_rows(), got.plan.regions,
+                                     spec.wavefront_size)
+                      .empty())
+          << label << ": " << got.plan.summary();
+      for (const RowRegion& r : got.plan.regions) {
+        EXPECT_NE(std::find(legal.begin(), legal.end(), r.config.mrows),
+                  legal.end())
+            << label << ": " << got.plan.summary();
+      }
+      if (!got.cache_hit) {
+        EXPECT_GT(got.measured_trials, 0) << label;
+        expect_relaunch_bitwise(a, got.plan, spec, label);
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << label << ": partition lookup threw: " << e.what();
+    }
+
+    text = tune_text;
+    mutate_entry(text, kind, rng);
+    write_file(tune_entry, text);
+    try {
+      const auto got = kernels::load_cached_tuning(spec, a, space, topts);
+      (got.has_value() ? tune_hits : tune_misses) += 1;
+      if (got.has_value()) {
+        EXPECT_NE(std::find(space.mrows.begin(), space.mrows.end(),
+                            got->config.mrows),
+                  space.mrows.end())
+            << label;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << label << ": tune lookup threw: " << e.what();
+    }
+  }
+  // Both outcomes must occur, or the mutations stopped reaching the loaders.
+  EXPECT_GT(part_hits, 0);
+  EXPECT_GT(part_misses, 0);
+  EXPECT_GT(tune_hits, 0);
+  EXPECT_GT(tune_misses, 0);
 }
 
 TEST(PartitionLaunchModelSuite, ExtractsOneCrsdModelPerCrsdRegion) {
@@ -357,21 +472,12 @@ TEST(PartitionLaunchModelSuite, ExtractsOneCrsdModelPerCrsdRegion) {
 
   ASSERT_EQ(pm.regions.size(), m.parts().size());
   EXPECT_EQ(pm.num_rows, a.num_rows());
-  index_t crsd_regions = 0;
   for (std::size_t i = 0; i < pm.regions.size(); ++i) {
     const auto& rm = pm.regions[i];
     EXPECT_EQ(rm.region.row_begin, m.parts()[i].region.row_begin);
-    if (rm.region.format == Format::kCrsd) {
-      ++crsd_regions;
-      ASSERT_TRUE(rm.crsd.has_value());
-      EXPECT_EQ(rm.crsd->num_rows, rm.region.row_end - rm.region.row_begin);
-      EXPECT_EQ(rm.crsd->mrows, rm.region.config.mrows);
-    } else {
-      EXPECT_FALSE(rm.crsd.has_value());
-    }
+    EXPECT_EQ(rm.crsd.num_rows, rm.region.row_end - rm.region.row_begin);
+    EXPECT_EQ(rm.crsd.mrows, rm.region.config.mrows);
   }
-  EXPECT_EQ(pm.num_crsd_regions(), crsd_regions);
-  EXPECT_GE(crsd_regions, 1);
 }
 
 TEST(PartitionLaunchModelSuite, RejectsInvalidPartition) {
