@@ -11,9 +11,10 @@
 // in flight pile up behind it, which is exactly the regime where
 // coalescing wins: the next drain folds them into register-blocked SpMM
 // batches that stream the value arrays once for up to eight right-hand
-// sides. Both modes run with one exec lane, so the only difference is
-// batching. Per-request completion times come from the graph's virtual
-// finish offsets; latency percentiles are exact (sorted), not bucketed.
+// sides. Both modes run at the engine's default exec lanes, so they model
+// identical hardware and the only difference is batching. Per-request
+// completion times come from the graph's virtual finish offsets; latency
+// percentiles are exact (sorted), not bucketed.
 //
 // Every served result is compared bitwise against a fresh single-vector
 // CrsdMatrix::spmv on the same x — the engine's determinism contract.
@@ -89,12 +90,11 @@ double exact_quantile(std::vector<double> v, double q) {
 }
 
 /// Runs one family through the open-loop virtual-clock simulation at the
-/// given max_batch. Single exec lane in both modes: identical modeled
+/// given max_batch. Default exec lanes in both modes: identical modeled
 /// hardware, coalescing is the only variable.
 SimResult run_sim(const Family& fam, index_t max_batch, ThreadPool& pool) {
   serve::ServeOptions so;
   so.max_batch = max_batch;
-  so.exec_lanes = 1;
   so.max_queue_depth = 1u << 20;  // no admission shedding in the load sweep
   serve::ServeEngine eng(pool, so);
 
@@ -224,7 +224,8 @@ void write_json(const std::vector<Family>& fams,
                 bool gate_pass, const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"serve\",\n  \"precision\": \"double\",\n"
-      << "  \"exec_lanes\": 1,\n  \"overload_factor\": 4.0,\n"
+      << "  \"exec_lanes\": " << serve::ServeOptions{}.exec_lanes
+      << ",\n  \"overload_factor\": 4.0,\n"
       << "  \"families\": [\n";
   for (std::size_t i = 0; i < fams.size(); ++i) {
     const auto ratio =

@@ -48,6 +48,9 @@ enum class Code {
   kLintBakedOffset,     ///< baked x offset/clamp outside [0, num_cols)
   kLintInteriorSplit,   ///< interior/edge split differs from the container's
   kLintPatternDispatch, ///< pattern dispatch bounds differ from cum_segments
+  kLintScatterLayout,   ///< scatter loop's baked row count, slot stride,
+                        ///< slot count or block extent differ from the
+                        ///< container's scatter ELL
   // Static kernel-access analyzer (crsd::analysis::analyze_model).
   kPlanPartition,       ///< ExecPlan thread slices do not disjointly cover
                         ///< their segment/scatter/row domains
@@ -89,6 +92,7 @@ inline const char* code_name(Code code) {
     case Code::kLintBakedOffset: return "lint-baked-offset";
     case Code::kLintInteriorSplit: return "lint-interior-split";
     case Code::kLintPatternDispatch: return "lint-pattern-dispatch";
+    case Code::kLintScatterLayout: return "lint-scatter-layout";
     case Code::kPlanPartition: return "plan-partition";
     case Code::kGraphCycle: return "graph-cycle";
     case Code::kServeOverload: return "serve-overload";

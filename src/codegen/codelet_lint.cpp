@@ -1,10 +1,12 @@
 #include "codegen/codelet_lint.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pattern.hpp"
@@ -24,6 +26,8 @@ struct LintMeta {
   const std::vector<DiagonalPattern>* patterns = nullptr;
   const std::vector<index_t>* cum_segments = nullptr;
   std::vector<SegmentInterior> interior;
+  index_t num_scatter_rows = 0;
+  index_t scatter_width = 0;
 };
 
 template <Real T>
@@ -38,6 +42,8 @@ LintMeta make_lint_meta(const CrsdMatrix<T>& m) {
   for (index_t p = 0; p < m.num_patterns(); ++p) {
     meta.interior.push_back(m.interior_segments(p));
   }
+  meta.num_scatter_rows = m.num_scatter_rows();
+  meta.scatter_width = m.scatter_width();
   return meta;
 }
 
@@ -279,6 +285,103 @@ void lint_cpu_body(const LintMeta& meta, const std::string& source,
   }
 }
 
+/// SpMV scatter function: the block loop reads slot k of scatter row b + l
+/// at k * nsr + b + l, so its row clamp and both slot strides must equal
+/// num_scatter_rows, its slot loop must run scatter_width times, and its
+/// accumulator array and block row clamp must hold one block step. With
+/// scatter rows, each of these constructs must be present. The scan starts
+/// at the function's declaration, the last one in the codelet. The regexes
+/// are compiled once: compiling them costs more than scanning the function.
+void lint_cpu_scatter(const LintMeta& meta, const std::string& source,
+                      std::size_t decl_pos, std::vector<Diagnostic>& out) {
+  static const std::regex row_clamp(
+      R"(i1 = row_end > (-?\d+) \? (-?\d+) : row_end;)");
+  static const std::regex acc_decl(R"((?:^|\s)acc\[(\d+)\];)");
+  static const std::regex block_loop(R"(b < i1; b \+= (\d+)\))");
+  static const std::regex block_rows(
+      R"(nb = i1 - b < (\d+) \? i1 - b : (\d+);)");
+  static const std::regex slot_loop(
+      R"(for \(std::int32_t k = 0; k < (-?\d+); \+\+k\))");
+  static const std::regex slot_run(
+      R"((scatter_val|scatter_col) \+ static_cast<std::int64_t>\(k\) \* )"
+      R"((-?\d+) \+ b;)");
+  const std::int64_t nsr = meta.num_scatter_rows;
+  const auto mismatch = [&](std::int64_t line_no, const std::string& what,
+                            std::int64_t got, const char* expected,
+                            std::int64_t want) {
+    if (got == want) return;
+    std::ostringstream os;
+    os << "scatter " << what << " " << got << " != " << expected << " ("
+       << want << ")";
+    emit(out, Code::kLintScatterLayout, line_no, os.str());
+  };
+  // Lines of the constructs found (0: not found); the block-extent checks
+  // run after the scan, once the block step is known.
+  std::int64_t clamp_line = 0, acc_line = 0, step_line = 0, rows_line = 0,
+               slot_line = 0, val_line = 0, col_line = 0;
+  std::int64_t acc_extent = 0, step = 0, rows_lo = 0, rows_hi = 0;
+  std::int64_t line_no =
+      1 + std::count(source.begin(),
+                     source.begin() + static_cast<std::ptrdiff_t>(decl_pos),
+                     '\n');
+  std::istringstream is(source.substr(decl_pos));
+  std::string line;
+  for (; std::getline(is, line); ++line_no) {
+    std::smatch sm;
+    if (contains(line, "i1 = row_end > ") &&
+        std::regex_search(line, sm, row_clamp)) {
+      clamp_line = line_no;
+      mismatch(line_no, "row clamp", std::stoll(sm[1]),
+               "num_scatter_rows", nsr);
+      mismatch(line_no, "row clamp", std::stoll(sm[2]),
+               "num_scatter_rows", nsr);
+    } else if (contains(line, "acc[") &&
+               std::regex_search(line, sm, acc_decl)) {
+      acc_line = line_no;
+      acc_extent = std::stoll(sm[1]);
+    } else if (contains(line, "b += ") &&
+               std::regex_search(line, sm, block_loop)) {
+      step_line = line_no;
+      step = std::stoll(sm[1]);
+    } else if (contains(line, "nb = i1 - b < ") &&
+               std::regex_search(line, sm, block_rows)) {
+      rows_line = line_no;
+      rows_lo = std::stoll(sm[1]);
+      rows_hi = std::stoll(sm[2]);
+    } else if (contains(line, "for (std::int32_t k = 0; k < ") &&
+               std::regex_search(line, sm, slot_loop)) {
+      slot_line = line_no;
+      mismatch(line_no, "slot count", std::stoll(sm[1]), "scatter_width",
+               meta.scatter_width);
+    } else if (contains(line, "static_cast<std::int64_t>(k) * ") &&
+               std::regex_search(line, sm, slot_run)) {
+      (sm[1] == "scatter_val" ? val_line : col_line) = line_no;
+      mismatch(line_no, "slot stride", std::stoll(sm[2]), "num_scatter_rows",
+               nsr);
+    }
+  }
+  if (acc_line > 0 && step_line > 0) {
+    mismatch(acc_line, "accumulator extent", acc_extent, "block step", step);
+  }
+  if (rows_line > 0 && step_line > 0) {
+    mismatch(rows_line, "block row clamp", rows_lo, "block step", step);
+    mismatch(rows_line, "block row clamp", rows_hi, "block step", step);
+  }
+  if (nsr == 0) return;
+  const std::pair<std::int64_t, const char*> required[] = {
+      {clamp_line, "row clamp"},        {acc_line, "accumulator array"},
+      {step_line, "block loop"},        {rows_line, "block row clamp"},
+      {slot_line, "slot loop"},         {val_line, "value slot run"},
+      {col_line, "column slot run"}};
+  for (const auto& [found, what] : required) {
+    if (found == 0) {
+      emit(out, Code::kLintScatterLayout, -1,
+           std::string("scatter function has no ") + what + " for its " +
+               std::to_string(nsr) + " scatter rows");
+    }
+  }
+}
+
 std::vector<Diagnostic> lint_cpu(const LintMeta& meta,
                                  const std::string& source,
                                  const std::string& prefix) {
@@ -291,6 +394,11 @@ std::vector<Diagnostic> lint_cpu(const LintMeta& meta,
     }
   }
   lint_cpu_body(meta, source, out);
+  const std::size_t scatter =
+      source.find("extern \"C\" void " + prefix + "_scatter(");
+  if (scatter != std::string::npos) {
+    lint_cpu_scatter(meta, source, scatter, out);
+  }
   return out;
 }
 

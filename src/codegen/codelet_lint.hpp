@@ -20,7 +20,11 @@
 //     extents equal mrows;
 //   * kLintBakedOffset     — every baked x offset belongs to its pattern's
 //     live-diagonal set, clamp bounds equal num_cols-1, and unclamped
-//     accesses are provably in range for every row of the pattern.
+//     accesses are provably in range for every row of the pattern;
+//   * kLintScatterLayout   — the CPU SpMV codelet's scatter function: its
+//     row clamp and slot strides equal num_scatter_rows, its slot loop runs
+//     scatter_width times, and its accumulator array and block row clamp
+//     equal the block step.
 #pragma once
 
 #include <string>

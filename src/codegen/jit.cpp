@@ -1,10 +1,13 @@
 #include "codegen/jit.hpp"
 
 #include <dlfcn.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -88,6 +91,17 @@ std::string read_file(const fs::path& p) {
   return os.str();
 }
 
+/// True if objects found in `dir` may be loaded: lstat shows a real
+/// directory (not a symlink), owned by the effective user, with neither the
+/// group-write nor the other-write bit. Anything else could hold an object
+/// planted by another user.
+bool trusted_dir(const std::string& dir) {
+  struct stat st {};
+  if (::lstat(dir.c_str(), &st) != 0) return false;
+  return S_ISDIR(st.st_mode) && st.st_uid == ::geteuid() &&
+         (st.st_mode & (S_IWGRP | S_IWOTH)) == 0;
+}
+
 }  // namespace
 
 JitCompiler::JitCompiler() : JitCompiler(Options()) {}
@@ -96,6 +110,10 @@ JitCompiler::JitCompiler(Options opts) : opts_(std::move(opts)) {
   if (opts_.compiler.empty()) opts_.compiler = default_compiler();
   if (opts_.flags.empty()) opts_.flags = default_flags();
   if (opts_.cache_dir.empty()) opts_.cache_dir = default_cache_dir();
+  // lstat follows a symlink named with a trailing slash.
+  while (opts_.cache_dir.size() > 1 && opts_.cache_dir.back() == '/') {
+    opts_.cache_dir.pop_back();
+  }
 }
 
 bool JitCompiler::compiler_available() {
@@ -107,10 +125,35 @@ bool JitCompiler::compiler_available() {
   return available;
 }
 
+std::string JitCompiler::object_name_for(const std::string& source) const {
+  return "crsd_" +
+         fnv1a64_hex(opts_.compiler + "\x1f" + opts_.flags + "\x1f" + source) +
+         ".so";
+}
+
 std::string JitCompiler::object_path_for(const std::string& source) const {
-  const std::string key = fnv1a64_hex(opts_.compiler + "\x1f" + opts_.flags +
-                                      "\x1f" + source);
-  return (fs::path(opts_.cache_dir) / ("crsd_" + key + ".so")).string();
+  return (fs::path(opts_.cache_dir) / object_name_for(source)).string();
+}
+
+std::string JitCompiler::object_dir() {
+  std::error_code ec;
+  const fs::path dir = opts_.cache_dir;
+  if (dir.has_parent_path()) fs::create_directories(dir.parent_path(), ec);
+  ::mkdir(dir.c_str(), 0700);  // an existing directory keeps its mode
+  if (trusted_dir(opts_.cache_dir)) return opts_.cache_dir;
+  if (private_dir_.empty()) {
+    std::string tmpl = (fs::temp_directory_path() / "crsd-jit-XXXXXX").string();
+    CRSD_CHECK_MSG(::mkdtemp(tmpl.data()) != nullptr,
+                   "cannot create a private JIT directory "
+                       << tmpl << ": " << std::strerror(errno));
+    private_dir_ = tmpl;
+    CRSD_LOG_WARN("jit: cache directory "
+                  << opts_.cache_dir
+                  << " is not trusted (it must be a real directory owned by "
+                     "this user and writable by no one else); compiling into "
+                  << private_dir_ << " instead");
+  }
+  return private_dir_;
 }
 
 JitLibrary JitCompiler::compile_and_load(const std::string& source) {
@@ -123,10 +166,22 @@ JitLibrary JitCompiler::compile_and_load(const std::string& source) {
   static obs::Histogram& compile_us = reg.histogram("jit.compile_us");
   source_bytes.record(source.size());
 
-  const fs::path so_path = object_path_for(source);
-  fs::create_directories(so_path.parent_path());
+  const fs::path so_path = fs::path(object_dir()) / object_name_for(source);
 
-  if (!fs::exists(so_path)) {
+  JitLibrary lib;
+  lib.path_ = so_path.string();
+  if (fs::exists(so_path)) {
+    lib.handle_ = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
+    if (lib.handle_ != nullptr) {
+      ++cache_hits_;
+      disk_hits.add(1);
+      return lib;
+    }
+    // A torn or foreign object is a miss: recompile and rename over it.
+    CRSD_LOG_WARN("jit: cached object " << so_path << " does not load ("
+                                        << dlerror() << "); recompiling");
+  }
+  {  // miss: the compile span ends before the load
     ++compilations_;
     compiles.add(1);
     obs::Span compile_span("jit/compile");
@@ -183,16 +238,10 @@ JitLibrary JitCompiler::compile_and_load(const std::string& source) {
     fs::rename(src_tmp, src_path, ec);
     fs::rename(log_tmp, log_path, ec);
     compile_us.record(static_cast<std::uint64_t>(compile_timer.micros()));
-  } else {
-    ++cache_hits_;
-    disk_hits.add(1);
   }
-
-  JitLibrary lib;
   lib.handle_ = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
   CRSD_CHECK_MSG(lib.handle_ != nullptr,
                  "dlopen failed for " << so_path << ": " << dlerror());
-  lib.path_ = so_path.string();
   return lib;
 }
 

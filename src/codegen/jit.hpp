@@ -3,6 +3,13 @@
 // with the system C++ compiler and loaded with dlopen. Objects are cached on
 // disk keyed by a hash of (source, flags), so a structure that was compiled
 // once loads instantly in later runs — mirroring OpenCL binary caching.
+//
+// The cache fails closed. A missing cache directory is created with mode
+// 0700, and objects are loaded from it only while lstat shows a real
+// directory (not a symlink) owned by the effective user and writable by no
+// one else. Otherwise the compiler logs one warning and compiles into a
+// private mkdtemp directory, never loading from the untrusted one. A cached
+// object that dlopen rejects is a miss and is recompiled.
 #pragma once
 
 #include <string>
@@ -57,7 +64,7 @@ class JitCompiler {
     /// multiply-adds, keeping JIT and ahead-of-time code bit-identical.
     std::string flags;
     /// Cache directory; empty -> $CRSD_JIT_CACHE, then
-    /// <tmpdir>/crsd-jit-cache.
+    /// <tmpdir>/crsd-jit-cache. Trusted only as described above.
     std::string cache_dir;
   };
 
@@ -80,7 +87,12 @@ class JitCompiler {
   int compilations() const { return compilations_; }
 
  private:
+  std::string object_name_for(const std::string& source) const;
+  /// The cache directory if it is trusted, else the private directory.
+  std::string object_dir();
+
   Options opts_;
+  std::string private_dir_;  ///< mkdtemp fallback, made on first need
   int cache_hits_ = 0;
   int compilations_ = 0;
 };

@@ -3,9 +3,12 @@
 // cache behaviour, and error paths.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 
 #include "codegen/crsd_jit_kernel.hpp"
 #include "common/rng.hpp"
@@ -63,7 +66,15 @@ TEST(CpuCodeletSource, EmptyScatterGeneratesNoLoop) {
   ASSERT_EQ(m.num_scatter_rows(), 0);
   const std::string src = generate_cpu_codelet_source(m);
   EXPECT_NE(src.find("_scatter"), std::string::npos);
-  EXPECT_EQ(src.find("scatter_rowno[i]"), std::string::npos);
+  EXPECT_EQ(src.find("scatter_rowno[b + l]"), std::string::npos);
+  // The probe is the loop's store: with scatter rows it is there.
+  Rng rng(3);
+  Coo<double> s = dense_band(128, 2);
+  inject_scatter(s, 8, rng);
+  const auto ms = build(s, CrsdConfig{.mrows = 32});
+  ASSERT_GT(ms.num_scatter_rows(), 0);
+  EXPECT_NE(generate_cpu_codelet_source(ms).find("scatter_rowno[b + l]"),
+            std::string::npos);
 }
 
 TEST(OpenClSource, Fig6StructureMarkers) {
@@ -149,6 +160,127 @@ TEST(Jit, MissingSymbolThrows) {
   auto fn = lib.symbol_as<int (*)()>("crsd_answer");
   EXPECT_EQ(fn(), 42);
   EXPECT_THROW(lib.symbol("nope_not_here"), Error);
+}
+
+// --- The disk cache fails closed. -------------------------------------------
+
+constexpr const char* kGenuine =
+    "extern \"C\" int crsd_answer() { return 42; }\n";
+
+/// A fresh, empty directory under the temp directory, unique to this process.
+std::filesystem::path fresh_dir(const std::string& tag) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("crsd-test-" + tag + "-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+JitCompiler compiler_at(const std::filesystem::path& dir) {
+  JitCompiler::Options opts;
+  opts.cache_dir = dir.string();
+  return JitCompiler(opts);
+}
+
+/// Puts an object that answers 666 where a compiler caching in `dir` looks
+/// for kGenuine's object, as another user with write access could.
+void plant_foreign_object(const std::filesystem::path& dir) {
+  JitCompiler elsewhere = fresh_compiler();
+  const std::string foreign_path =
+      elsewhere
+          .compile_and_load("extern \"C\" int crsd_answer() { return 666; }\n")
+          .path();
+  std::filesystem::copy_file(
+      foreign_path, compiler_at(dir).object_path_for(kGenuine),
+      std::filesystem::copy_options::overwrite_existing);
+}
+
+int answer_from(JitCompiler& compiler) {
+  const JitLibrary lib = compiler.compile_and_load(kGenuine);
+  return lib.symbol_as<int (*)()>("crsd_answer")();
+}
+
+TEST(Jit, PlantedObjectInWorldWritableCacheIsNotLoaded) {
+  const auto dir = fresh_dir("world-writable");
+  std::filesystem::permissions(dir, std::filesystem::perms::all);
+  plant_foreign_object(dir);
+  JitCompiler compiler = compiler_at(dir);
+  EXPECT_EQ(answer_from(compiler), 42);
+  EXPECT_EQ(compiler.compilations(), 1);
+  EXPECT_EQ(compiler.cache_hits(), 0);
+  // A second build reuses the private directory, still never the planted one.
+  EXPECT_EQ(answer_from(compiler), 42);
+  EXPECT_EQ(compiler.compilations(), 1);
+}
+
+TEST(Jit, PlantedObjectBehindSymlinkedCacheIsNotLoaded) {
+  const auto real = fresh_dir("symlink-target");
+  std::filesystem::permissions(real, std::filesystem::perms::owner_all);
+  plant_foreign_object(real);
+  const auto link = std::filesystem::temp_directory_path() /
+                    ("crsd-test-symlink-" + std::to_string(::getpid()));
+  std::filesystem::remove(link);
+  std::filesystem::create_directory_symlink(real, link);
+  for (const std::string& dir : {link.string(), link.string() + "/"}) {
+    JitCompiler compiler = compiler_at(dir);
+    EXPECT_EQ(answer_from(compiler), 42) << dir;
+    EXPECT_EQ(compiler.cache_hits(), 0) << dir;
+  }
+  std::filesystem::remove(link);
+}
+
+TEST(Jit, TruncatedCachedObjectIsRecompiled) {
+  const auto dir = fresh_dir("truncated");
+  std::string path;
+  {
+    JitCompiler first = compiler_at(dir);
+    EXPECT_EQ(answer_from(first), 42);
+    path = first.object_path_for(kGenuine);
+  }  // unloaded, so the next dlopen reads the file again
+  std::filesystem::resize_file(path, 64);
+  JitCompiler compiler = compiler_at(dir);
+  EXPECT_EQ(answer_from(compiler), 42);
+  EXPECT_EQ(compiler.compilations(), 1);
+  EXPECT_EQ(compiler.cache_hits(), 0);
+  EXPECT_GT(std::filesystem::file_size(path), 64u);
+}
+
+/// Sets, or with nullptr unsets, an environment variable for one scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    set(value);
+  }
+  ~ScopedEnv() { set(old_.has_value() ? old_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  void set(const char* value) {
+    if (value != nullptr) {
+      ::setenv(name_, value, 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(Jit, FreshDefaultCacheDirectoryIsPrivate) {
+  const auto tmp = fresh_dir("tmpdir");
+  {
+    const ScopedEnv tmpdir("TMPDIR", tmp.c_str());
+    const ScopedEnv cache("CRSD_JIT_CACHE", nullptr);
+    JitCompiler compiler;
+    EXPECT_EQ(answer_from(compiler), 42);
+    EXPECT_EQ(compiler.compilations(), 1);
+  }
+  struct stat st {};
+  ASSERT_EQ(::lstat((tmp / "crsd-jit-cache").c_str(), &st), 0);
+  EXPECT_TRUE(S_ISDIR(st.st_mode));
+  EXPECT_EQ(st.st_mode & 0777, 0700u);
 }
 
 class JitSuiteMatrices : public ::testing::TestWithParam<int> {};

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/memcheck.hpp"
@@ -435,6 +436,79 @@ TEST(CheckedJit, CleanCompactSourceCompilesAndMatchesScalar) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(got[i], want[i], 1e-12) << i;
   }
+}
+
+// --- The scatter function's baked constants. -------------------------------
+
+/// One mutation of a scatter constant, as (from, to) text for a matrix.
+using ScatterMutation = std::function<std::pair<std::string, std::string>(
+    const CrsdMatrix<double>&)>;
+
+/// Applies the mutation to the native and to the f32+u16 codelet of a matrix
+/// with scatter rows: the lint flags the mutated line, and the checked
+/// factory refuses the source without compiling it.
+void expect_scatter_mutation_flagged(const ScatterMutation& mutation) {
+  for (const auto& [vp, narrow] : {std::pair{ValuePrecision::kNative, false},
+                                   std::pair{ValuePrecision::kFloat32, true}}) {
+    const auto m = compact_matrix(vp, narrow);
+    ASSERT_GT(m.num_scatter_rows(), 0);
+    const std::string src = generate_cpu_codelet_source(m);
+    const auto [from, to] = mutation(m);
+    SCOPED_TRACE(from + " -> " + to);
+    expect_flagged_at(src, from, to, Code::kLintScatterLayout,
+                      [&](const std::string& s) {
+                        return lint_cpu_codelet_source(m, s);
+                      });
+    JitCompiler compiler = fresh_compiler();
+    const std::string bad = mutated(src, from, to);
+    EXPECT_FALSE(make_jit_kernel(m, compiler, Checked::kYes, &bad).has_value());
+    EXPECT_EQ(compiler.compilations(), 0);
+  }
+}
+
+TEST(CodeletLint, FlagsWrongScatterRowClamp) {
+  expect_scatter_mutation_flagged([](const CrsdMatrix<double>& m) {
+    const std::string n = std::to_string(m.num_scatter_rows());
+    const std::string n1 = std::to_string(m.num_scatter_rows() + 1);
+    return std::pair{"row_end > " + n + " ? " + n + " :",
+                     "row_end > " + n1 + " ? " + n1 + " :"};
+  });
+}
+
+TEST(CodeletLint, FlagsWrongScatterSlotStride) {
+  expect_scatter_mutation_flagged([](const CrsdMatrix<double>& m) {
+    return std::pair{
+        "static_cast<std::int64_t>(k) * " +
+            std::to_string(m.num_scatter_rows()) + " + b",
+        "static_cast<std::int64_t>(k) * " +
+            std::to_string(m.num_scatter_rows() - 1) + " + b"};
+  });
+}
+
+TEST(CodeletLint, FlagsWrongScatterSlotCount) {
+  expect_scatter_mutation_flagged([](const CrsdMatrix<double>& m) {
+    return std::pair{"k < " + std::to_string(m.scatter_width()) + "; ++k",
+                     "k < " + std::to_string(m.scatter_width() + 1) + "; ++k"};
+  });
+  // A slot loop whose count the lint cannot read counts as missing.
+  const auto m = compact_matrix(ValuePrecision::kNative, false);
+  const std::string w = std::to_string(m.scatter_width());
+  const std::string src =
+      mutated(generate_cpu_codelet_source(m), "k < " + w + "; ++k",
+              "k <= " + w + " - 1; ++k");
+  EXPECT_TRUE(
+      has_code(lint_cpu_codelet_source(m, src), Code::kLintScatterLayout));
+}
+
+TEST(CodeletLint, FlagsWrongScatterAccumulatorExtent) {
+  expect_scatter_mutation_flagged([](const CrsdMatrix<double>&) {
+    return std::pair{std::string("acc[1024];"), std::string("acc[512];")};
+  });
+  // A block row clamp above the extent would write past the accumulators.
+  expect_scatter_mutation_flagged([](const CrsdMatrix<double>&) {
+    return std::pair{std::string("i1 - b < 1024 ? i1 - b : 1024;"),
+                     std::string("i1 - b < 2048 ? i1 - b : 2048;")};
+  });
 }
 
 }  // namespace
