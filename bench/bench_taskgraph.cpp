@@ -4,7 +4,7 @@
 // so the reported makespans and the CI gates are noise-free.
 //
 // Per matrix: the sharded sweep runs on 1, 2, and 4 simulated C2050s, its
-// merged y is asserted bitwise-identical to the single-device launch (the
+// y is asserted bitwise-identical to the single-device launch (the
 // determinism contract of runtime/multi_device.hpp), and the JSON records
 // makespan, per-engine busy time, scaling, and overlap efficiency.
 //
@@ -48,7 +48,7 @@ struct TaskGraphRow {
   size64_t nnz = 0;
   double t1 = 0.0, t2 = 0.0, t4 = 0.0;  ///< makespan by device count
   double overlap1 = 0.0;                ///< 1-device overlap efficiency
-  double h2d = 0.0, compute = 0.0, d2h = 0.0, reduce = 0.0;  ///< 1-device
+  double h2d = 0.0, compute = 0.0, d2h = 0.0;  ///< 1-device
   bool bitwise_ok = true;
 
   double scaling2() const { return t2 > 0.0 ? t1 / t2 : 0.0; }
@@ -103,7 +103,6 @@ TaskGraphRow run_matrix(const Coo<double>& a, int id, const std::string& name,
       r.h2d = res.h2d_seconds;
       r.compute = res.compute_seconds;
       r.d2h = res.d2h_seconds;
-      r.reduce = res.reduce_seconds;
     } else if (nd == 2) {
       r.t2 = res.makespan_seconds;
     } else {
@@ -131,12 +130,12 @@ void write_json(const std::vector<TaskGraphRow>& rows,
         "\"rows\": %lld, \"nnz\": %llu, \"t1\": %.4e, \"t2\": %.4e, "
         "\"t4\": %.4e, \"scaling_2\": %.3f, \"scaling_4\": %.3f, "
         "\"overlap_1dev\": %.3f, \"h2d\": %.4e, \"compute\": %.4e, "
-        "\"d2h\": %.4e, \"reduce\": %.4e, \"bitwise_ok\": %s}%s\n",
+        "\"d2h\": %.4e, \"bitwise_ok\": %s}%s\n",
         r.id, r.name.c_str(), r.gate_row ? "true" : "false",
         static_cast<long long>(r.rows),
         static_cast<unsigned long long>(r.nnz), r.t1, r.t2, r.t4,
         r.scaling2(), r.scaling4(), r.overlap1, r.h2d, r.compute, r.d2h,
-        r.reduce, r.bitwise_ok ? "true" : "false",
+        r.bitwise_ok ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
     out << buf;
   }

@@ -39,6 +39,7 @@
 
 #include "analysis/interval.hpp"
 #include "analysis/launch_model.hpp"
+#include "check/cover.hpp"
 #include "check/diagnostics.hpp"
 #include "common/types.hpp"
 #include "core/storage_mode.hpp"
@@ -355,32 +356,15 @@ inline std::vector<check::Diagnostic> analyze_model(const LaunchModel& lm) {
   // --- ExecPlan thread partition ---------------------------------------
   if (lm.plan.has_value()) {
     // Each of the three owned ranges (segments, scatter rows, y rows) must
-    // tile its domain exactly: a gap leaves work undone, an overlap means
-    // two threads write the same y rows concurrently.
+    // tile its domain exactly once the thread slices are sorted: a gap
+    // leaves work undone, an overlap means two threads write the same y
+    // rows concurrently.
     auto check_cover = [&](std::vector<std::array<index_t, 2>> runs,
                            index_t domain, const char* what) {
       std::sort(runs.begin(), runs.end());
-      index_t cursor = 0;
-      for (const auto& r : runs) {
-        if (r[0] >= r[1]) continue;  // empty slice
-        if (r[0] != cursor) {
-          std::ostringstream os;
-          os << "ExecPlan " << what << " partition "
-             << (r[0] < cursor ? "overlaps at " : "leaves a gap before ")
-             << r[0] << " (cursor " << cursor << ", domain [0, " << domain
-             << ")): "
-             << (r[0] < cursor ? "two thread slices write the same y rows"
-                               : "some rows are never computed");
-          report(check::Code::kPlanPartition, Buf::kY, -1, os);
-          return;
-        }
-        cursor = r[1];
-      }
-      if (cursor != domain) {
-        std::ostringstream os;
-        os << "ExecPlan " << what << " partition covers [0, " << cursor
-           << ") of [0, " << domain << ")";
-        report(check::Code::kPlanPartition, Buf::kY, -1, os);
+      for (const check::Diagnostic& d : check::check_ordered_cover(
+               runs, domain, std::string("ExecPlan ") + what + " slice")) {
+        diags.push_back(detail::make_diag(d.code, Buf::kY, -1, d.message));
       }
     };
     std::vector<std::array<index_t, 2>> seg_runs;

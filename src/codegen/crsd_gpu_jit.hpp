@@ -63,14 +63,15 @@ class CrsdGpuJitKernel {
                        m.scatter_index_mode() == ScatterIndexMode::kIndex32,
                    "the GPU codelet supports native storage only; use the "
                    "interpreted gpu_spmv_crsd kernel for compact storage");
+    gpusim::DeviceBuffers mem(dev);
     std::array<gpusim::Buffer, 6> bufs;
-    bufs[kBufDiaVal] = dev.alloc(m.dia_values().size() * sizeof(T));
-    bufs[kBufX] = dev.alloc(static_cast<size64_t>(m.num_cols()) * sizeof(T));
-    bufs[kBufY] = dev.alloc(static_cast<size64_t>(m.num_rows()) * sizeof(T));
+    bufs[kBufDiaVal] = mem.alloc(m.dia_values().size() * sizeof(T));
+    bufs[kBufX] = mem.alloc(static_cast<size64_t>(m.num_cols()) * sizeof(T));
+    bufs[kBufY] = mem.alloc(static_cast<size64_t>(m.num_rows()) * sizeof(T));
     bufs[kBufScatterRow] =
-        dev.alloc(m.scatter_rows().size() * sizeof(index_t));
-    bufs[kBufScatterCol] = dev.alloc(m.scatter_col().size() * sizeof(index_t));
-    bufs[kBufScatterVal] = dev.alloc(m.scatter_val().size() * sizeof(T));
+        mem.alloc(m.scatter_rows().size() * sizeof(index_t));
+    bufs[kBufScatterCol] = mem.alloc(m.scatter_col().size() * sizeof(index_t));
+    bufs[kBufScatterVal] = mem.alloc(m.scatter_val().size() * sizeof(T));
 
     gpusim::LaunchConfig diag_cfg;
     diag_cfg.num_groups = m.num_segments_total();
@@ -108,7 +109,6 @@ class CrsdGpuJitKernel {
       result.seconds =
           gpusim::estimate_seconds(dev.spec(), result.counters, diag_cfg);
     }
-    for (const auto& b : bufs) dev.free(b);
     return result;
   }
 

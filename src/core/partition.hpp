@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/cover.hpp"
 #include "check/diagnostics.hpp"
 #include "check/validate.hpp"
 #include "common/error.hpp"
@@ -104,51 +106,35 @@ struct PartitionPlan {
 };
 
 /// Partition validity: regions must disjointly cover [0, num_rows) in
-/// order, and each needs a legal mrows (a multiple of `wavefront` when one
-/// is given). Returns kPlanPartition diagnostics; empty = valid.
+/// order (check::check_ordered_cover), none may be empty, and each needs a
+/// legal mrows (a multiple of `wavefront` when one is given). Returns
+/// kPlanPartition diagnostics; empty = valid.
 inline std::vector<check::Diagnostic> validate_partition(
     index_t num_rows, const std::vector<RowRegion>& regions,
     index_t wavefront = 0) {
-  std::vector<check::Diagnostic> diags;
-  auto fail = [&diags](const std::string& msg, std::int64_t which) {
-    check::Diagnostic d;
-    d.code = check::Code::kPlanPartition;
-    d.severity = check::Severity::kError;
-    d.message = msg;
-    d.offset = which;
-    diags.push_back(std::move(d));
-  };
-
-  if (regions.empty()) {
-    fail("partition has no regions", -1);
-    return diags;
-  }
-  index_t cursor = 0;
+  std::vector<std::array<index_t, 2>> runs;
+  for (const RowRegion& r : regions) runs.push_back({r.row_begin, r.row_end});
+  std::vector<check::Diagnostic> diags =
+      check::check_ordered_cover(runs, num_rows, "region");
   for (std::size_t i = 0; i < regions.size(); ++i) {
     const RowRegion& r = regions[i];
-    if (r.row_begin != cursor || r.row_end <= r.row_begin) {
-      std::ostringstream os;
-      os << "region " << i << " rows [" << r.row_begin << ", " << r.row_end
-         << ") do not continue the partition at " << cursor;
-      fail(os.str(), static_cast<std::int64_t>(i));
-    }
-    if (r.config.mrows < 1) {
-      std::ostringstream os;
-      os << "region " << i << " mrows " << r.config.mrows << " is not >= 1";
-      fail(os.str(), static_cast<std::int64_t>(i));
-    } else if (wavefront > 0 && r.config.mrows % wavefront != 0) {
-      std::ostringstream os;
-      os << "region " << i << " mrows " << r.config.mrows
-         << " is not a multiple of the wavefront size " << wavefront;
-      fail(os.str(), static_cast<std::int64_t>(i));
-    }
-    cursor = std::max(cursor, r.row_end);
-  }
-  if (cursor != num_rows) {
     std::ostringstream os;
-    os << "regions cover rows [0, " << cursor << ") of [0, " << num_rows
-       << ")";
-    fail(os.str(), -1);
+    os << "region " << i;
+    if (r.row_begin == r.row_end) {
+      os << " rows [" << r.row_begin << ", " << r.row_end << ") are empty";
+    } else if (r.config.mrows < 1) {
+      os << " mrows " << r.config.mrows << " is not >= 1";
+    } else if (wavefront > 0 && r.config.mrows % wavefront != 0) {
+      os << " mrows " << r.config.mrows
+         << " is not a multiple of the wavefront size " << wavefront;
+    } else {
+      continue;
+    }
+    check::Diagnostic d;
+    d.code = check::Code::kPlanPartition;
+    d.message = os.str();
+    d.offset = static_cast<std::int64_t>(i);
+    diags.push_back(std::move(d));
   }
   return diags;
 }

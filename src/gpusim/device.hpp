@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -112,6 +113,32 @@ class Device {
   DeviceSpec spec_;
   size64_t allocated_ = 0;
   size64_t next_vbase_ = 1 << 20;  // nonzero base: catches "buffer 0" misuse
+};
+
+/// Scoped owner of one launch's device buffers: everything alloc()ed
+/// through it is freed when it goes out of scope, on every exit path, so a
+/// launch that throws part-way (an allocation past global memory, a failed
+/// check) leaves the device's accounting as it found it.
+class DeviceBuffers {
+ public:
+  explicit DeviceBuffers(Device& dev) : dev_(dev) {}
+  DeviceBuffers(const DeviceBuffers&) = delete;
+  DeviceBuffers& operator=(const DeviceBuffers&) = delete;
+  ~DeviceBuffers() {
+    for (const Buffer& b : owned_) dev_.free(b);
+  }
+
+  Buffer alloc(size64_t bytes) {
+    // Record an empty slot first: if the device throws, the slot frees
+    // nothing, and a buffer the device did hand out is always recorded.
+    owned_.emplace_back();
+    owned_.back() = dev_.alloc(bytes);
+    return owned_.back();
+  }
+
+ private:
+  Device& dev_;
+  std::vector<Buffer> owned_;
 };
 
 }  // namespace crsd::gpusim

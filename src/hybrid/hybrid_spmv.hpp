@@ -3,15 +3,15 @@
 // following the cooperative-partitioning line of Fukaya et al.
 //
 // One CRSD container is built for the whole matrix and split by row
-// segments: the top slice runs as a pipelined GPU shard (chunked x-window
-// H2D overlapping partial launches, runtime/multi_device.hpp), the bottom
-// slice as a CpuCompute node on the vectorized host engine — a two-branch
-// task graph joined by a barrier. Both branches execute sub-ranges of the
-// *same* container, so the hybrid product matches the single-engine sweeps
-// row for row. Timing is virtual (gpusim wall model + PCIe model +
-// CPU roofline), scheduled on per-queue clocks, so the scheduler can
-// discover all three regimes: pure GPU (transfers amortized), pure CPU
-// (transfers dominate), and a genuine split.
+// segments into a two-part row split (rt::run_row_split,
+// runtime/multi_device.hpp): the top slice runs as a pipelined GPU shard
+// (chunked x-window H2D overlapping partial launches), the bottom slice as
+// a CpuCompute node on the vectorized host engine. Both parts execute
+// sub-ranges of the *same* container, so the hybrid product matches the
+// single-engine sweeps row for row. Timing is virtual (gpusim wall model +
+// PCIe model + CPU roofline), scheduled on per-queue clocks, so the
+// scheduler can discover all three regimes: pure GPU (transfers
+// amortized), pure CPU (transfers dominate), and a genuine split.
 #pragma once
 
 #include <algorithm>
@@ -24,13 +24,8 @@
 #include "hybrid/transfer.hpp"
 #include "perf/cpu_model.hpp"
 #include "runtime/multi_device.hpp"
-#include "runtime/task_graph.hpp"
 
 namespace crsd::hybrid {
-
-/// Host threads the CPU branch is priced with, on the
-/// perf::CpuSystemSpec::xeon_x5550_2s() roofline.
-inline constexpr int kHybridCpuThreads = 8;
 
 struct HybridConfig {
   /// Model a fresh x download and y upload around every SpMV (a solver that
@@ -86,69 +81,28 @@ class HybridSpmv {
     const index_t mrows = m_.mrows();
     const index_t split_seg =
         std::min((split + mrows - 1) / mrows, m_.num_segments_total());
-    // The GPU branch: segments [0, split_seg) and the scatter rows whose
-    // target lies above the split.
-    const rt::Shard shard = rt::make_shard(m_, 0, split_seg);
-    const index_t scatter_split = shard.range.scatter_end;
-
-    ThreadPool local_pool(1);
-    ThreadPool& exec_pool = pool != nullptr ? *pool : local_pool;
-
-    rt::TaskGraph g;
-    rt::DeviceLane lane;
-    lane.h2d = g.add_queue("gpu.h2d");
-    lane.compute = g.add_queue("gpu.compute");
-    lane.d2h = g.add_queue("gpu.d2h");
-    const rt::QueueId cpu_q = g.add_queue("cpu");
-    const rt::QueueId host_q = g.add_queue("host");
+    // The GPU part: segments [0, split_seg) and the scatter rows whose
+    // target lies above the split; the CPU part: everything else.
+    const rt::Shard gpu = rt::make_shard(m_, 0, split_seg);
+    kernels::CrsdGpuRange rest = kernels::CrsdGpuRange::full(m_);
+    rest.seg_begin = split_seg;
+    rest.scatter_begin = gpu.range.scatter_end;
+    rest.row_begin = gpu.range.row_end;
+    const std::vector<rt::RowSplitPart<T>> parts = {
+        {&m_, gpu.range, 0, &dev, false}, {&m_, rest, 0, nullptr, true}};
 
     rt::MultiDeviceOptions mopts;
     mopts.transfer_vectors = cfg_.transfer_vectors_each_spmv;
     mopts.pcie = cfg_.pcie;
-
-    // GPU branch as one pipelined shard. D2H lands directly in the caller's
-    // y (the branches write disjoint rows, so no Reduce is needed — the
-    // join barrier is the graph's root).
-    std::vector<T> x_stage, y_dev;
-    rt::NodeId gpu_tail = -1;
-    if (split_seg > 0 || scatter_split > 0) {
-      const rt::ShardPipeline pipe = rt::append_shard_pipeline(
-          g, lane, dev, m_, shard, mopts, "gpu", x, x_stage, y_dev, y);
-      gpu_tail = pipe.tail;
-    }
-
-    // CPU branch: the remaining segments on the vectorized host engine plus
-    // the below-split scatter rows, costed by the multicore roofline.
-    rt::NodeId cpu_tail = -1;
-    if (split_seg < m_.num_segments_total() ||
-        scatter_split < m_.num_scatter_rows()) {
-      const double cpu_seconds = perf::cpu_spmv_seconds(
-          perf::CpuSystemSpec::xeon_x5550_2s(),
-          cpu_slice_cost(split_seg, scatter_split), kHybridCpuThreads,
-          std::is_same_v<T, double>);
-      cpu_tail = g.add_node(
-          rt::NodeKind::kCpuCompute, cpu_q, "cpu.slice",
-          [this, split_seg, scatter_split, x, y, cpu_seconds] {
-            m_.spmv_segments_vec(split_seg, m_.num_segments_total(), x, y);
-            m_.spmv_scatter(scatter_split, m_.num_scatter_rows(), x, y);
-            return cpu_seconds;
-          });
-    }
-
-    const rt::NodeId done =
-        g.add_node(rt::NodeKind::kBarrier, host_q, "join");
-    if (gpu_tail >= 0) g.add_edge(gpu_tail, done);
-    if (cpu_tail >= 0) g.add_edge(cpu_tail, done);
-
-    rt::GraphExecutor exec(exec_pool, g);
-    const rt::GraphRunStats stats = exec.run();
+    ThreadPool local_pool(1);
+    const rt::RowSplitRun run = rt::run_row_split(
+        parts, x, y, pool != nullptr ? *pool : local_pool, mopts);
 
     HybridTiming t;
-    t.gpu_seconds = stats.kind_seconds(g, rt::NodeKind::kLaunch);
-    t.cpu_seconds = stats.kind_seconds(g, rt::NodeKind::kCpuCompute);
-    t.transfer_seconds = stats.kind_seconds(g, rt::NodeKind::kH2D) +
-                         stats.kind_seconds(g, rt::NodeKind::kD2H);
-    t.makespan_seconds = stats.makespan_seconds;
+    t.gpu_seconds = run.launch_seconds;
+    t.cpu_seconds = run.cpu_seconds;
+    t.transfer_seconds = run.h2d_seconds + run.d2h_seconds;
+    t.makespan_seconds = run.stats.makespan_seconds;
     return t;
   }
 
@@ -181,7 +135,7 @@ class HybridSpmv {
     const double t_cpu_pred = perf::cpu_spmv_seconds(
         perf::CpuSystemSpec::xeon_x5550_2s(),
         perf::crsd_sweep_cost(m.stats(), n, m.value_bytes()),
-        kHybridCpuThreads, dp);
+        rt::kCpuPartThreads, dp);
     const double f =
         (1.0 / t_gpu_pred) / (1.0 / t_gpu_pred + 1.0 / t_cpu_pred);
 
@@ -218,28 +172,6 @@ class HybridSpmv {
     const index_t snapped =
         segment_row_range(0, seg, mrows, m_.num_rows()).end;
     return split_row == 0 ? 0 : snapped;
-  }
-
-  /// Byte/flop traffic of the CPU slice: its segments' diagonal streams
-  /// plus its scatter rows.
-  perf::SweepCost cpu_slice_cost(index_t split_seg,
-                                 index_t scatter_split) const {
-    perf::SweepCost cost;
-    const int vb = m_.value_bytes();
-    for (index_t g = split_seg; g < m_.num_segments_total(); ++g) {
-      const auto& pat =
-          m_.patterns()[static_cast<std::size_t>(m_.pattern_of_segment(g))];
-      const auto c = perf::pattern_segment_cost(pat, m_.mrows(), vb);
-      cost.bytes += c.bytes;
-      cost.flops += c.flops;
-    }
-    const index_t nscatter = m_.num_scatter_rows() - scatter_split;
-    if (nscatter > 0) {
-      const auto c = perf::scatter_row_cost(m_.scatter_width(), vb);
-      cost.bytes += c.bytes * static_cast<size64_t>(nscatter);
-      cost.flops += c.flops * static_cast<size64_t>(nscatter);
-    }
-    return cost;
   }
 
   HybridConfig cfg_;

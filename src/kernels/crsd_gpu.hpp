@@ -138,17 +138,18 @@ gpusim::LaunchResult gpu_spmv_crsd_range(gpusim::Device& dev,
 
   // Device allocations: diagonal values, scatter ELL, vectors, and (for the
   // interpreted kernel) the index metadata. Sizes follow the storage mode.
-  gpusim::Buffer b_v = dev.alloc((val1 - val0) * vb);
+  gpusim::DeviceBuffers mem(dev);
+  gpusim::Buffer b_v = mem.alloc((val1 - val0) * vb);
   gpusim::Buffer b_x =
-      dev.alloc(static_cast<size64_t>(r.x_end - r.x_begin) * sizeof(T));
+      mem.alloc(static_cast<size64_t>(r.x_end - r.x_begin) * sizeof(T));
   gpusim::Buffer b_y =
-      dev.alloc(static_cast<size64_t>(r.row_end - r.row_begin) * sizeof(T));
+      mem.alloc(static_cast<size64_t>(r.row_end - r.row_begin) * sizeof(T));
   gpusim::Buffer b_srow =
-      dev.alloc(static_cast<size64_t>(nsr) * sizeof(index_t));
+      mem.alloc(static_cast<size64_t>(nsr) * sizeof(index_t));
   gpusim::Buffer b_scol =
-      dev.alloc(static_cast<size64_t>(nsr) * m.scatter_width() * cb);
+      mem.alloc(static_cast<size64_t>(nsr) * m.scatter_width() * cb);
   gpusim::Buffer b_sval =
-      dev.alloc(static_cast<size64_t>(nsr) * m.scatter_width() * vb);
+      mem.alloc(static_cast<size64_t>(nsr) * m.scatter_width() * vb);
   size64_t index_bytes = 0;
   for (index_t p = 0; p < m.num_patterns(); ++p) {
     const auto& cum = m.cum_segments();
@@ -159,7 +160,7 @@ gpusim::LaunchResult gpu_spmv_crsd_range(gpusim::Device& dev,
     index_bytes += (2 + pat.offsets.size()) *
                    static_cast<size64_t>(m.pattern_index_width(p));
   }
-  gpusim::Buffer b_idx = dev.alloc(index_bytes);
+  gpusim::Buffer b_idx = mem.alloc(index_bytes);
 
   gpusim::LaunchConfig diag_cfg;
   diag_cfg.num_groups = r.seg_end - r.seg_begin;
@@ -366,13 +367,6 @@ gpusim::LaunchResult gpu_spmv_crsd_range(gpusim::Device& dev,
     }
   }
 
-  dev.free(b_v);
-  dev.free(b_x);
-  dev.free(b_y);
-  dev.free(b_srow);
-  dev.free(b_scol);
-  dev.free(b_sval);
-  dev.free(b_idx);
   return result;
 }
 

@@ -29,11 +29,12 @@ gpusim::LaunchResult gpu_spmv_csr_scalar(gpusim::Device& dev,
   const auto& col_idx = m.col_idx();
   const auto& val = m.values();
 
-  gpusim::Buffer b_rp = dev.alloc(row_ptr.size() * sizeof(index_t));
-  gpusim::Buffer b_ci = dev.alloc(col_idx.size() * sizeof(index_t));
-  gpusim::Buffer b_v = dev.alloc(val.size() * sizeof(T));
-  gpusim::Buffer b_x = dev.alloc(static_cast<size64_t>(m.num_cols()) * sizeof(T));
-  gpusim::Buffer b_y = dev.alloc(static_cast<size64_t>(n) * sizeof(T));
+  gpusim::DeviceBuffers mem(dev);
+  gpusim::Buffer b_rp = mem.alloc(row_ptr.size() * sizeof(index_t));
+  gpusim::Buffer b_ci = mem.alloc(col_idx.size() * sizeof(index_t));
+  gpusim::Buffer b_v = mem.alloc(val.size() * sizeof(T));
+  gpusim::Buffer b_x = mem.alloc(static_cast<size64_t>(m.num_cols()) * sizeof(T));
+  gpusim::Buffer b_y = mem.alloc(static_cast<size64_t>(n) * sizeof(T));
 
   gpusim::LaunchConfig cfg;
   cfg.num_groups = (n + group_size - 1) / group_size;
@@ -103,13 +104,7 @@ gpusim::LaunchResult gpu_spmv_csr_scalar(gpusim::Device& dev,
     ctx.global_write_block(b_y, static_cast<size64_t>(row0), lanes, sizeof(T));
   };
 
-  const gpusim::LaunchResult result = gpusim::launch(dev, cfg, body, pool);
-  dev.free(b_rp);
-  dev.free(b_ci);
-  dev.free(b_v);
-  dev.free(b_x);
-  dev.free(b_y);
-  return result;
+  return gpusim::launch(dev, cfg, body, pool);
 }
 
 /// One wavefront per row (csr_vector): the row's entries are read in
@@ -125,11 +120,12 @@ gpusim::LaunchResult gpu_spmv_csr_vector(gpusim::Device& dev,
   const auto& col_idx = m.col_idx();
   const auto& val = m.values();
 
-  gpusim::Buffer b_rp = dev.alloc(row_ptr.size() * sizeof(index_t));
-  gpusim::Buffer b_ci = dev.alloc(col_idx.size() * sizeof(index_t));
-  gpusim::Buffer b_v = dev.alloc(val.size() * sizeof(T));
-  gpusim::Buffer b_x = dev.alloc(static_cast<size64_t>(m.num_cols()) * sizeof(T));
-  gpusim::Buffer b_y = dev.alloc(static_cast<size64_t>(n) * sizeof(T));
+  gpusim::DeviceBuffers mem(dev);
+  mem.alloc(row_ptr.size() * sizeof(index_t));  // row_ptr; reads unmodeled
+  gpusim::Buffer b_ci = mem.alloc(col_idx.size() * sizeof(index_t));
+  gpusim::Buffer b_v = mem.alloc(val.size() * sizeof(T));
+  gpusim::Buffer b_x = mem.alloc(static_cast<size64_t>(m.num_cols()) * sizeof(T));
+  gpusim::Buffer b_y = mem.alloc(static_cast<size64_t>(n) * sizeof(T));
 
   gpusim::LaunchConfig cfg;
   cfg.double_precision = std::is_same_v<T, double>;
@@ -184,13 +180,7 @@ gpusim::LaunchResult gpu_spmv_csr_vector(gpusim::Device& dev,
     }
   };
 
-  const gpusim::LaunchResult result = gpusim::launch(dev, cfg, body, pool);
-  dev.free(b_rp);
-  dev.free(b_ci);
-  dev.free(b_v);
-  dev.free(b_x);
-  dev.free(b_y);
-  return result;
+  return gpusim::launch(dev, cfg, body, pool);
 }
 
 }  // namespace crsd::kernels

@@ -20,10 +20,11 @@ gpusim::LaunchResult gpu_spmv_dia(gpusim::Device& dev, const DiaMatrix<T>& m,
   const auto& offsets = m.offsets();
   const auto& val = m.values();
 
-  gpusim::Buffer b_off = dev.alloc(offsets.size() * sizeof(diag_offset_t));
-  gpusim::Buffer b_v = dev.alloc(val.size() * sizeof(T));
-  gpusim::Buffer b_x = dev.alloc(static_cast<size64_t>(ncols) * sizeof(T));
-  gpusim::Buffer b_y = dev.alloc(static_cast<size64_t>(n) * sizeof(T));
+  gpusim::DeviceBuffers mem(dev);
+  gpusim::Buffer b_off = mem.alloc(offsets.size() * sizeof(diag_offset_t));
+  gpusim::Buffer b_v = mem.alloc(val.size() * sizeof(T));
+  gpusim::Buffer b_x = mem.alloc(static_cast<size64_t>(ncols) * sizeof(T));
+  gpusim::Buffer b_y = mem.alloc(static_cast<size64_t>(n) * sizeof(T));
 
   gpusim::LaunchConfig cfg;
   cfg.num_groups = (n + group_size - 1) / group_size;
@@ -75,12 +76,7 @@ gpusim::LaunchResult gpu_spmv_dia(gpusim::Device& dev, const DiaMatrix<T>& m,
     ctx.global_write_block(b_y, static_cast<size64_t>(row0), lanes, sizeof(T));
   };
 
-  const gpusim::LaunchResult result = gpusim::launch(dev, cfg, body, pool);
-  dev.free(b_off);
-  dev.free(b_v);
-  dev.free(b_x);
-  dev.free(b_y);
-  return result;
+  return gpusim::launch(dev, cfg, body, pool);
 }
 
 }  // namespace crsd::kernels

@@ -20,11 +20,12 @@ gpusim::LaunchResult gpu_spmv_ell(gpusim::Device& dev, const EllMatrix<T>& m,
   const auto& col_idx = m.col_idx();
   const auto& val = m.values();
 
-  gpusim::Buffer b_ci = dev.alloc(col_idx.size() * sizeof(index_t));
-  gpusim::Buffer b_v = dev.alloc(val.size() * sizeof(T));
+  gpusim::DeviceBuffers mem(dev);
+  gpusim::Buffer b_ci = mem.alloc(col_idx.size() * sizeof(index_t));
+  gpusim::Buffer b_v = mem.alloc(val.size() * sizeof(T));
   gpusim::Buffer b_x =
-      dev.alloc(static_cast<size64_t>(m.num_cols()) * sizeof(T));
-  gpusim::Buffer b_y = dev.alloc(static_cast<size64_t>(n) * sizeof(T));
+      mem.alloc(static_cast<size64_t>(m.num_cols()) * sizeof(T));
+  gpusim::Buffer b_y = mem.alloc(static_cast<size64_t>(n) * sizeof(T));
 
   gpusim::LaunchConfig cfg;
   cfg.num_groups = (n + group_size - 1) / group_size;
@@ -67,12 +68,7 @@ gpusim::LaunchResult gpu_spmv_ell(gpusim::Device& dev, const EllMatrix<T>& m,
     ctx.global_write_block(b_y, static_cast<size64_t>(row0), lanes, sizeof(T));
   };
 
-  const gpusim::LaunchResult result = gpusim::launch(dev, cfg, body, pool);
-  dev.free(b_ci);
-  dev.free(b_v);
-  dev.free(b_x);
-  dev.free(b_y);
-  return result;
+  return gpusim::launch(dev, cfg, body, pool);
 }
 
 }  // namespace crsd::kernels

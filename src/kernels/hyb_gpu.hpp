@@ -24,11 +24,12 @@ gpusim::LaunchResult gpu_spmv_coo_accumulate(gpusim::Device& dev,
                                              T* y, index_t group_size = 128,
                                              ThreadPool* pool = nullptr) {
   const size64_t nnz = vals.size();
-  gpusim::Buffer b_r = dev.alloc(nnz * sizeof(index_t));
-  gpusim::Buffer b_c = dev.alloc(nnz * sizeof(index_t));
-  gpusim::Buffer b_v = dev.alloc(nnz * sizeof(T));
-  gpusim::Buffer b_x = dev.alloc(static_cast<size64_t>(num_cols) * sizeof(T));
-  gpusim::Buffer b_y = dev.alloc(static_cast<size64_t>(num_rows) * sizeof(T));
+  gpusim::DeviceBuffers mem(dev);
+  gpusim::Buffer b_r = mem.alloc(nnz * sizeof(index_t));
+  gpusim::Buffer b_c = mem.alloc(nnz * sizeof(index_t));
+  gpusim::Buffer b_v = mem.alloc(nnz * sizeof(T));
+  gpusim::Buffer b_x = mem.alloc(static_cast<size64_t>(num_cols) * sizeof(T));
+  gpusim::Buffer b_y = mem.alloc(static_cast<size64_t>(num_rows) * sizeof(T));
 
   gpusim::LaunchConfig cfg;
   cfg.group_size = group_size;
@@ -67,13 +68,7 @@ gpusim::LaunchResult gpu_spmv_coo_accumulate(gpusim::Device& dev,
                              static_cast<index_t>(yrows.size()), sizeof(T));
   };
 
-  const gpusim::LaunchResult result = gpusim::launch(dev, cfg, body, pool);
-  dev.free(b_r);
-  dev.free(b_c);
-  dev.free(b_v);
-  dev.free(b_x);
-  dev.free(b_y);
-  return result;
+  return gpusim::launch(dev, cfg, body, pool);
 }
 
 /// HYB = ELL launch + (if the tail is non-empty) COO launch.

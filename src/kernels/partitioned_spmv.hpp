@@ -9,11 +9,11 @@
 //    stored region list with zero measured trials.
 //  * crsd::build_partitioned — BuildOptions-driven build: cached plan, then
 //    per-region containers.
-//  * kernels::spmv(dev, PartitionedMatrix, ...) — lowers each region
-//    through gpu_spmv_crsd and composes the launches on the rt::TaskGraph
-//    runtime, one queue and one private device per region, so regions
-//    overlap exactly like multi-device shards. The makespan comes from the
-//    graph's deterministic virtual timeline.
+//  * kernels::spmv(dev, PartitionedMatrix, ...) — one row split
+//    (rt::run_row_split): each region's full range of its own container,
+//    with resident vectors, on a private device, so regions overlap exactly
+//    like multi-device shards. The makespan comes from the graph's
+//    deterministic virtual timeline.
 //
 // This header needs the crsd_runtime library (GraphExecutor); it is
 // deliberately not part of the crsd.hpp facade, mirroring runtime/.
@@ -39,7 +39,7 @@
 #include "kernels/gpu_spmv.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/task_graph.hpp"
+#include "runtime/multi_device.hpp"
 
 namespace crsd::kernels {
 
@@ -235,12 +235,12 @@ struct PartitionedLaunchResult {
   }
 };
 
-/// y = A*x for a partitioned container: every region's kernel runs on its
-/// own queue and private device (same spec as `dev`), composed on the
-/// rt::TaskGraph runtime so region launches overlap like multi-device
-/// shards. Results are bitwise identical to PartitionedMatrix::spmv on the
-/// CPU for native storage — each region accumulates exactly as its
-/// standalone container would.
+/// y = A*x for a partitioned container: one row split whose parts are the
+/// regions, each the full range of its own container on a private device
+/// (same spec as `dev`) with resident vectors, so region launches overlap
+/// like multi-device shards. Results are bitwise identical to
+/// PartitionedMatrix::spmv on the CPU for native storage — each region
+/// accumulates exactly as its standalone container would.
 template <Real T>
 PartitionedLaunchResult spmv(gpusim::Device& dev,
                              const PartitionedMatrix<T>& m, const T* x, T* y,
@@ -254,35 +254,24 @@ PartitionedLaunchResult spmv(gpusim::Device& dev,
   // so concurrent region launches must not share one.
   std::vector<gpusim::Device> devs;
   devs.reserve(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) devs.emplace_back(dev.spec());
+  std::vector<rt::RowSplitPart<T>> split;
+  for (const auto& part : parts) {
+    devs.emplace_back(dev.spec());
+    split.push_back({part.crsd.get(), CrsdGpuRange::full(*part.crsd),
+                     part.region.row_begin, &devs.back(), false});
+  }
+  rt::MultiDeviceOptions resident;
+  resident.transfer_vectors = false;
+  rt::RowSplitRun run =
+      rt::run_row_split(split, x, y,
+                        pool != nullptr ? *pool : ThreadPool::global(),
+                        resident, opts.crsd);
 
   PartitionedLaunchResult res;
-  res.region_seconds.assign(parts.size(), 0.0);
-
-  rt::TaskGraph g;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const auto& part = parts[i];
-    const rt::QueueId q =
-        g.add_queue("partition.region" + std::to_string(i));
-    g.add_node(
-        rt::NodeKind::kLaunch, q,
-        "partition.launch." + std::to_string(i),
-        [&part, &dev_i = devs[i], x, y, &opts,
-         &out = res.region_seconds[i]] {
-          const double s = gpu_spmv_crsd(dev_i, *part.crsd, x,
-                                         y + part.region.row_begin,
-                                         opts.crsd, nullptr)
-                               .seconds;
-          out = s;
-          return s;
-        });
-  }
-
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  rt::GraphExecutor exec(tp, g);
-  res.stats = exec.run();
-  res.seconds = res.stats.makespan_seconds;
+  res.seconds = run.stats.makespan_seconds;
+  res.region_seconds = std::move(run.part_seconds);
   for (double s : res.region_seconds) res.serial_seconds += s;
+  res.stats = std::move(run.stats);
   return res;
 }
 

@@ -1,26 +1,37 @@
-// Multi-device sharded SpMV on the task-graph runtime: each gpusim Device
-// owns one contiguous shard (shard.hpp), gets only its x-window transferred
-// in chunks that pipeline against partial launches, ships y back as each
-// part completes, and a reduction tree merges the host partials into y in
-// deterministic shard order. Because every shard executes the *same built
-// container* over a sub-range (kernels::gpu_spmv_crsd_range), per-row
-// accumulation order is unchanged and the merged y is bitwise-identical to
-// the single-device launch.
+// Row-split SpMV on the task-graph runtime. A row split is a list of
+// parts, each a contiguous range of a built CRSD container (shard.hpp)
+// bound to one simulated device or to the host CPU. run_row_split is the one
+// lowering of such a list onto a TaskGraph; MultiDeviceSpmv (a shard per
+// device), hybrid::HybridSpmv (a device and the CPU) and kernels::spmv over
+// a PartitionedMatrix (a private device per region) all call it. Parts own
+// disjoint rows, so each writes its rows straight into the caller's y and
+// one join barrier closes the graph; nothing is merged.
+//
+// A device part is a pipelined shard: only its x-window is transferred, in
+// chunks that overlap partial launches, and y ships back as each launch
+// completes. Because every part executes the *same built container* over a
+// sub-range (kernels::gpu_spmv_crsd_range), per-row accumulation order is
+// unchanged and y is bitwise-identical to the single-device launch.
 //
 // Pipelining detail: the scatter phase overwrites y rows anywhere in its
 // shard, so per-part D2H nodes ship only non-scatter rows; the rows the
 // scatter phase owns are flushed by a final D2H after the last launch.
 //
-// All times are virtual (gpusim wall model + PCIe transfer model) on the
-// scheduler's per-queue clocks: makespan, per-engine busy time, and overlap
-// efficiency are deterministic, so CI can gate on them.
+// All times are virtual (gpusim wall model + PCIe transfer model + CPU
+// roofline) on the scheduler's per-queue clocks: makespan, per-engine busy
+// time, and overlap efficiency are deterministic, so CI can gate on them.
 #pragma once
 
+#include <array>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "gpusim/device.hpp"
 #include "hybrid/transfer.hpp"
 #include "kernels/crsd_gpu.hpp"
+#include "perf/cpu_model.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/task_graph.hpp"
 
@@ -29,8 +40,9 @@ namespace crsd::rt {
 /// H2D/D2H pipeline depth per shard: the shard's segment run is split into
 /// up to this many launch parts, each fed by its own x chunk.
 inline constexpr int kShardTransferChunks = 4;
-/// Host-side bandwidth charged by Reduce nodes (read partial + write y).
-inline constexpr double kHostCopyGbps = 18.0;
+/// Host threads a CPU part is priced with, on the
+/// perf::CpuSystemSpec::xeon_x5550_2s() roofline.
+inline constexpr int kCpuPartThreads = 8;
 
 struct MultiDeviceOptions {
   /// Move x down / y up around the sweep. False models device-resident
@@ -44,27 +56,6 @@ struct DeviceLane {
   QueueId h2d = 0;
   QueueId compute = 0;
   QueueId d2h = 0;
-};
-
-/// One host-visible delivery of a shard's pipeline: the D2H node that
-/// landed rows of the shard partial, and which rows it carried. Reductions
-/// can merge each delivery as soon as it lands instead of waiting for the
-/// whole shard (`scatter_rows` marks the final flush, which carries the
-/// scatter-owned rows only).
-struct ShardDelivery {
-  NodeId d2h = -1;
-  index_t row_begin = 0;
-  index_t row_end = 0;
-  bool scatter_rows = false;
-};
-
-/// Node ids of one shard's pipeline; `tail` is the node a reduction (or
-/// join) must depend on for the shard's host-visible y to be complete.
-/// `deliveries` is empty when no transfer nodes were emitted (resident
-/// vectors).
-struct ShardPipeline {
-  std::vector<ShardDelivery> deliveries;
-  NodeId tail = -1;
 };
 
 namespace detail {
@@ -113,23 +104,25 @@ size64_t copy_rows_skipping(const T* y_src, T* y_dst, index_t row_begin,
 /// window, partial launches, per-part D2H of non-scatter rows, and a final
 /// scatter-row flush. With opts.transfer_vectors false the launches read
 /// `x` and write `y_out` directly and no transfer nodes are emitted.
+/// Returns the node after which the shard's rows are in `y_out` (-1 for an
+/// empty shard).
 ///
 /// `x_stage`/`y_dev`/`y_out` must outlive the graph run. `x_stage` and
-/// `y_dev` are sized here. `y_out` is the shard's host partial (size
-/// y_elems) when transferring, or `y + row_begin` semantics via `y_direct`
-/// when resident.
+/// `y_dev` are sized here. `y_out` points at the shard's first row of the
+/// caller's y: the shard owns rows [row_begin, row_end), so its D2H nodes
+/// (or, resident, its launches) write them there directly.
 template <Real T>
-ShardPipeline append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
-                                    gpusim::Device& dev,
-                                    const CrsdMatrix<T>& m, const Shard& shard,
-                                    const MultiDeviceOptions& opts,
-                                    const std::string& tag, const T* x,
-                                    std::vector<T>& x_stage,
-                                    std::vector<T>& y_dev, T* y_out) {
-  ShardPipeline pipe;
+NodeId append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
+                             gpusim::Device& dev, const CrsdMatrix<T>& m,
+                             const Shard& shard,
+                             const MultiDeviceOptions& opts,
+                             const kernels::CrsdGpuOptions& launch_opts,
+                             const std::string& tag, const T* x,
+                             std::vector<T>& x_stage, std::vector<T>& y_dev,
+                             T* y_out) {
   const auto& r = shard.range;
   const index_t seg_count = r.seg_end - r.seg_begin;
-  if (seg_count == 0 && r.scatter_begin >= r.scatter_end) return pipe;
+  if (seg_count == 0 && r.scatter_begin >= r.scatter_end) return -1;
 
   const bool transfer = opts.transfer_vectors;
   if (transfer) {
@@ -161,6 +154,7 @@ ShardPipeline append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
 
   index_t x_cursor = r.x_begin;
   NodeId prev_launch = -1;
+  NodeId tail = -1;
   for (index_t part = 0; part < parts; ++part) {
     kernels::CrsdGpuRange pr = r;
     pr.seg_begin = r.seg_begin + part * seg_count / parts;
@@ -195,8 +189,9 @@ ShardPipeline append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
     const NodeId launch = g.add_node(
         NodeKind::kLaunch, lane.compute,
         tag + ".launch." + std::to_string(part),
-        [&dev, &m, pr, x_window, y_window] {
-          return kernels::gpu_spmv_crsd_range(dev, m, pr, x_window, y_window)
+        [&dev, &m, pr, x_window, y_window, &launch_opts] {
+          return kernels::gpu_spmv_crsd_range(dev, m, pr, x_window, y_window,
+                                              launch_opts)
               .seconds;
         });
     if (h2d >= 0) g.add_edge(h2d, launch);
@@ -219,10 +214,9 @@ ShardPipeline append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
             return hybrid::transfer_seconds(opts.pcie, bytes);
           });
       g.add_edge(launch, d2h);
-      pipe.deliveries.push_back({d2h, part_r0, part_r1, false});
-      pipe.tail = d2h;
+      tail = d2h;
     } else {
-      pipe.tail = launch;
+      tail = launch;
     }
   }
 
@@ -240,10 +234,144 @@ ShardPipeline append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
           return hybrid::transfer_seconds(opts.pcie, elems * sizeof(T));
         });
     g.add_edge(prev_launch, flush);
-    pipe.deliveries.push_back({flush, r.row_begin, r.row_end, true});
-    pipe.tail = flush;
+    tail = flush;
   }
-  return pipe;
+  return tail;
+}
+
+/// One part of a row split: `range` of the built container `matrix`, bound
+/// to the simulated device `device` or, with `on_cpu`, to the host CPU.
+/// `row_offset` is the row of the caller's y that holds the container's
+/// row 0: 0 when every part slices one container, a region's first row when
+/// each part is a region's own container.
+template <Real T>
+struct RowSplitPart {
+  const CrsdMatrix<T>* matrix = nullptr;
+  kernels::CrsdGpuRange range;
+  index_t row_offset = 0;
+  gpusim::Device* device = nullptr;
+  bool on_cpu = false;
+};
+
+/// One row split's run on the virtual timeline.
+struct RowSplitRun {
+  GraphRunStats stats;
+  double h2d_seconds = 0.0;
+  double launch_seconds = 0.0;
+  double d2h_seconds = 0.0;
+  double cpu_seconds = 0.0;
+  /// Modeled compute seconds of each part: its launches, or its CPU sweep.
+  std::vector<double> part_seconds;
+};
+
+namespace detail {
+
+/// Byte/flop traffic of a CPU part: its segments' diagonal streams plus its
+/// scatter rows.
+template <Real T>
+perf::SweepCost cpu_part_cost(const CrsdMatrix<T>& m,
+                              const kernels::CrsdGpuRange& r) {
+  perf::SweepCost cost;
+  const int vb = m.value_bytes();
+  for (index_t g = r.seg_begin; g < r.seg_end; ++g) {
+    const auto& pat =
+        m.patterns()[static_cast<std::size_t>(m.pattern_of_segment(g))];
+    const auto c = perf::pattern_segment_cost(pat, m.mrows(), vb);
+    cost.bytes += c.bytes;
+    cost.flops += c.flops;
+  }
+  const index_t nscatter = r.scatter_end - r.scatter_begin;
+  if (nscatter > 0) {
+    const auto c = perf::scatter_row_cost(m.scatter_width(), vb);
+    cost.bytes += c.bytes * static_cast<size64_t>(nscatter);
+    cost.flops += c.flops * static_cast<size64_t>(nscatter);
+  }
+  return cost;
+}
+
+}  // namespace detail
+
+/// The row-split lowering. Each device part becomes append_shard_pipeline
+/// on its own three in-order queues; each CPU part becomes one kCpuCompute
+/// node on the host's in-order "cpu" queue, priced by the multicore
+/// roofline at kCpuPartThreads; one join barrier closes the graph. Parts
+/// must own disjoint rows (the callers' validators prove it), so each
+/// writes its rows straight into `y`. `x` holds every column. Throws
+/// crsd::Error for a part without a container or without exactly one
+/// executor, before anything runs; a launch that throws aborts the run and
+/// rethrows after every started node finished.
+template <Real T>
+RowSplitRun run_row_split(const std::vector<RowSplitPart<T>>& parts,
+                          const T* x, T* y, ThreadPool& pool,
+                          const MultiDeviceOptions& opts = {},
+                          const kernels::CrsdGpuOptions& launch_opts = {}) {
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    CRSD_CHECK_MSG(parts[i].matrix != nullptr &&
+                       parts[i].on_cpu == (parts[i].device == nullptr),
+                   "row-split part " << i
+                                     << " needs a container and exactly one "
+                                        "executor: a device or the CPU");
+  }
+  TaskGraph g;
+  const QueueId host = g.add_queue("host");
+  QueueId cpu = -1;
+  std::vector<std::vector<T>> x_stage(parts.size());
+  std::vector<std::vector<T>> y_dev(parts.size());
+  std::vector<std::array<NodeId, 2>> part_nodes;  // [first, end) per part
+  std::vector<NodeId> tails;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const RowSplitPart<T>& p = parts[i];
+    const std::string tag = "part" + std::to_string(i);
+    const NodeId first = g.num_nodes();
+    if (!p.on_cpu) {
+      DeviceLane lane;
+      lane.h2d = g.add_queue(tag + ".h2d");
+      lane.compute = g.add_queue(tag + ".compute");
+      lane.d2h = g.add_queue(tag + ".d2h");
+      tails.push_back(append_shard_pipeline(
+          g, lane, *p.device, *p.matrix, Shard{p.range}, opts, launch_opts,
+          tag, x, x_stage[i], y_dev[i], y + p.row_offset + p.range.row_begin));
+    } else if (!p.range.empty()) {
+      if (cpu < 0) cpu = g.add_queue("cpu");
+      const double seconds = perf::cpu_spmv_seconds(
+          perf::CpuSystemSpec::xeon_x5550_2s(),
+          detail::cpu_part_cost(*p.matrix, p.range), kCpuPartThreads,
+          std::is_same_v<T, double>);
+      tails.push_back(g.add_node(
+          NodeKind::kCpuCompute, cpu, tag + ".cpu",
+          [&p, x, y_part = y + p.row_offset, seconds] {
+            p.matrix->spmv_segments_vec(p.range.seg_begin, p.range.seg_end, x,
+                                        y_part);
+            p.matrix->spmv_scatter(p.range.scatter_begin, p.range.scatter_end,
+                                   x, y_part);
+            return seconds;
+          }));
+    }
+    part_nodes.push_back({first, g.num_nodes()});
+  }
+  const NodeId done = g.add_node(NodeKind::kBarrier, host, "join");
+  for (NodeId tail : tails) {
+    if (tail >= 0) g.add_edge(tail, done);
+  }
+
+  GraphExecutor exec(pool, g);
+  RowSplitRun run;
+  run.stats = exec.run();
+  run.h2d_seconds = run.stats.kind_seconds(g, NodeKind::kH2D);
+  run.launch_seconds = run.stats.kind_seconds(g, NodeKind::kLaunch);
+  run.d2h_seconds = run.stats.kind_seconds(g, NodeKind::kD2H);
+  run.cpu_seconds = run.stats.kind_seconds(g, NodeKind::kCpuCompute);
+  for (const auto& [first, end] : part_nodes) {
+    double seconds = 0.0;
+    for (NodeId n = first; n < end; ++n) {
+      const NodeKind kind = g.node(n).kind;
+      if (kind == NodeKind::kLaunch || kind == NodeKind::kCpuCompute) {
+        seconds += run.stats.nodes[static_cast<std::size_t>(n)].modeled_seconds;
+      }
+    }
+    run.part_seconds.push_back(seconds);
+  }
+  return run;
 }
 
 struct MultiDeviceResult {
@@ -251,9 +379,8 @@ struct MultiDeviceResult {
   double h2d_seconds = 0.0;
   double compute_seconds = 0.0;
   double d2h_seconds = 0.0;
-  double reduce_seconds = 0.0;
-  /// max(per-engine busy) / makespan — 1.0 means transfers and reduction
-  /// are fully hidden behind the busiest engine.
+  /// max(per-engine busy) / makespan — 1.0 means transfers are fully
+  /// hidden behind the busiest engine.
   double overlap_efficiency = 0.0;
   GraphRunStats stats;
 };
@@ -282,135 +409,26 @@ class MultiDeviceSpmv {
 
   const std::vector<Shard>& shards() const { return shards_; }
 
-  /// Executes the sharded sweep. `devices` must provide one Device per
-  /// shard; y receives the full result.
+  /// Executes the sharded sweep. `devices` must provide one non-null Device
+  /// per shard; y receives the full result.
   MultiDeviceResult run(const std::vector<gpusim::Device*>& devices,
                         const T* x, T* y, ThreadPool& pool) const {
     CRSD_CHECK_MSG(devices.size() == shards_.size(),
                    "need one device per shard: " << devices.size() << " vs "
                                                  << shards_.size());
-    const int nd = static_cast<int>(shards_.size());
-
-    TaskGraph g;
-    std::vector<DeviceLane> lanes;
-    for (int d = 0; d < nd; ++d) {
-      DeviceLane lane;
-      lane.h2d = g.add_queue("dev" + std::to_string(d) + ".h2d");
-      lane.compute = g.add_queue("dev" + std::to_string(d) + ".compute");
-      lane.d2h = g.add_queue("dev" + std::to_string(d) + ".d2h");
-      lanes.push_back(lane);
+    // A null device fails run_row_split's executor check.
+    std::vector<RowSplitPart<T>> parts;
+    for (std::size_t d = 0; d < shards_.size(); ++d) {
+      parts.push_back({&m_, shards_[d].range, 0, devices[d], false});
     }
-    const QueueId host = g.add_queue("host.reduce");
-
-    std::vector<std::vector<T>> x_stage(static_cast<std::size_t>(nd));
-    std::vector<std::vector<T>> y_dev(static_cast<std::size_t>(nd));
-    std::vector<std::vector<T>> y_host(static_cast<std::size_t>(nd));
-
-    // Leaf Reduce nodes merge each shard's host partial into y. They are
-    // submitted in shard order on one in-order host queue, so the merge
-    // order is deterministic regardless of which shard finishes first; a
-    // binary join tree above them gives the graph a single completion root.
-    std::vector<NodeId> level;
-    for (int d = 0; d < nd; ++d) {
-      const Shard& shard = shards_[static_cast<std::size_t>(d)];
-      y_host[static_cast<std::size_t>(d)].assign(
-          static_cast<std::size_t>(shard.y_elems()), T(0));
-      const ShardPipeline pipe = append_shard_pipeline(
-          g, lanes[static_cast<std::size_t>(d)], *devices[static_cast<std::size_t>(d)], m_,
-          shard, opts_, "shard" + std::to_string(d), x,
-          x_stage[static_cast<std::size_t>(d)],
-          y_dev[static_cast<std::size_t>(d)],
-          y_host[static_cast<std::size_t>(d)].data());
-
-      const T* part_base = y_host[static_cast<std::size_t>(d)].data();
-      const index_t row0 = shard.range.row_begin;
-      const auto& srow = m_.scatter_rows();
-      const index_t* skip_begin = srow.data() + shard.range.scatter_begin;
-      const index_t* skip_end = srow.data() + shard.range.scatter_end;
-
-      NodeId last_reduce = -1;
-      if (pipe.deliveries.empty()) {
-        // Resident vectors (or an empty shard): one merge of the whole
-        // shard partial after its compute tail.
-        last_reduce = g.add_node(
-            NodeKind::kReduce, host, "reduce." + std::to_string(d),
-            [y, part_base, row0, elems = shard.y_elems()] {
-              for (index_t i = 0; i < elems; ++i) {
-                y[row0 + i] = part_base[static_cast<std::size_t>(i)];
-              }
-              const double bytes = 2.0 * double(elems) * sizeof(T);
-              return bytes / (kHostCopyGbps * 1e9);
-            });
-        if (pipe.tail >= 0) g.add_edge(pipe.tail, last_reduce);
-      } else {
-        // Merge each delivery as it lands, so only the last part's merge
-        // sits on the critical path. Leaves stay in shard-major,
-        // part-minor submission order on the one in-order host queue, so
-        // the merge order is deterministic regardless of completion order.
-        for (std::size_t p = 0; p < pipe.deliveries.size(); ++p) {
-          const ShardDelivery& del = pipe.deliveries[p];
-          NodeId reduce;
-          if (del.scatter_rows) {
-            reduce = g.add_node(
-                NodeKind::kReduce, host,
-                "reduce." + std::to_string(d) + ".scatter",
-                [y, part_base, row0, skip_begin, skip_end] {
-                  size64_t elems = 0;
-                  for (const index_t* s = skip_begin; s != skip_end; ++s) {
-                    y[*s] = part_base[static_cast<std::size_t>(*s - row0)];
-                    ++elems;
-                  }
-                  const double bytes = 2.0 * double(elems) * sizeof(T);
-                  return bytes / (kHostCopyGbps * 1e9);
-                });
-          } else {
-            reduce = g.add_node(
-                NodeKind::kReduce, host,
-                "reduce." + std::to_string(d) + "." + std::to_string(p),
-                [y, part_base, row0, r0 = del.row_begin,
-                 r1 = del.row_end, skip_begin, skip_end] {
-                  const size64_t bytes = detail::copy_rows_skipping(
-                      part_base, y + row0, r0, r1, row0, skip_begin,
-                      skip_end);
-                  return 2.0 * double(bytes) / (kHostCopyGbps * 1e9);
-                });
-          }
-          g.add_edge(del.d2h, reduce);
-          last_reduce = reduce;
-        }
-      }
-      level.push_back(last_reduce);
-    }
-    while (level.size() > 1) {
-      std::vector<NodeId> next;
-      for (std::size_t i = 0; i < level.size(); i += 2) {
-        if (i + 1 == level.size()) {
-          next.push_back(level[i]);
-          break;
-        }
-        const NodeId join = g.add_node(
-            NodeKind::kReduce, host,
-            "reduce.join." + std::to_string(next.size()));
-        g.add_edge(level[i], join);
-        g.add_edge(level[i + 1], join);
-        next.push_back(join);
-      }
-      level = std::move(next);
-    }
-    if (!level.empty()) {
-      const NodeId done = g.add_node(NodeKind::kBarrier, host, "done");
-      g.add_edge(level.front(), done);
-    }
-
-    GraphExecutor exec(pool, g);
+    const RowSplitRun run = run_row_split(parts, x, y, pool, opts_);
     MultiDeviceResult res;
-    res.stats = exec.run();
-    res.makespan_seconds = res.stats.makespan_seconds;
-    res.h2d_seconds = res.stats.kind_seconds(g, NodeKind::kH2D);
-    res.compute_seconds = res.stats.kind_seconds(g, NodeKind::kLaunch);
-    res.d2h_seconds = res.stats.kind_seconds(g, NodeKind::kD2H);
-    res.reduce_seconds = res.stats.kind_seconds(g, NodeKind::kReduce);
-    res.overlap_efficiency = res.stats.overlap_efficiency();
+    res.makespan_seconds = run.stats.makespan_seconds;
+    res.h2d_seconds = run.h2d_seconds;
+    res.compute_seconds = run.launch_seconds;
+    res.d2h_seconds = run.d2h_seconds;
+    res.overlap_efficiency = run.stats.overlap_efficiency();
+    res.stats = run.stats;
     return res;
   }
 

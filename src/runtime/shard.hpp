@@ -11,9 +11,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "check/cover.hpp"
 #include "check/diagnostics.hpp"
 #include "common/thread_pool.hpp"
 #include "core/crsd_matrix.hpp"
@@ -138,23 +141,20 @@ std::vector<Shard> plan_shards(const CrsdMatrix<T>& m, int num_shards) {
   return shards;
 }
 
-/// Partition check, mirroring the static analyzer's plan-partition rule:
-/// shard segment runs must tile [0, num_segments_total()) in order, and
-/// every shard must equal make_shard of its run — row slice, scatter slice
-/// and x-window included, so a launch can never read outside the x it is
-/// given. Returns kPlanPartition diagnostics; empty = valid.
+/// Partition check: shard segment runs must tile [0, num_segments_total())
+/// in order (check::check_ordered_cover), and every shard must equal
+/// make_shard of its run — row slice, scatter slice and x-window included,
+/// so a launch can never read outside the x it is given. Returns
+/// kPlanPartition diagnostics; empty = valid.
 template <Real T>
 std::vector<check::Diagnostic> validate_shard_partition(
     const CrsdMatrix<T>& m, const std::vector<Shard>& shards) {
-  std::vector<check::Diagnostic> diags;
-  auto fail = [&diags](const std::string& msg, std::int64_t which) {
-    check::Diagnostic d;
-    d.code = check::Code::kPlanPartition;
-    d.severity = check::Severity::kError;
-    d.message = msg;
-    d.offset = which;
-    diags.push_back(std::move(d));
-  };
+  std::vector<std::array<index_t, 2>> runs;
+  for (const Shard& s : shards) {
+    runs.push_back({s.range.seg_begin, s.range.seg_end});
+  }
+  std::vector<check::Diagnostic> diags =
+      check::check_ordered_cover(runs, m.num_segments_total(), "shard");
   auto describe = [](const kernels::CrsdGpuRange& r) {
     std::ostringstream os;
     os << "rows [" << r.row_begin << ", " << r.row_end << "), scatter ["
@@ -162,35 +162,23 @@ std::vector<check::Diagnostic> validate_shard_partition(
        << ", " << r.x_end << ")";
     return os.str();
   };
-
-  const index_t total = m.num_segments_total();
-  index_t seg_cursor = 0;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const auto& r = shards[s].range;
-    if (r.seg_begin != seg_cursor || r.seg_end < r.seg_begin) {
-      std::ostringstream os;
-      os << "shard " << s << " segments [" << r.seg_begin << ", " << r.seg_end
-         << ") do not continue the partition at " << seg_cursor;
-      fail(os.str(), static_cast<std::int64_t>(s));
+    if (r.seg_begin < 0 || r.seg_begin > r.seg_end ||
+        r.seg_end > m.num_segments_total()) {
+      continue;  // the cover check reports it
     }
-    if (r.seg_begin >= 0 && r.seg_begin <= r.seg_end && r.seg_end <= total) {
-      const kernels::CrsdGpuRange want =
-          make_shard(m, r.seg_begin, r.seg_end).range;
-      if (r != want) {
-        std::ostringstream os;
-        os << "shard " << s << " " << describe(r)
-           << " do not match its segment run (want " << describe(want)
-           << ")";
-        fail(os.str(), static_cast<std::int64_t>(s));
-      }
+    const kernels::CrsdGpuRange want =
+        make_shard(m, r.seg_begin, r.seg_end).range;
+    if (r != want) {
+      check::Diagnostic d;
+      d.code = check::Code::kPlanPartition;
+      d.message = "shard " + std::to_string(s) + " " + describe(r) +
+                  " do not match its segment run (want " + describe(want) +
+                  ")";
+      d.offset = static_cast<std::int64_t>(s);
+      diags.push_back(std::move(d));
     }
-    seg_cursor = std::max(seg_cursor, r.seg_end);
-  }
-  if (seg_cursor != total) {
-    std::ostringstream os;
-    os << "shards cover segments [0, " << seg_cursor << ") of [0, " << total
-       << ")";
-    fail(os.str(), -1);
   }
   return diags;
 }

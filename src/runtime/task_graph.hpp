@@ -15,11 +15,11 @@
 // efficiency without wall-clock noise. Real wall time is recorded per node
 // alongside, for traces.
 //
-// Determinism of results is the caller's contract: nodes that write shared
-// memory must be ordered by edges (the scheduler establishes happens-before
-// between a node and its successors), and reductions must merge in a fixed
-// order. multi_device.hpp builds its reduction tree in shard order for
-// exactly that reason.
+// Determinism of results is the caller's contract: nodes that write the
+// same memory must be ordered by edges (the scheduler establishes
+// happens-before between a node and its successors), and reductions must
+// merge in a fixed order. multi_device.hpp's row splits sidestep both:
+// their parts write disjoint rows of y.
 #pragma once
 
 #include <algorithm>

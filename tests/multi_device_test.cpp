@@ -1,9 +1,11 @@
 // Multi-device sharded SpMV suite: bitwise identity of the sharded sweep
 // against the single-device launch across 1/2/4 devices and every storage
 // mode, shard-plan structure, x-window coverage, the broken-partition
-// mutation fixtures (x windows included), scatter-safe pipelined D2H, and
-// memcheck-clean ranged launches. Suite names contain "MultiDevice" so the
-// TSan CI job picks them up via its -R filter.
+// mutation fixtures (x windows included), scatter-safe pipelined D2H,
+// memcheck-clean ranged launches, the one row-split lowering shared with
+// the hybrid engine, and device memory given back by a failed launch.
+// Suite names contain "MultiDevice" so the TSan CI job picks them up via
+// its -R filter.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +16,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/build_api.hpp"
+#include "hybrid/hybrid_spmv.hpp"
 #include "kernels/crsd_gpu.hpp"
 #include "matrix/generators.hpp"
 #include "runtime/multi_device.hpp"
@@ -215,6 +218,78 @@ TEST(MultiDevice, BrokenPartitionIsRejected) {
       EXPECT_EQ(e.diagnostics()[0].code, check::Code::kPlanPartition);
     }
   }
+}
+
+TEST(MultiDevice, OneDeviceMatchesHybridWithEveryRowOnTheGpu) {
+  // Both engines lower through rt::run_row_split: one device part holding
+  // every row must give the same y and the same timeline either way.
+  const auto a = mixed_matrix();
+  Rng rng(17);
+  std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
+  for (auto& v : x) v = rng.next_double(-1.0, 1.0);
+  hybrid::HybridConfig cfg;
+  cfg.crsd.mrows = 64;
+
+  Device hdev(DeviceSpec::tesla_c2050());
+  const hybrid::HybridSpmv<double> hy(a, a.num_rows(), cfg);
+  std::vector<double> y_hy(static_cast<std::size_t>(a.num_rows()), -1.0);
+  const hybrid::HybridTiming th = hy.run(hdev, x.data(), y_hy.data());
+
+  Device mdev(DeviceSpec::tesla_c2050());
+  ThreadPool pool(4);
+  const auto m = build(a, cfg.crsd);
+  const MultiDeviceSpmv<double> md(m, 1);
+  std::vector<double> y_md(y_hy.size(), -2.0);
+  const MultiDeviceResult tm = md.run({&mdev}, x.data(), y_md.data(), pool);
+
+  EXPECT_EQ(y_md, y_hy);
+  EXPECT_EQ(tm.makespan_seconds, th.makespan_seconds);
+  EXPECT_EQ(tm.h2d_seconds + tm.d2h_seconds, th.transfer_seconds);
+  EXPECT_EQ(tm.compute_seconds, th.gpu_seconds);
+  EXPECT_EQ(th.cpu_seconds, 0.0);
+}
+
+TEST(MultiDevice, NullDeviceIsRejected) {
+  const auto a = mixed_matrix();
+  const auto m = build(a, CrsdConfig{.mrows = 64});
+  const MultiDeviceSpmv<double> engine(m, 2);
+  Device dev(DeviceSpec::tesla_c2050());
+  ThreadPool pool(2);
+  std::vector<double> x(static_cast<std::size_t>(a.num_cols()), 1.0);
+  std::vector<double> y(static_cast<std::size_t>(a.num_rows()), -1.0);
+  EXPECT_THROW(engine.run({&dev, nullptr}, x.data(), y.data(), pool), Error);
+  EXPECT_THROW(engine.run({nullptr, &dev}, x.data(), y.data(), pool), Error);
+  // Rejected before anything ran: no part computed its rows.
+  for (double v : y) ASSERT_EQ(v, -1.0);
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+}
+
+TEST(MultiDevice, FailedLaunchGivesItsDeviceMemoryBack) {
+  // Device memory holds the diagonal values (plus a resident buffer and a
+  // few bytes) but not x: every launch throws after its first allocation,
+  // alone or inside a multi-device graph, and must free what it took.
+  const auto a = dense_band(4096, 8);
+  const auto m = build(a, CrsdConfig{.mrows = 64});
+  const size64_t value_bytes = m.dia_slot_count() * sizeof(double);
+  std::vector<double> x(static_cast<std::size_t>(a.num_cols()), 1.0);
+  std::vector<double> y(static_cast<std::size_t>(a.num_rows()), 0.0);
+
+  DeviceSpec tight = DeviceSpec::tesla_c2050();
+  tight.global_mem_bytes = value_bytes + 16;
+  Device dev(tight);
+  dev.alloc(8);  // stays resident across the failed launch
+  const size64_t before = dev.allocated_bytes();
+  EXPECT_THROW(kernels::gpu_spmv_crsd(dev, m, x.data(), y.data()), Error);
+  EXPECT_EQ(dev.allocated_bytes(), before);
+
+  DeviceSpec half = tight;
+  half.global_mem_bytes = tight.global_mem_bytes / 2;
+  std::vector<Device> devs(2, Device(half));
+  ThreadPool pool(4);
+  const MultiDeviceSpmv<double> engine(m, 2);
+  EXPECT_THROW(engine.run({&devs[0], &devs[1]}, x.data(), y.data(), pool),
+               Error);
+  for (const Device& d : devs) EXPECT_EQ(d.allocated_bytes(), 0u);
 }
 
 TEST(MultiDevice, RangedLaunchesAreMemcheckClean) {

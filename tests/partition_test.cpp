@@ -236,9 +236,18 @@ TEST(PartitionExecutorSuite, MatchesCpuReferenceAndOverlapsRegions) {
   EXPECT_GT(res.seconds, 0.0);
   ASSERT_EQ(res.region_seconds.size(), m.parts().size());
   double sum = 0.0;
-  for (double s : res.region_seconds) {
-    EXPECT_GT(s, 0.0);
-    sum += s;
+  for (std::size_t i = 0; i < m.parts().size(); ++i) {
+    // Each region is priced as its own container's standalone launch.
+    gpusim::Device solo{gpusim::DeviceSpec{}};
+    std::vector<double> y_solo(
+        static_cast<std::size_t>(m.parts()[i].crsd->num_rows()));
+    EXPECT_EQ(res.region_seconds[i],
+              kernels::gpu_spmv_crsd(solo, *m.parts()[i].crsd, x.data(),
+                                     y_solo.data())
+                  .seconds)
+        << "region " << i;
+    EXPECT_GT(res.region_seconds[i], 0.0);
+    sum += res.region_seconds[i];
   }
   EXPECT_DOUBLE_EQ(res.serial_seconds, sum);
   // Regions overlap on the graph: the makespan cannot exceed the serial
