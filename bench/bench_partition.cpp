@@ -55,26 +55,9 @@ struct FamilySpec {
 };
 
 Coo<double> partially_diagonal(const FamilySpec& fs) {
-  const index_t n = fs.top_rows + fs.bottom_rows;
-  Coo<double> a(n, n);
   Rng rng(fs.seed);
-  for (index_t r = 0; r < fs.top_rows; ++r) {
-    for (diag_offset_t d : {-fs.band, -1, 0, 1, fs.band}) {
-      const index_t c = r + d;
-      if (c >= 0 && c < n) a.add(r, c, 1.0 + 0.001 * double(r % 89));
-    }
-  }
-  for (index_t r = fs.top_rows; r < n; ++r) {
-    const index_t row_nnz =
-        4 + (r * 37) % std::max<index_t>(1, fs.max_row_nnz - 4);
-    for (index_t k = 0; k < row_nnz; ++k) {
-      const index_t c = static_cast<index_t>(
-          rng.next_u64() % static_cast<std::uint64_t>(n));
-      a.add(r, c, 0.5 + 0.001 * double(k));
-    }
-  }
-  a.canonicalize();
-  return a;
+  return crsd::partially_diagonal(fs.top_rows, fs.bottom_rows, fs.band,
+                                  fs.max_row_nnz, rng);
 }
 
 struct PartitionRow {

@@ -398,8 +398,8 @@ std::vector<Diagnostic> validate(const CrsdMatrix<T>& m,
 /// Cross-checks a container against its source COO: every source entry must
 /// be stored exactly once (in the diagonal stream for non-scatter rows, in
 /// the scatter ELL for scatter rows), and no container nonzero may lack a
-/// source entry. This is the end-to-end nnz-conservation proof that builder
-/// passes 4–6 dropped or invented nothing. Values compare exactly against
+/// source entry. This is the end-to-end nnz-conservation proof that the
+/// builder's placement passes dropped or invented nothing. Values compare exactly against
 /// the source *as quantized by the storage precision* — f32 streams
 /// legitimately round (and flush magnitudes below 2^-149 to zero), but any
 /// deviation beyond that round-trip is corruption.

@@ -18,8 +18,12 @@
 // Two construction paths share the liveness/coalescing decision code and
 // produce bitwise-identical storage:
 //
-//  * Serial reference (CrsdConfig::threads == 1): the original multi-pass
-//    walk, kept as the ground truth the determinism suite compares against.
+//  * Serial path (CrsdConfig::threads == 1): linear passes, O(1) work per
+//    nonzero. Pass 1 counts each segment's offsets in a flat hash table and
+//    keeps only the keys that can become live: anchors and keys next to an
+//    anchor of their diagonal. One forward walk per row then resolves every
+//    nonzero's diagonal once, placing its value, flagging scatter rows and
+//    recording their COO ranges.
 //  * Parallel pipeline (threads > 1, on a ThreadPool): COO shards split at
 //    row-segment boundaries (the input is row-sorted, so every segment's
 //    nonzeros are one contiguous slice). Stage 1 builds per-segment
@@ -40,7 +44,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -49,6 +52,7 @@
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/crsd_matrix.hpp"
+#include "core/offset_table.hpp"
 #include "core/storage_mode.hpp"
 #include "matrix/coo.hpp"
 #include "obs/metrics.hpp"
@@ -133,6 +137,15 @@ inline index_t covered_lanes(index_t seg, diag_offset_t off, index_t num_rows,
   return hi > lo ? static_cast<index_t>(hi - lo) : 0;
 }
 
+/// Rule 1 of the header comment: does key `c` anchor a live run?
+inline bool anchors(const DiagSegCount& c, const CrsdConfig& cfg,
+                    index_t num_rows, index_t num_cols) {
+  return c.count >= cfg.live_min_nnz &&
+         double(c.count) >=
+             cfg.live_min_fill * double(covered_lanes(c.seg, c.off, num_rows,
+                                                      num_cols, cfg.mrows));
+}
+
 /// Live-run discovery for one diagonal — anchors, ragged-edge extension,
 /// and gap bridging exactly as the header comment describes. counts[i, j)
 /// all carry the same offset, ascending by segment. Appends the diagonal's
@@ -144,18 +157,12 @@ inline void live_segments_for_diagonal(const std::vector<DiagSegCount>& counts,
                                        const CrsdConfig& cfg, index_t num_rows,
                                        index_t num_cols,
                                        std::vector<index_t>& final_segs) {
-  const diag_offset_t off = counts[i].off;
   const std::size_t m = j - i;
 
   // Anchor segments of this diagonal.
   std::vector<bool> is_live(m, false);
   for (std::size_t e = 0; e < m; ++e) {
-    const auto& c = counts[i + e];
-    is_live[e] =
-        c.count >= cfg.live_min_nnz &&
-        double(c.count) >= cfg.live_min_fill *
-                               double(covered_lanes(c.seg, off, num_rows,
-                                                    num_cols, cfg.mrows));
+    is_live[e] = anchors(counts[i + e], cfg, num_rows, num_cols);
   }
   // Ragged-edge extension: entries with >= 1 nonzero whose neighbouring
   // segment anchors a run.
@@ -234,39 +241,82 @@ inline void throw_on_limit_overflow(std::vector<check::Diagnostic> diags) {
       std::move(diags));
 }
 
-/// Serial reference construction — the original multi-pass walk. The
-/// parallel pipeline must reproduce this output bitwise.
+/// Serial construction in linear passes, O(1) work per nonzero. Its
+/// storage must equal build_storage_parallel's bitwise: the determinism
+/// suite and bench_convert compare the two with validate_same_storage, and
+/// the golden construction test pins this path to recorded constants.
 template <Real T>
 CrsdStorage<T> build_storage_serial(const Coo<T>& a, const CrsdConfig& cfg) {
   const index_t n = a.num_rows();
   const index_t mrows = cfg.mrows;
   const index_t num_segments = (n + mrows - 1) / mrows;
+  const size64_t nnz = a.nnz();
   const auto& rows = a.row_indices();
   const auto& cols = a.col_indices();
   const auto& vals = a.values();
 
-  // Pass 1: per-(diagonal, segment) nonzero counts. Input is row-sorted, so
-  // each segment's nonzeros are contiguous; accumulate per segment, then
-  // regroup by diagonal.
+  // Pass 1: per-(diagonal, segment) nonzero counts. The input is
+  // row-sorted, so each segment's nonzeros are contiguous and are counted
+  // in a flat table. Only two kinds of key can end up live: anchors, and
+  // keys next to an anchor of their diagonal (ragged extension; bridges
+  // join live segments only). So a segment's keys are kept only when their
+  // offset anchors in the segment or a neighbour, which needs the next
+  // segment counted first; the kept keys are bucketed by diagonal in
+  // segment order. Every other key — almost every scattered nonzero's —
+  // is dropped.
   std::vector<DiagSegCount> counts;
   {
     obs::Span span("build/pass1_diag_counts", "segments", num_segments);
+    OffsetTable seg_count, prev_count;  // counts of segments s and s - 1
+    OffsetTable anch_prev2, anch_prev, anch;  // anchors of s - 2, s - 1, s
+    OffsetTable bucket_of;                    // kept offset -> bucket
+    std::vector<std::vector<DiagSegCount>> bucket;
+    auto keep_prev = [&](index_t seg) {  // seg = s - 1, counted in prev_count
+      if (anch_prev2.size() + anch_prev.size() + anch.size() == 0) return;
+      prev_count.for_each([&](diag_offset_t off, size64_t cnt) {
+        if (!anch_prev.find(off) && !anch_prev2.find(off) && !anch.find(off)) {
+          return;
+        }
+        const std::size_t buckets = bucket_of.size();
+        size64_t& b = bucket_of[off];
+        if (bucket_of.size() != buckets) {
+          b = bucket.size();
+          bucket.emplace_back();
+        }
+        bucket[b].push_back({off, seg, static_cast<index_t>(cnt)});
+      });
+    };
     size64_t k = 0;
-    for (index_t seg = 0; seg < num_segments; ++seg) {
-      const index_t row1 = std::min<index_t>(n, (seg + 1) * mrows);
-      std::map<diag_offset_t, index_t> seg_counts;
-      while (k < a.nnz() && rows[k] < row1) {
-        ++seg_counts[cols[k] - rows[k]];
-        ++k;
+    for (index_t seg = 0; seg <= num_segments; ++seg) {
+      seg_count.clear();
+      anch.clear();
+      if (seg < num_segments) {
+        const index_t row1 = std::min<index_t>(n, (seg + 1) * mrows);
+        for (; k < nnz && rows[k] < row1; ++k) ++seg_count[cols[k] - rows[k]];
+        seg_count.for_each([&](diag_offset_t off, size64_t cnt) {
+          if (anchors({off, seg, static_cast<index_t>(cnt)}, cfg, n,
+                      a.num_cols())) {
+            anch[off];
+          }
+        });
       }
-      for (const auto& [off, cnt] : seg_counts) {
-        counts.push_back({off, seg, cnt});
-      }
+      if (seg > 0) keep_prev(seg - 1);
+      std::swap(prev_count, seg_count);
+      std::swap(anch_prev2, anch_prev);
+      std::swap(anch_prev, anch);
     }
-    std::sort(counts.begin(), counts.end(), count_key_less);
+    std::vector<std::pair<diag_offset_t, size64_t>> diags;
+    diags.reserve(bucket_of.size());
+    bucket_of.for_each(
+        [&diags](diag_offset_t off, size64_t b) { diags.emplace_back(off, b); });
+    std::sort(diags.begin(), diags.end());
+    for (const auto& [off, b] : diags) {
+      counts.insert(counts.end(), bucket[b].begin(), bucket[b].end());
+    }
   }
 
-  // Pass 2: per-diagonal live runs -> live offset set per segment.
+  // Pass 2: per-diagonal live runs -> live offset set per segment. Diagonals
+  // arrive in ascending offset order, so every set comes out ascending.
   std::vector<std::vector<diag_offset_t>> live(
       static_cast<std::size_t>(num_segments));
   {
@@ -284,8 +334,6 @@ CrsdStorage<T> build_storage_serial(const Coo<T>& a, const CrsdConfig& cfg) {
       }
       i = j;
     }
-    // Per-diagonal processing appends offsets out of order; sort each set.
-    for (auto& set : live) std::sort(set.begin(), set.end());
   }
 
   // Pass 3: merge equal consecutive live sets into diagonal patterns.
@@ -293,127 +341,96 @@ CrsdStorage<T> build_storage_serial(const Coo<T>& a, const CrsdConfig& cfg) {
   storage.num_rows = n;
   storage.num_cols = a.num_cols();
   storage.mrows = mrows;
-  storage.nnz = a.nnz();
+  storage.nnz = nnz;
   {
     obs::Span span("build/pass3_coalesce");
     storage.patterns = coalesce_live_sets(live, mrows);
     span.set_arg("patterns",
                  static_cast<std::int64_t>(storage.patterns.size()));
   }
+  throw_on_limit_overflow(
+      check_build_limits(nnz, mrows, &storage.patterns, 0, 0));
 
-  // Value-array base offset per pattern (paper's Σ NRS_i × NNzRS_i).
-  std::vector<size64_t> base(storage.patterns.size() + 1, 0);
-  for (std::size_t p = 0; p < storage.patterns.size(); ++p) {
-    base[p + 1] = base[p] + static_cast<size64_t>(
-                                storage.patterns[p].num_segments) *
-                                storage.patterns[p].slots_per_segment(mrows);
-  }
-  std::vector<index_t> pattern_of_seg(static_cast<std::size_t>(num_segments));
-  std::vector<index_t> first_seg(storage.patterns.size());
+  // Pass 4: one forward walk per row. A row's offsets ascend (canonical
+  // COO) like its pattern's, so one cursor resolves each nonzero's diagonal
+  // index once. The walk places the values and flags a row as scatter when
+  // one of its nonzeros is on no live diagonal; such a row is recorded with
+  // its COO range and, with zero_scatter_rows_in_dia, its lane is cleared
+  // again (the scatter phase recomputes the whole row, §II-D).
+  obs::Span pass4_span("build/pass4_walk_rows");
+  std::vector<std::pair<size64_t, size64_t>> scatter_range;
   {
-    index_t seg = 0;
-    for (std::size_t p = 0; p < storage.patterns.size(); ++p) {
-      first_seg[p] = seg;
-      for (index_t s = 0; s < storage.patterns[p].num_segments; ++s) {
-        pattern_of_seg[static_cast<std::size_t>(seg++)] =
-            static_cast<index_t>(p);
-      }
+    size64_t dia_slots = 0;
+    for (const auto& pat : storage.patterns) {
+      dia_slots += static_cast<size64_t>(pat.num_segments) *
+                   pat.slots_per_segment(mrows);
     }
+    storage.dia_val.assign(dia_slots, T(0));
   }
-
-  // Pass 4: scatter rows = rows owning at least one nonzero that is not on a
-  // live diagonal of the row's pattern.
-  std::vector<bool> is_scatter(static_cast<std::size_t>(n), false);
   {
-    obs::Span span("build/pass4_scatter_flags");
-    for (size64_t k = 0; k < a.nnz(); ++k) {
-      const index_t seg = rows[k] / mrows;
-      const auto& offs =
-          storage.patterns[static_cast<std::size_t>(
-                               pattern_of_seg[static_cast<std::size_t>(seg)])]
-              .offsets;
-      const diag_offset_t off = cols[k] - rows[k];
-      if (!std::binary_search(offs.begin(), offs.end(), off)) {
-        is_scatter[static_cast<std::size_t>(rows[k])] = true;
+    T* dia = storage.dia_val.data();
+    size64_t seg_base = 0;
+    size64_t k = 0;
+    for (const auto& pat : storage.patterns) {
+      const diag_offset_t* offs = pat.offsets.data();
+      const std::size_t nd = pat.offsets.size();
+      for (index_t s = 0; s < pat.num_segments; ++s) {
+        const index_t row0 = pat.start_row + s * mrows;
+        const index_t row1 = row0 + std::min<index_t>(mrows, n - row0);
+        while (k < nnz && rows[k] < row1) {
+          const index_t r = rows[k];
+          T* lane = dia + seg_base + static_cast<size64_t>(r - row0);
+          const size64_t row_begin = k;
+          bool scatter = false;
+          std::size_t d = 0;
+          for (; k < nnz && rows[k] == r; ++k) {
+            const diag_offset_t off = cols[k] - r;
+            while (d < nd && offs[d] < off) ++d;
+            if (d < nd && offs[d] == off) {
+              lane[d * static_cast<size64_t>(mrows)] = vals[k];
+            } else {
+              scatter = true;
+            }
+          }
+          if (!scatter) continue;
+          storage.scatter_rowno.push_back(r);
+          scatter_range.emplace_back(row_begin, k);
+          storage.scatter_width = std::max(
+              storage.scatter_width, static_cast<index_t>(k - row_begin));
+          if (cfg.zero_scatter_rows_in_dia) {
+            for (std::size_t e = 0; e < nd; ++e) {
+              lane[e * static_cast<size64_t>(mrows)] = T(0);
+            }
+          }
+        }
+        seg_base += pat.slots_per_segment(mrows);
       }
-    }
-  }
-
-  // Pass 5: scatter ELL (whole rows, §II-D: the FP operation order of those
-  // rows is preserved by recomputing them entirely in the scatter phase).
-  obs::Span pass5_span("build/pass5_scatter_ell");
-  std::vector<index_t> scatter_slot_of_row(static_cast<std::size_t>(n),
-                                           kInvalidIndex);
-  for (index_t r = 0; r < n; ++r) {
-    if (is_scatter[static_cast<std::size_t>(r)]) {
-      scatter_slot_of_row[static_cast<std::size_t>(r)] =
-          static_cast<index_t>(storage.scatter_rowno.size());
-      storage.scatter_rowno.push_back(r);
     }
   }
   const index_t nsr = static_cast<index_t>(storage.scatter_rowno.size());
-  pass5_span.set_arg("scatter_rows", nsr);
-  if (nsr > 0) {
-    std::vector<index_t> row_nnz(static_cast<std::size_t>(nsr), 0);
-    for (size64_t k = 0; k < a.nnz(); ++k) {
-      const index_t slot_row =
-          scatter_slot_of_row[static_cast<std::size_t>(rows[k])];
-      if (slot_row != kInvalidIndex) {
-        ++row_nnz[static_cast<std::size_t>(slot_row)];
-      }
-    }
-    for (index_t w : row_nnz) {
-      storage.scatter_width = std::max(storage.scatter_width, w);
-    }
-    throw_on_limit_overflow(check_build_limits(
-        a.nnz(), mrows, &storage.patterns, static_cast<size64_t>(nsr),
-        static_cast<size64_t>(storage.scatter_width)));
-    const size64_t slots = static_cast<size64_t>(storage.scatter_width) * nsr;
-    storage.scatter_col.assign(slots, kInvalidIndex);
-    storage.scatter_val.assign(slots, T(0));
-    std::vector<index_t> fill(static_cast<std::size_t>(nsr), 0);
-    for (size64_t k = 0; k < a.nnz(); ++k) {
-      const index_t slot_row =
-          scatter_slot_of_row[static_cast<std::size_t>(rows[k])];
-      if (slot_row == kInvalidIndex) continue;
-      index_t& f = fill[static_cast<std::size_t>(slot_row)];
+  pass4_span.set_arg("scatter_rows", nsr);
+  pass4_span.end();
+
+  // Pass 5: scatter ELL from the recorded ranges (whole rows in COO order,
+  // §II-D: the FP operation order of those rows is preserved by
+  // recomputing them entirely in the scatter phase).
+  obs::Span pass5_span("build/pass5_scatter_ell");
+  throw_on_limit_overflow(
+      check_build_limits(nnz, mrows, nullptr, static_cast<size64_t>(nsr),
+                         static_cast<size64_t>(storage.scatter_width)));
+  const size64_t ell_slots = static_cast<size64_t>(storage.scatter_width) * nsr;
+  storage.scatter_col.assign(ell_slots, kInvalidIndex);
+  storage.scatter_val.assign(ell_slots, T(0));
+  for (index_t i = 0; i < nsr; ++i) {
+    const auto [begin, end] = scatter_range[static_cast<std::size_t>(i)];
+    for (size64_t k = begin; k < end; ++k) {
       const size64_t slot =
-          static_cast<size64_t>(f) * nsr + static_cast<size64_t>(slot_row);
+          (k - begin) * static_cast<size64_t>(nsr) + static_cast<size64_t>(i);
       storage.scatter_col[slot] = cols[k];
       storage.scatter_val[slot] = vals[k];
-      ++f;
     }
-  } else {
-    throw_on_limit_overflow(
-        check_build_limits(a.nnz(), mrows, &storage.patterns, 0, 0));
   }
   pass5_span.end();
-
-  // Pass 6: place diagonal-part values.
-  obs::Span pass6_span("build/pass6_place_values");
-  storage.dia_val.assign(base.back(), T(0));
-  for (size64_t k = 0; k < a.nnz(); ++k) {
-    const index_t r = rows[k];
-    if (cfg.zero_scatter_rows_in_dia &&
-        is_scatter[static_cast<std::size_t>(r)]) {
-      continue;
-    }
-    const index_t seg = r / mrows;
-    const index_t p = pattern_of_seg[static_cast<std::size_t>(seg)];
-    const auto& pat = storage.patterns[static_cast<std::size_t>(p)];
-    const diag_offset_t off = cols[k] - r;
-    const auto it =
-        std::lower_bound(pat.offsets.begin(), pat.offsets.end(), off);
-    if (it == pat.offsets.end() || *it != off) continue;  // scatter-only nz
-    const index_t d = static_cast<index_t>(it - pat.offsets.begin());
-    const index_t seg_in_p = seg - first_seg[static_cast<std::size_t>(p)];
-    const size64_t slot =
-        base[static_cast<std::size_t>(p)] +
-        static_cast<size64_t>(seg_in_p) * pat.slots_per_segment(mrows) +
-        static_cast<size64_t>(d) * mrows + static_cast<size64_t>(r % mrows);
-    storage.dia_val[slot] = vals[k];
-  }
-  pass6_span.end();
   return storage;
 }
 

@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "core/crsd_matrix.hpp"
+#include "core/offset_table.hpp"
 #include "matrix/coo.hpp"
 
 namespace crsd {
@@ -20,18 +22,24 @@ namespace crsd {
 /// extraction) depends only on where the nonzeros sit, so two matrices with
 /// equal hashes tune identically. This keys the persistent autotune cache:
 /// re-ingesting a matrix (or a value-updated revision of it, the classic
-/// OSKI workload) skips the search.
+/// OSKI workload) skips the search. Populations are counted in a table that
+/// grows with the number of distinct diagonals; only those are sorted.
 template <Real T>
 std::uint64_t structure_hash(const Coo<T>& a) {
-  std::vector<diag_offset_t> offs;
-  offs.reserve(static_cast<std::size_t>(a.nnz()));
+  detail::OffsetTable population;
   for (size64_t k = 0; k < a.nnz(); ++k) {
-    offs.push_back(a.col_indices()[k] - a.row_indices()[k]);
+    ++population[a.col_indices()[k] - a.row_indices()[k]];
   }
-  std::sort(offs.begin(), offs.end());
+  std::vector<std::pair<diag_offset_t, size64_t>> diags;
+  diags.reserve(population.size());
+  population.for_each(
+      [&diags](diag_offset_t off, size64_t count) {
+        diags.emplace_back(off, count);
+      });
+  std::sort(diags.begin(), diags.end());
 
   std::string bytes;
-  bytes.reserve(64);
+  bytes.reserve(16 * (diags.size() + 1));
   auto put = [&bytes](std::int64_t v) {
     for (int i = 0; i < 8; ++i) {
       bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -39,12 +47,9 @@ std::uint64_t structure_hash(const Coo<T>& a) {
   };
   put(a.num_rows());
   put(a.num_cols());
-  for (std::size_t i = 0; i < offs.size();) {
-    std::size_t j = i;
-    while (j < offs.size() && offs[j] == offs[i]) ++j;
-    put(offs[i]);                             // diagonal offset
-    put(static_cast<std::int64_t>(j - i));    // its population
-    i = j;
+  for (const auto& [off, count] : diags) {
+    put(off);                               // diagonal offset
+    put(static_cast<std::int64_t>(count));  // its population
   }
   return fnv1a64(bytes);
 }

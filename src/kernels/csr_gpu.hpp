@@ -121,7 +121,7 @@ gpusim::LaunchResult gpu_spmv_csr_vector(gpusim::Device& dev,
   const auto& val = m.values();
 
   gpusim::DeviceBuffers mem(dev);
-  mem.alloc(row_ptr.size() * sizeof(index_t));  // row_ptr; reads unmodeled
+  gpusim::Buffer b_rp = mem.alloc(row_ptr.size() * sizeof(index_t));
   gpusim::Buffer b_ci = mem.alloc(col_idx.size() * sizeof(index_t));
   gpusim::Buffer b_v = mem.alloc(val.size() * sizeof(T));
   gpusim::Buffer b_x = mem.alloc(static_cast<size64_t>(m.num_cols()) * sizeof(T));
@@ -138,6 +138,12 @@ gpusim::LaunchResult gpu_spmv_csr_vector(gpusim::Device& dev,
   auto body = [&, rows_per_group](gpusim::WorkGroupCtx& ctx) {
     const int wave = ctx.spec().wavefront_size;
     const index_t row0 = ctx.group_id() * rows_per_group;
+    // row_ptr reads: the group's rows need ptr[r] and ptr[r+1] (coalesced).
+    const index_t rows = std::min<index_t>(rows_per_group, n - row0);
+    if (rows > 0) {
+      ctx.global_read_block(b_rp, static_cast<size64_t>(row0), rows + 1,
+                            sizeof(index_t));
+    }
     std::vector<size64_t> gather(static_cast<std::size_t>(wave));
     std::vector<size64_t> row_targets;
     for (index_t i = 0; i < rows_per_group; ++i) {

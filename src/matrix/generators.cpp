@@ -314,6 +314,30 @@ Coo<double> broken_diagonals(index_t n, const std::vector<BrokenDiagonal>& diags
   return a;
 }
 
+Coo<double> partially_diagonal(index_t top_rows, index_t bottom_rows,
+                               index_t band, index_t max_row_nnz, Rng& rng) {
+  const index_t n = top_rows + bottom_rows;
+  CRSD_CHECK_MSG(n >= 1, "matrix must be non-empty");
+  Coo<double> a(n, n);
+  for (index_t r = 0; r < top_rows; ++r) {
+    for (diag_offset_t d : {-band, -1, 0, 1, band}) {
+      const index_t c = r + d;
+      if (c >= 0 && c < n) a.add(r, c, 1.0 + 0.001 * double(r % 89));
+    }
+  }
+  for (index_t r = top_rows; r < n; ++r) {
+    const index_t row_nnz =
+        4 + (r * 37) % std::max<index_t>(1, max_row_nnz - 4);
+    for (index_t k = 0; k < row_nnz; ++k) {
+      const index_t c =
+          static_cast<index_t>(rng.next_u64() % static_cast<std::uint64_t>(n));
+      a.add(r, c, 0.5 + 0.001 * double(k));
+    }
+  }
+  a.canonicalize();
+  return a;
+}
+
 Coo<double> astro_convection(index_t nx, index_t ny, index_t nz,
                              bool unstructured, Rng& rng) {
   // 7-point FDM backbone.

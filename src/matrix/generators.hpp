@@ -93,6 +93,14 @@ Coo<double> broken_diagonals(index_t n, const std::vector<BrokenDiagonal>& diags
 Coo<double> astro_convection(index_t nx, index_t ny, index_t nz,
                              bool unstructured, Rng& rng);
 
+/// Partially diagonal matrix (the shape Fukaya et al., arXiv 2105.04937,
+/// split between CPU and GPU): a top stripe of `top_rows` rows on the
+/// diagonals {0, ±1, ±band} over a bottom stripe of `bottom_rows` ragged
+/// rows, each with 4 to max_row_nnz - 1 uniformly scattered nonzeros.
+/// Square, n = top_rows + bottom_rows.
+Coo<double> partially_diagonal(index_t top_rows, index_t bottom_rows,
+                               index_t band, index_t max_row_nnz, Rng& rng);
+
 /// Adds `count` uniformly random off-pattern nonzeros (scatter points).
 void inject_scatter(Coo<double>& a, size64_t count, Rng& rng);
 

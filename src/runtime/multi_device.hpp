@@ -22,6 +22,7 @@
 // time, and overlap efficiency are deterministic, so CI can gate on them.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <type_traits>
@@ -132,21 +133,23 @@ NodeId append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
   const T* x_window = transfer ? x_stage.data() : x + r.x_begin;
   T* y_window = transfer ? y_dev.data() : y_out;
 
-  // Pipeline depth: never split a launch below the device's saturation
-  // point — a part with fewer wavefronts than the occupancy model needs to
-  // hide latency runs derated, and four derated quarter-launches cost more
-  // than the one launch they replace. Small shards therefore run as a
-  // single launch; chunking only kicks in once each part can still fill
-  // the device.
+  // Pipeline depth: parts exist to overlap transfers with launches, so a
+  // resident shard (nothing to copy) runs as one launch. With transfers, a
+  // launch is never split below the device's saturation point — a part
+  // with fewer wavefronts than the occupancy model needs to hide latency
+  // runs derated, and four derated quarter-launches cost more than the one
+  // launch they replace. Small shards therefore run as a single launch;
+  // chunking only kicks in once each part can still fill the device.
   const index_t waves_per_seg =
       std::max<index_t>(1, m.mrows() / dev.spec().wavefront_size);
   const index_t saturation_segs = std::max<index_t>(
       1, static_cast<index_t>(dev.spec().num_compute_units) *
              dev.spec().latency_hiding_wavefronts / waves_per_seg);
   const index_t max_parts = std::max<index_t>(1, seg_count / saturation_segs);
-  const index_t parts = std::max<index_t>(
-      1, std::min<index_t>(kShardTransferChunks,
-                           std::min(max_parts, std::max<index_t>(seg_count, 1))));
+  const index_t parts =
+      transfer ? std::min<index_t>({kShardTransferChunks, max_parts,
+                                    std::max<index_t>(seg_count, 1)})
+               : 1;
 
   const auto& srow = m.scatter_rows();
   const index_t* skip_begin = srow.data() + r.scatter_begin;

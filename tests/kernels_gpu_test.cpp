@@ -103,6 +103,24 @@ TEST(CsrVectorKernel, CoalescesBetterThanScalarOnLongRows) {
             scalar.counters.global_load_transactions / 2);
 }
 
+TEST(CsrVectorKernel, ChargesRowPointerReads) {
+  // Every row but one is empty, so nearly all a CSR kernel must load is the
+  // row-pointer array: both kernels have to move at least its bytes.
+  Coo<double> a(4096, 4096);
+  a.add(0, 0, 2.0);
+  a.canonicalize();
+  const auto m = CsrMatrix<double>::from_coo(a);
+  const size64_t row_ptr_bytes = m.row_ptr().size() * sizeof(index_t);
+  Device dev(DeviceSpec::tesla_c2050());
+  const std::vector<double> x(4096, 1.0);
+  std::vector<double> y1(4096), y2(4096);
+  const LaunchResult scalar = gpu_spmv_csr_scalar(dev, m, x.data(), y1.data());
+  const LaunchResult vec = gpu_spmv_csr_vector(dev, m, x.data(), y2.data());
+  expect_matches_reference(a, y2, x, 0.0);
+  EXPECT_GE(scalar.counters.global_load_bytes, row_ptr_bytes);
+  EXPECT_GE(vec.counters.global_load_bytes, row_ptr_bytes);
+}
+
 TEST(DiaKernel, PaddedTrafficDwarfsUsefulWorkOnScatteredDiagonals) {
   Rng rng(5);
   // 5 + 24*6 = 149 diagonals at 11 nnz/row: 13x padding, the s3dk shape.

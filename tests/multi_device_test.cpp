@@ -133,6 +133,30 @@ TEST(MultiDevice, ResidentVectorsSkipTransfers) {
   }
 }
 
+TEST(MultiDevice, ResidentShardRunsAsOneLaunch) {
+  // With nothing to copy there is nothing to overlap: a one-device resident
+  // run of a shard well past two saturation points must cost exactly the
+  // one standalone launch, not several derated part launches.
+  const auto a = dense_band(16384, 32);
+  const auto m = build(a, CrsdConfig{.mrows = 64});
+  std::vector<double> x(static_cast<std::size_t>(a.num_cols()), 1.0);
+  std::vector<double> y_ref(static_cast<std::size_t>(a.num_rows()));
+  Device ref_dev(DeviceSpec::tesla_c2050());
+  const double launch_seconds =
+      kernels::gpu_spmv_crsd(ref_dev, m, x.data(), y_ref.data()).seconds;
+
+  MultiDeviceOptions opts;
+  opts.transfer_vectors = false;
+  const MultiDeviceSpmv<double> engine(m, 1, opts);
+  Device dev(DeviceSpec::tesla_c2050());
+  ThreadPool pool(2);
+  std::vector<double> y(y_ref.size(), -1.0);
+  const MultiDeviceResult res = engine.run({&dev}, x.data(), y.data(), pool);
+  EXPECT_EQ(res.makespan_seconds, launch_seconds);
+  EXPECT_EQ(res.compute_seconds, launch_seconds);
+  EXPECT_EQ(y, y_ref);
+}
+
 TEST(MultiDevice, TwoDevicesBeatOneOnTheVirtualTimeline) {
   // Balanced halves of a large dense band should nearly halve the modeled
   // makespan; anything under 1.2x means the scheduler serialized the shards.
