@@ -30,7 +30,8 @@ enum class Code {
   kWriteConflict,       ///< two work-items wrote the same global address
   // CRSD container validator (crsd::check::validate).
   kSegmentCoverage,     ///< patterns do not tile the row-segment range
-  kOffsetOrder,         ///< per-pattern diagonal offsets not strictly ascending
+  kOffsetOrder,         ///< per-pattern diagonal offsets not strictly
+                        ///< ascending, or outside (-num_rows, num_cols)
   kGroupMismatch,       ///< AD/NAD grouping inconsistent with the offsets
   kValueStreamLength,   ///< diagonal-major value stream length accounting
   kScatterLayout,       ///< scatter ELL arrays malformed (order/size/columns)
@@ -64,6 +65,8 @@ enum class Code {
                         ///< the per-request single-vector reference
   kServeShutdown,       ///< request still pending when its engine was
                         ///< destroyed; it was never computed
+  kServeComputeFailed,  ///< a request's single-vector SpMV threw; the
+                        ///< message carries the exception text
   // Input readers (crsd::read_matrix_market, crsd::read_crsd).
   kMalformedInput,      ///< untrusted input violates its grammar (bad
                         ///< token, out-of-range entry, wrong triangle,
@@ -98,6 +101,7 @@ inline const char* code_name(Code code) {
     case Code::kServeOverload: return "serve-overload";
     case Code::kServeBatchMismatch: return "serve-batch-mismatch";
     case Code::kServeShutdown: return "serve-shutdown";
+    case Code::kServeComputeFailed: return "serve-compute-failed";
     case Code::kMalformedInput: return "malformed-input";
   }
   return "unknown";
@@ -134,7 +138,8 @@ struct Diagnostic {
 /// Error that carries the structured diagnostics that caused it, so callers
 /// can assert on the exact detector (Code) instead of parsing the message.
 /// Thrown by the CRSD build's index-overflow guard, by the Matrix Market
-/// reader and by read_crsd on an unknown storage-mode tag.
+/// reader, and by read_crsd on an unknown storage-mode tag or on streams
+/// that fail container validation.
 class DiagnosticError : public Error {
  public:
   DiagnosticError(const std::string& what, std::vector<Diagnostic> diags)

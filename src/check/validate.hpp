@@ -7,7 +7,8 @@
 //   * segment coverage — patterns tile the row-segment range exactly, in
 //     order, with no gaps or overlaps (start_row/num_segments accounting);
 //   * offset order — each pattern's live diagonals strictly ascending
-//     (kernels binary-search and group them under that assumption);
+//     (kernels binary-search and group them under that assumption) and
+//     inside (-num_rows, num_cols), where row + offset stays in range;
 //   * group adjacency — the stored AD/NAD groups are exactly what
 //     group_diagonals() derives from the offsets;
 //   * value-stream accounting — dia_val holds exactly
@@ -28,7 +29,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -183,10 +186,21 @@ std::vector<Diagnostic> validate_view(const CrsdView<T>& v,
     emit<T>(out, Code::kSegmentCoverage, -1, os);
     return out;  // every later check divides by these
   }
+  if (std::int64_t{v.num_rows} + v.mrows - 1 >
+      std::numeric_limits<index_t>::max()) {
+    std::ostringstream os;
+    os << "num_rows=" << v.num_rows << " with mrows=" << v.mrows
+       << " overflows the segment count arithmetic";
+    emit<T>(out, Code::kIndexOverflow, -1, os);
+    return out;
+  }
 
   // Segment coverage: patterns tile [0, ceil(num_rows/mrows)) in order.
+  // Segment counts may come from an untrusted stream, so the cursor is
+  // 64-bit and stops one past the end instead of overflowing.
   const index_t total_segs = (v.num_rows + v.mrows - 1) / v.mrows;
-  index_t seg_cursor = 0;
+  std::int64_t seg_cursor = 0;
+  bool segments_positive = true;
   size64_t val_cursor = 0;
   for (std::size_t p = 0; p < v.patterns.size(); ++p) {
     const DiagonalPattern& pat = v.patterns[p];
@@ -201,6 +215,18 @@ std::vector<Diagnostic> validate_view(const CrsdView<T>& v,
       std::ostringstream os;
       os << "pattern " << p << " covers " << pat.num_segments << " segments";
       emit<T>(out, Code::kSegmentCoverage, static_cast<std::int64_t>(p), os);
+      segments_positive = false;
+    }
+    // A diagonal outside (-num_rows, num_cols) holds no entry of the
+    // matrix, and row + offset on it can leave the index range.
+    for (const diag_offset_t off : pat.offsets) {
+      if (off <= -v.num_rows || off >= v.num_cols) {
+        std::ostringstream os;
+        os << "pattern " << p << " offset " << off << " outside ("
+           << -v.num_rows << ", " << v.num_cols << ")";
+        emit<T>(out, Code::kOffsetOrder, static_cast<std::int64_t>(p), os);
+        break;
+      }
     }
     // Offsets strictly ascending (binary search + grouping rely on it).
     bool offsets_sorted = true;
@@ -224,9 +250,12 @@ std::vector<Diagnostic> validate_view(const CrsdView<T>& v,
          << "its offsets: stored " << pattern_to_string(pat);
       emit<T>(out, Code::kGroupMismatch, static_cast<std::int64_t>(p), os);
     }
-    seg_cursor += pat.num_segments;
-    val_cursor += static_cast<size64_t>(pat.num_segments) *
-                  pat.slots_per_segment(v.mrows);
+    if (pat.num_segments >= 1) {
+      seg_cursor = std::min<std::int64_t>(seg_cursor + pat.num_segments,
+                                          std::int64_t{total_segs} + 1);
+      val_cursor += static_cast<size64_t>(pat.num_segments) *
+                    pat.slots_per_segment(v.mrows);
+    }
   }
   if (seg_cursor != total_segs) {
     std::ostringstream os;
@@ -327,7 +356,9 @@ std::vector<Diagnostic> validate_view(const CrsdView<T>& v,
 
   // Padding content and scatter disjointness need a coherent value stream
   // and coherent tiling; skip them when the accounting above already failed.
-  if (!dia_sized || seg_cursor != total_segs) return out;
+  if (!dia_sized || !segments_positive || seg_cursor != total_segs) {
+    return out;
+  }
 
   std::vector<bool> is_scatter(static_cast<std::size_t>(v.num_rows), false);
   for (index_t i = 0; i < nsr; ++i) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -81,7 +82,12 @@ std::string default_cache_dir() {
       dir != nullptr && *dir != '\0') {
     return dir;
   }
-  return (fs::temp_directory_path() / "crsd-jit-cache").string();
+  // One directory per user: a directory another user owns is untrusted,
+  // and falling back to a fresh private directory would recompile every
+  // codelet in every process.
+  return (fs::temp_directory_path() /
+          ("crsd-jit-cache-" + std::to_string(::geteuid())))
+      .string();
 }
 
 std::string read_file(const fs::path& p) {

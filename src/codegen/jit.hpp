@@ -64,7 +64,9 @@ class JitCompiler {
     /// multiply-adds, keeping JIT and ahead-of-time code bit-identical.
     std::string flags;
     /// Cache directory; empty -> $CRSD_JIT_CACHE, then
-    /// <tmpdir>/crsd-jit-cache. Trusted only as described above.
+    /// <tmpdir>/crsd-jit-cache-<euid>, one per user, so users who share a
+    /// tmpdir each find a directory they own. Trusted only as described
+    /// above.
     std::string cache_dir;
   };
 

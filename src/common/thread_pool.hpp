@@ -103,8 +103,9 @@ class ThreadPool {
   /// parallel_for / parallel_for_chunked chunk: the next thread to claim
   /// work — a free worker, or a caller draining its own loop — runs urgent
   /// tasks before any chunk, so a latency-sensitive submitter (the serving
-  /// engine's coalescing-window flush) is never starved behind a long chunk
-  /// train. Urgent tasks submitted together run in FIFO order. On a
+  /// engine's single requests beside a dispatch cycle's graph) is never
+  /// starved behind a long chunk train. Urgent tasks submitted together
+  /// run in FIFO order. On a
   /// 1-thread pool the task runs inline before returning (there are no
   /// workers). Exceptions thrown by the task are logged and swallowed —
   /// they never poison a concurrently running parallel_for. The task must

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "check/diagnostics.hpp"
+#include "check/validate.hpp"
 #include "common/error.hpp"
 #include "core/crsd_matrix.hpp"
 
@@ -133,9 +134,11 @@ void write_crsd(std::ostream& os, const CrsdMatrix<T>& m) {
 }
 
 /// Reads a CRSD matrix written by write_crsd. Throws on magic/precision
-/// mismatch or truncation, and check::DiagnosticError (kMalformedInput) on
-/// an unknown storage-mode tag. Structural invariants are re-validated by
-/// the CrsdMatrix constructor.
+/// mismatch or truncation, check::DiagnosticError (kMalformedInput) on an
+/// unknown storage-mode tag, and check::DiagnosticError with the
+/// validator's findings when the loaded streams break a container
+/// invariant (check::validate), so no index a kernel follows is out of
+/// range.
 template <Real T>
 CrsdMatrix<T> read_crsd(std::istream& is) {
   char magic[sizeof(detail::kCrsdMagic)];
@@ -198,6 +201,16 @@ CrsdMatrix<T> read_crsd(std::istream& is) {
     case ValuePrecision::kFloat32:
       s.scatter_val_f32 = detail::read_vec<float>(is);
       break;
+  }
+  // The stream does not record zero_scatter_rows_in_dia, so scatter rows
+  // may keep their diagonal slots.
+  check::ValidateOptions vopts;
+  vopts.require_scatter_disjoint = false;
+  std::vector<check::Diagnostic> diags = check::validate(s, vopts);
+  if (check::has_errors(diags)) {
+    throw check::DiagnosticError(
+        "malformed CRSD stream:\n" + check::format_diagnostics(diags),
+        std::move(diags));
   }
   return CrsdMatrix<T>(std::move(s));
 }

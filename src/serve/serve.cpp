@@ -662,44 +662,46 @@ struct ServeEngineImpl {
 
   // ------------------------------------------------------------ async mode
 
-  /// Background dispatcher: sleep until work arrives, linger for the
-  /// coalescing window (flushing early once a full batch is waiting), then
-  /// flush. Leftover k==1 requests — no batch formed within the window —
-  /// take the urgent fast path: ThreadPool::submit_urgent runs them ahead
-  /// of any queued chunk train, and the single-vector body never touches
-  /// the pool's parallel machinery, so it composes with an in-flight
-  /// graph run.
+  /// Background dispatcher, work-conserving: a cycle starts as soon as a
+  /// request is pending and the previous cycle has finished, and it takes
+  /// everything pending, so batches form only from the backlog that queued
+  /// while the previous cycle ran. Lingering for a batch to form would
+  /// make every lone request wait for requests that may never come.
+  ///
+  /// A cycle of one request runs it on this thread: no pool handoff, and
+  /// it completes even while every pool thread is busy. In a larger cycle,
+  /// k == 1 leftovers take the urgent path: ThreadPool::submit_urgent runs
+  /// them ahead of any queued chunk train, and the single-vector body never
+  /// touches the pool's parallel machinery, so they compose with the
+  /// cycle's graph run.
   void dispatcher_loop() {
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
       cv_pending.wait(lock, [this] { return stopping || pending_total > 0; });
       if (pending_total == 0 && stopping) return;
-      if (!stopping && opts.coalescing_window_us > 0 &&
-          pending_total < static_cast<std::size_t>(opts.max_batch)) {
-        cv_pending.wait_for(
-            lock, std::chrono::microseconds(opts.coalescing_window_us),
-            [this] {
-              return stopping ||
-                     pending_total >= static_cast<std::size_t>(opts.max_batch);
-            });
-      }
       std::vector<Batch> batches = collect_batches_locked();
       dispatch_in_flight = true;
       lock.unlock();
 
-      std::vector<Batch> graph_batches;
-      for (Batch& b : batches) {
-        if (b.reqs.size() >= 2) {
-          graph_batches.push_back(std::move(b));
-        } else {
-          dispatch_single_urgent(std::move(b));
+      if (batches.size() == 1 && batches[0].reqs.size() == 1) {
+        serve_single(*batches[0].entry, *batches[0].reqs[0]);
+      } else {
+        std::vector<Batch> graph_batches;
+        for (Batch& b : batches) {
+          if (b.reqs.size() >= 2) {
+            graph_batches.push_back(std::move(b));
+          } else {
+            pool.submit_urgent([this, e = b.entry, sp = b.reqs[0]] {
+              serve_single(*e, *sp);
+            });
+          }
         }
-      }
-      try {
-        dispatch(std::move(graph_batches));
-      } catch (const std::exception& e) {
-        CRSD_LOG_ERROR(std::string("serve: dispatch cycle failed: ") +
-                       e.what());
+        try {
+          dispatch(std::move(graph_batches));
+        } catch (const std::exception& e) {
+          CRSD_LOG_ERROR(std::string("serve: dispatch cycle failed: ") +
+                         e.what());
+        }
       }
 
       lock.lock();
@@ -707,38 +709,51 @@ struct ServeEngineImpl {
     }
   }
 
-  /// k == 1 fallback outside the graph (async mode): JIT or interpreted
-  /// single-vector SpMV on the urgent path. The virtual finish is the
-  /// modeled single-request pipeline (gather + sweep + deliver) — there is
-  /// no graph timeline to read it from.
-  void dispatch_single_urgent(Batch b) {
+  /// k == 1 outside the graph (async mode): JIT or interpreted
+  /// single-vector SpMV into the request's result, then resolve it. The
+  /// virtual finish is the modeled single-request pipeline (gather + sweep
+  /// + deliver), as there is no graph timeline to read it from. A throw
+  /// resolves the request kFailed (kServeComputeFailed) rather than
+  /// escaping into the dispatcher or the pool.
+  void serve_single(const Entry& e, State& s) {
     singles_counter().add(1);
-    auto body = [this, b = std::move(b)]() mutable {
-      const Entry& e = *b.entry;
-      State& s = *b.reqs[0];
-      std::vector<double> y(static_cast<std::size_t>(e.m.num_rows()));
+    std::string error;
+    try {
+      // Pre-publication write: readers cannot touch result until the
+      // status flip below happens-after this under s.mu.
+      s.result.resize(static_cast<std::size_t>(e.m.num_rows()));
       if (e.jit.has_value()) {
-        e.jit->spmv(e.m, s.x.data(), y.data());
+        e.jit->spmv(e.m, s.x.data(), s.result.data());
       } else {
-        e.m.spmv(s.x.data(), y.data());
+        e.m.spmv(s.x.data(), s.result.data());
       }
-      const double modeled =
-          transfer_seconds(static_cast<size64_t>(e.m.num_cols()) *
-                           sizeof(double)) +
-          batch_seconds(e, 1) +
-          transfer_seconds(static_cast<size64_t>(e.m.num_rows()) *
-                           sizeof(double));
-      {
-        std::lock_guard<std::mutex> lock(s.mu);
-        s.result = std::move(y);
-        s.batch_k = 1;
-        s.virtual_finish = modeled;
+    } catch (const std::exception& ex) {
+      error = std::string("threw: ") + ex.what();
+    } catch (...) {
+      error = "threw a non-standard exception";
+    }
+    const double modeled =
+        transfer_seconds(static_cast<size64_t>(e.m.num_cols()) *
+                         sizeof(double)) +
+        batch_seconds(e, 1) +
+        transfer_seconds(static_cast<size64_t>(e.m.num_rows()) *
+                         sizeof(double));
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      s.batch_k = 1;
+      s.virtual_finish = modeled;
+      if (error.empty()) {
         s.status = RequestStatus::kDone;
-        s.cv.notify_all();
+      } else {
+        s.diag.code = check::Code::kServeComputeFailed;
+        s.diag.severity = check::Severity::kError;
+        s.diag.message = "single-vector SpMV on matrix " +
+                         std::to_string(e.id) + " " + error;
+        s.status = RequestStatus::kFailed;
       }
-      record_latency(s.tenant, now_ns() - s.submit_ns);
-    };
-    pool.submit_urgent(std::move(body));
+      s.cv.notify_all();
+    }
+    record_latency(s.tenant, now_ns() - s.submit_ns);
   }
 };
 

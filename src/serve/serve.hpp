@@ -25,7 +25,9 @@
 //    node. rt::GraphExecutor runs it on the shared ThreadPool, so serve
 //    batches compose with multi-device shards and hybrid splits under one
 //    scheduler, and the virtual timeline gives a deterministic,
-//    noise-free makespan (bench_serve gates on it).
+//    noise-free makespan (bench_serve gates on it). The async dispatcher
+//    runs a cycle of one request on its own thread instead, and the k == 1
+//    leftovers of a larger cycle on the pool's urgent path.
 //
 //  * Admission control: past max_queue_depth pending requests, submit()
 //    rejects immediately with a check::Diagnostic (kServeOverload) instead
@@ -71,13 +73,13 @@ struct ServeOptions {
   /// Admission high watermark: a submit() that would push the pending
   /// count past this is rejected with kServeOverload.
   std::size_t max_queue_depth = 64;
-  /// Async mode only: how long the dispatcher lingers after the first
-  /// pending request, letting a batch form before it flushes. A full
-  /// max_batch flushes immediately.
-  int coalescing_window_us = 200;
   /// Spawn a background dispatcher thread (submit() wakes it; drain() is
-  /// then illegal). Off = manual mode: the caller pumps drain() itself,
-  /// which is what the deterministic bench and most tests want.
+  /// then illegal). It is work-conserving: a cycle starts as soon as a
+  /// request is pending and the previous cycle has finished, so batches
+  /// form from the backlog that queues while a cycle runs, and a lone
+  /// request runs at once on the dispatcher thread. Off = manual mode: the
+  /// caller pumps drain() itself, which is what the deterministic bench
+  /// and most tests want.
   bool async = false;
   /// Compile a JIT codelet per registered matrix and use it for the k == 1
   /// fallback path (batches always use the SpMM engine).
@@ -100,8 +102,9 @@ enum class RequestStatus {
   kPending,   ///< queued or in flight
   kDone,      ///< result() is valid
   kRejected,  ///< admission control refused it; diagnostic() says why
-  kFailed,    ///< dispatch failed (batch verification) or the engine was
-              ///< destroyed before dispatching it; see diagnostic()
+  kFailed,    ///< dispatch failed (batch verification, or a throw in a
+              ///< single-vector SpMV) or the engine was destroyed before
+              ///< dispatching it; see diagnostic()
 };
 
 /// Per-request future. Cheap to copy; all accessors are thread-safe.

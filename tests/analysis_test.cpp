@@ -162,7 +162,9 @@ TEST(AnalysisMutation, UnclampedEdgeReadIsRefuted) {
 
 TEST(AnalysisMutation, OverlappingPlanPartitionIsRefuted) {
   const auto m = build_mode(all_modes()[0]);
-  const auto plan = ExecPlan<double>::inspect(m, {.num_threads = 4});
+  ExecPlanOptions plan_opts;
+  plan_opts.num_threads = 4;
+  const auto plan = ExecPlan<double>::inspect(m, plan_opts);
   LaunchModel lm = build_launch_model(m, {});
   attach_exec_plan(lm, plan, m);
   ASSERT_TRUE(analyze_model(lm).empty()) << "clean plan must verify";
@@ -222,8 +224,9 @@ TEST(AnalysisMutation, DuplicateScatterTargetIsRefuted) {
 TEST(Analysis, ExecPlanOverloadVerifiesRealPlan) {
   for (const int threads : {1, 2, 8}) {
     const auto m = build_mode(all_modes()[1]);
-    const auto plan =
-        ExecPlan<double>::inspect(m, {.num_threads = threads});
+    ExecPlanOptions plan_opts;
+    plan_opts.num_threads = threads;
+    const auto plan = ExecPlan<double>::inspect(m, plan_opts);
     const AnalysisReport rep = analyze_crsd_launch(m, plan, {});
     EXPECT_TRUE(rep.clean())
         << "threads=" << threads << ":\n"

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
+#include <string>
 
 #include "codegen/crsd_jit_kernel.hpp"
 #include "common/rng.hpp"
@@ -278,7 +280,9 @@ TEST(Jit, FreshDefaultCacheDirectoryIsPrivate) {
     EXPECT_EQ(compiler.compilations(), 1);
   }
   struct stat st {};
-  ASSERT_EQ(::lstat((tmp / "crsd-jit-cache").c_str(), &st), 0);
+  const std::filesystem::path dir =
+      tmp / ("crsd-jit-cache-" + std::to_string(::geteuid()));
+  ASSERT_EQ(::lstat(dir.c_str(), &st), 0);
   EXPECT_TRUE(S_ISDIR(st.st_mode));
   EXPECT_EQ(st.st_mode & 0777, 0700u);
 }

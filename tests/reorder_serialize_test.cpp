@@ -6,7 +6,9 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "check/validate.hpp"
 #include "common/rng.hpp"
 #include "core/build_api.hpp"
 #include "core/inspect.hpp"
@@ -176,6 +178,32 @@ std::uint64_t u64_at(const std::string& bytes, std::size_t at) {
   return v;
 }
 
+/// Byte positions of fields in the write_crsd stream of a native double
+/// matrix.
+struct StreamLayout {
+  std::size_t header = 0;       ///< end of the fixed header
+  std::size_t tags = 0;         ///< value-precision tag, index-mode tag next
+  std::size_t dia_count = 0;    ///< u64 count of the diagonal values
+  std::size_t rowno_count = 0;  ///< u64 count of the scatter row numbers
+};
+
+StreamLayout layout_of(const CrsdMatrix<double>& m) {
+  StreamLayout l;
+  // Header: magic, value width, rows, cols, mrows, nnz, pattern count.
+  l.header = 8 + 1 + 3 * sizeof(index_t) + sizeof(size64_t) + sizeof(index_t);
+  l.tags = l.header;
+  for (const DiagonalPattern& p : m.patterns()) {
+    l.tags += 2 * sizeof(index_t) + sizeof(std::uint64_t) +
+              p.offsets.size() * sizeof(diag_offset_t);
+  }
+  // Value-precision and index-mode tags, then the index-width vector.
+  l.dia_count = l.tags + 2 + sizeof(std::uint64_t) +
+                m.storage().pattern_index_width.size();
+  l.rowno_count = l.dia_count + sizeof(std::uint64_t) +
+                  m.dia_slot_count() * sizeof(double);
+  return l;
+}
+
 TEST(Serialize, HostileCountsAndCutPayloadsThrowError) {
   Rng rng(12);
   auto a = dense_band(512, 3);
@@ -185,19 +213,12 @@ TEST(Serialize, HostileCountsAndCutPayloadsThrowError) {
   write_crsd(buf, m);
   const std::string payload = buf.str();
 
-  // Header: magic, value width, rows, cols, mrows, nnz, pattern count.
-  const std::size_t header = 8 + 1 + 3 * sizeof(index_t) + sizeof(size64_t) +
-                             sizeof(index_t);
+  const StreamLayout layout = layout_of(m);
+  const std::size_t header = layout.header;
   // Pattern 0's offset count follows its start row and segment count.
   const std::size_t offsets_count = header + 2 * sizeof(index_t);
-  std::size_t tags = header;
-  for (const DiagonalPattern& p : m.patterns()) {
-    tags += 2 * sizeof(index_t) + sizeof(std::uint64_t) +
-            p.offsets.size() * sizeof(diag_offset_t);
-  }
-  // Value-precision and index-mode tags, then the index-width vector.
-  const std::size_t dia_count = tags + 2 + sizeof(std::uint64_t) +
-                                m.storage().pattern_index_width.size();
+  const std::size_t tags = layout.tags;
+  const std::size_t dia_count = layout.dia_count;
   ASSERT_EQ(u64_at(payload, offsets_count), m.patterns()[0].offsets.size());
   ASSERT_EQ(u64_at(payload, dia_count), m.dia_slot_count());
 
@@ -246,6 +267,109 @@ TEST(Serialize, HostileCountsAndCutPayloadsThrowError) {
                                   check::Code::kMalformedInput))
           << e.what();
     }
+  }
+}
+
+TEST(Serialize, OutOfRangeScatterRowIsRejected) {
+  Rng rng(12);
+  auto a = dense_band(512, 3);
+  inject_scatter(a, 20, rng);
+  const auto m = build(a, CrsdConfig{.mrows = 32});
+  const std::size_t nsr = m.scatter_rows().size();
+  ASSERT_GT(nsr, 0u);
+  std::stringstream buf;
+  write_crsd(buf, m);
+  std::string hostile = buf.str();
+  const StreamLayout layout = layout_of(m);
+  ASSERT_EQ(u64_at(hostile, layout.rowno_count), nsr);
+
+  // The last scatter row number becomes 2^30. The rows stay ascending, and
+  // a container built from them would have spmv write y[2^30].
+  const std::size_t last = layout.rowno_count + sizeof(std::uint64_t) +
+                           (nsr - 1) * sizeof(index_t);
+  const index_t row = index_t{1} << 30;
+  std::memcpy(hostile.data() + last, &row, sizeof(row));
+  std::stringstream is(hostile);
+  try {
+    read_crsd<double>(is);
+    ADD_FAILURE() << "scatter row 2^30 was accepted";
+  } catch (const check::DiagnosticError& e) {
+    EXPECT_TRUE(check::has_code(e.diagnostics(), check::Code::kScatterLayout))
+        << e.what();
+  }
+}
+
+// --- Seeded mutation fuzz over read_crsd. --------------------------------
+
+enum class StreamMutation { kByteFlip, kTruncate, kRewrite4 };
+
+TEST(SerializeFuzz, MutatedStreamsThrowOrLoadValidContainers) {
+  // write_crsd streams of a matrix with several patterns and scatter rows,
+  // in native+i32 and f32+u16 storage, mutated by seeded byte flips,
+  // truncations and 4-byte rewrites to -1, 0, num_rows and INT32_MAX. Every
+  // read must throw crsd::Error or load a container that check::validate
+  // accepts and whose spmv runs.
+  Rng gen(3);
+  const auto a = partially_diagonal(256, 64, 8, 6, gen);
+  const std::int32_t words[] = {-1, 0, a.num_rows(),
+                                std::numeric_limits<std::int32_t>::max()};
+  check::ValidateOptions vopts;
+  vopts.require_scatter_disjoint = false;
+  for (const StorageOptions storage :
+       {StorageOptions{}, StorageOptions{ValuePrecision::kFloat32, true}}) {
+    CrsdConfig cfg;
+    cfg.mrows = 32;
+    cfg.storage = storage;
+    const auto m = build(a, cfg);
+    ASSERT_GE(m.num_patterns(), 3);
+    ASSERT_GT(m.num_scatter_rows(), 0);
+    std::stringstream buf;
+    write_crsd(buf, m);
+    const std::string payload = buf.str();
+
+    int loaded = 0, thrown = 0;
+    for (int i = 0; i < 300; ++i) {
+      Rng rng(0x5e7a1000u + static_cast<std::uint64_t>(i));
+      auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng.next_below(n));
+      };
+      std::string bytes = payload;
+      switch (static_cast<StreamMutation>(rng.next_below(3))) {
+        case StreamMutation::kByteFlip:
+          bytes[pick(bytes.size())] = static_cast<char>(rng.next_below(256));
+          break;
+        case StreamMutation::kTruncate:
+          bytes.resize(pick(bytes.size()));
+          break;
+        case StreamMutation::kRewrite4: {
+          const std::int32_t w = words[pick(4)];
+          std::memcpy(bytes.data() + pick(bytes.size() - 3), &w, sizeof(w));
+          break;
+        }
+      }
+      const std::string label = "case " + std::to_string(i);
+      std::stringstream is(bytes);
+      try {
+        const CrsdMatrix<double> got = read_crsd<double>(is);
+        ++loaded;
+        const std::vector<check::Diagnostic> diags =
+            check::validate(got, vopts);
+        EXPECT_FALSE(check::has_errors(diags))
+            << label << ": " << check::format_diagnostics(diags);
+        std::vector<double> x(static_cast<std::size_t>(got.num_cols()), 1.0);
+        std::vector<double> y(static_cast<std::size_t>(got.num_rows()));
+        got.spmv(x.data(), y.data());
+      } catch (const Error&) {
+        ++thrown;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << label << ": read_crsd threw a non-crsd error: "
+                      << e.what();
+      }
+    }
+    // Both outcomes must occur, or the mutations stopped reaching the
+    // reader's checks.
+    EXPECT_GT(loaded, 0);
+    EXPECT_GT(thrown, 0);
   }
 }
 

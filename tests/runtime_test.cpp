@@ -22,7 +22,8 @@ TEST(TaskGraph, QueueRunsNodesInSubmissionOrder) {
   std::mutex mu;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
-    g.add_node(NodeKind::kLaunch, q, "n" + std::to_string(i), [&mu, &order, i] {
+    g.add_node(NodeKind::kLaunch, q, std::string("n").append(std::to_string(i)),
+               [&mu, &order, i] {
       std::lock_guard<std::mutex> lock(mu);
       order.push_back(i);
       return 1e-6;
@@ -219,13 +220,14 @@ TEST(TaskGraph, ManyNodesManyQueuesStress) {
   constexpr int kPerQueue = 40;
   std::vector<QueueId> queues;
   for (int q = 0; q < kQueues; ++q) {
-    queues.push_back(g.add_queue("q" + std::to_string(q)));
+    queues.push_back(g.add_queue(std::string("q").append(std::to_string(q))));
   }
   std::atomic<int> executed{0};
   NodeId prev = -1;
   for (int i = 0; i < kQueues * kPerQueue; ++i) {
     const NodeId n = g.add_node(NodeKind::kCpuCompute, queues[static_cast<std::size_t>(i % kQueues)],
-                                "n" + std::to_string(i), [&executed] {
+                                std::string("n").append(std::to_string(i)),
+                                [&executed] {
                                   executed.fetch_add(1);
                                   return 1e-7;
                                 });

@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <latch>
 #include <optional>
 #include <string>
 #include <thread>
@@ -70,7 +72,9 @@ TEST(Serve, CoalescedMatchesPerRequestAllStorageModes) {
   const Coo<double> a = test_matrix();
   for (const StorageMode& mode : storage_modes()) {
     SCOPED_TRACE(mode.name);
-    ServeEngine engine(pool, ServeOptions{.max_batch = 8});
+    ServeOptions so;
+    so.max_batch = 8;
+    ServeEngine engine(pool, so);
     const MatrixInfo info = engine.register_matrix(a, mode.storage);
     const bool native =
         mode.storage.value_precision == ValuePrecision::kNative;
@@ -115,8 +119,10 @@ TEST(Serve, CoalescedMatchesPerRequestAllStorageModes) {
 
 TEST(Serve, BackpressureRejectsWithDiagnostic) {
   ThreadPool pool(2);
-  ServeEngine engine(pool,
-                     ServeOptions{.max_batch = 8, .max_queue_depth = 4});
+  ServeOptions so;
+  so.max_batch = 8;
+  so.max_queue_depth = 4;
+  ServeEngine engine(pool, so);
   const Coo<double> a = test_matrix();
   const MatrixInfo info = engine.register_matrix(a);
 
@@ -188,8 +194,10 @@ TEST(Serve, RegistryDedupsByStructureHash) {
 
 TEST(Serve, MisSlicedBatchDetected) {
   ThreadPool pool(2);
-  ServeEngine engine(pool,
-                     ServeOptions{.max_batch = 4, .verify_batches = true});
+  ServeOptions so;
+  so.max_batch = 4;
+  so.verify_batches = true;
+  ServeEngine engine(pool, so);
   const Coo<double> a = test_matrix();
   const MatrixInfo info = engine.register_matrix(a);
 
@@ -218,7 +226,10 @@ TEST(Serve, PartialBatchesAndDispatchStats) {
   ThreadPool pool(2);
   // One exec lane: compute nodes serialize, so the makespan bounds below
   // (>= total compute, < fully serialized sum) hold exactly.
-  ServeEngine engine(pool, ServeOptions{.max_batch = 4, .exec_lanes = 1});
+  ServeOptions so;
+  so.max_batch = 4;
+  so.exec_lanes = 1;
+  ServeEngine engine(pool, so);
   const Coo<double> a = test_matrix();
   const MatrixInfo info = engine.register_matrix(a);
 
@@ -258,7 +269,10 @@ TEST(Serve, JitSingleVectorFallbackParity) {
   // max_batch 1 = coalescing off: every request takes the single-vector
   // path, JIT-compiled when a toolchain is available (bitwise-identical
   // either way on native storage).
-  ServeEngine engine(pool, ServeOptions{.max_batch = 1, .use_jit = true});
+  ServeOptions so;
+  so.max_batch = 1;
+  so.use_jit = true;
+  ServeEngine engine(pool, so);
   const Coo<double> a = test_matrix();
   const MatrixInfo info = engine.register_matrix(a);
 
@@ -309,11 +323,18 @@ TEST(Serve, TenantLatencyMetricsExported) {
 
 TEST(Serve, AsyncConcurrentSubmittersCoalesce) {
   ThreadPool pool(4);
-  ServeEngine engine(pool, ServeOptions{.max_batch = 8,
-                                        .max_queue_depth = 1024,
-                                        .coalescing_window_us = 20000,
-                                        .async = true});
-  const Coo<double> a = test_matrix();
+  ServeOptions so;
+  so.max_batch = 8;
+  so.max_queue_depth = 1024;
+  so.async = true;
+  ServeEngine engine(pool, so);
+  // The dispatcher is work-conserving: requests coalesce only when they
+  // queue while a cycle runs. On a 96-row matrix a cycle can finish before
+  // the next submit arrives (a few runs in a thousand coalesced fewer than
+  // 16), so the band is tall enough that one SpMV outlasts several submits.
+  Rng rng(7);
+  Coo<double> a = dense_band(1 << 16, 4);
+  inject_scatter(a, 40, rng);
   const MatrixInfo info = engine.register_matrix(a);
 
   constexpr int kThreads = 4;
@@ -347,22 +368,23 @@ TEST(Serve, AsyncConcurrentSubmittersCoalesce) {
       EXPECT_TRUE(bitwise_equal(h.result(), ref));
     }
   }
-  // 32 near-simultaneous requests against one matrix within a 20ms window:
-  // most must have been served inside SpMM batches. (Exact batch shapes
-  // depend on arrival interleaving; the parity above is the hard gate.)
+  // 32 near-simultaneous requests against one matrix: most must have been
+  // served inside SpMM batches. (Exact batch shapes depend on arrival
+  // interleaving; the parity above is the hard gate.)
   EXPECT_GE(coalesced, 16);
 }
 
 TEST(Serve, AsyncSingleRequestFallsBackWithinWindow) {
   ThreadPool pool(2);
-  ServeEngine engine(pool, ServeOptions{.max_batch = 8,
-                                        .coalescing_window_us = 1000,
-                                        .async = true});
+  ServeOptions so;
+  so.max_batch = 8;
+  so.async = true;
+  ServeEngine engine(pool, so);
   const Coo<double> a = test_matrix();
   const MatrixInfo info = engine.register_matrix(a);
 
-  // One lone request: no batch can form, so after the bounded window it is
-  // served on the single-vector urgent path.
+  // One lone request: no batch can form, so it is served on the
+  // single-vector path.
   serve::RequestHandle h =
       engine.submit(info.id, "tenantF", make_x(a.num_cols(), 3));
   h.wait();
@@ -391,7 +413,6 @@ void expect_two_lanes_serve_full_batches(bool async) {
   so.max_batch = 8;
   so.exec_lanes = 2;
   so.max_queue_depth = 1024;
-  so.coalescing_window_us = 20000;
   so.async = async;
   so.tune_from_cache = false;
   ServeEngine engine(pool, so);
@@ -461,6 +482,108 @@ bool resolves_within(const serve::RequestHandle& h,
   return true;
 }
 
+TEST(Serve, AsyncLoneRequestRunsWhileEveryPoolThreadIsBusy) {
+  ThreadPool pool(2);
+  ServeOptions so;
+  so.async = true;
+  ServeEngine engine(pool, so);
+  const Coo<double> a = test_matrix();
+  const MatrixInfo info = engine.register_matrix(a);
+
+  // Both threads of the pool wait inside run_tasks until `release` opens.
+  std::latch entered(2);
+  std::latch release(1);
+  std::thread holder([&] {
+    pool.run_tasks({[&] {
+                      entered.count_down();
+                      release.wait();
+                    },
+                    [&] {
+                      entered.count_down();
+                      release.wait();
+                    }});
+  });
+  entered.wait();
+  const std::vector<double> x = make_x(a.num_cols(), 4);
+  serve::RequestHandle h = engine.submit(info.id, "held", x);
+  const bool resolved = resolves_within(h, std::chrono::seconds(10));
+  release.count_down();
+  holder.join();
+
+  ASSERT_TRUE(resolved) << "a lone request waited for a pool thread";
+  ASSERT_EQ(h.status(), RequestStatus::kDone);
+  EXPECT_EQ(h.served_batch_k(), 1);
+  std::vector<double> ref(static_cast<std::size_t>(a.num_rows()));
+  engine.matrix(info.id).spmv(x.data(), ref.data());
+  EXPECT_TRUE(bitwise_equal(h.result(), ref));
+}
+
+TEST(Serve, AsyncBacklogBehindALoneRequestFormsOneBatch) {
+  ThreadPool pool(4);
+  ServeOptions so;
+  so.max_batch = 8;
+  so.async = true;
+  so.tune_from_cache = false;
+  ServeEngine engine(pool, so);
+  Rng rng(21);
+  // The lane tests' tall band: its single-vector SpMV keeps the dispatcher
+  // busy for about a millisecond.
+  Coo<double> band = dense_band(1 << 17, 4);
+  inject_scatter(band, 64, rng);
+  const Coo<double> small = test_matrix();
+  const serve::MatrixId band_id = engine.register_matrix(band).id;
+  const serve::MatrixId small_id = engine.register_matrix(small).id;
+  const std::vector<double> band_x = make_x(band.num_cols(), 99);
+  std::vector<std::vector<double>> xs;
+  for (int r = 0; r < 8; ++r) xs.push_back(make_x(small.num_cols(), r));
+  std::vector<double> band_ref(static_cast<std::size_t>(band.num_rows()));
+  engine.matrix(band_id).spmv(band_x.data(), band_ref.data());
+  std::vector<double> ref(static_cast<std::size_t>(small.num_rows()));
+
+  // The eight must be queued together while the dispatcher still runs the
+  // band: then pending() reads 8 once they are in. A thread whose submit
+  // wakes the dispatcher can lose its CPU to it until the band is done, so
+  // the band request comes from a thread of its own, and an attempt in
+  // which the dispatcher took part of the eight checks only the results
+  // and is repeated.
+  obs::Counter& submitted = obs::Registry::global().counter("serve.requests");
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    SCOPED_TRACE(attempt);
+    const std::uint64_t before = submitted.value();
+    serve::RequestHandle lone;
+    std::thread waker(
+        [&] { lone = engine.submit(band_id, "busy", band_x); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while ((submitted.value() == before || engine.pending() != 0) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    std::vector<serve::RequestHandle> handles;
+    for (const std::vector<double>& x : xs) {
+      handles.push_back(engine.submit(small_id, "backlog", x));
+    }
+    const bool one_backlog = engine.pending() == xs.size();
+    waker.join();
+
+    lone.wait();
+    ASSERT_EQ(lone.status(), RequestStatus::kDone);
+    EXPECT_EQ(lone.served_batch_k(), 1);
+    EXPECT_TRUE(bitwise_equal(lone.result(), band_ref));
+    for (std::size_t r = 0; r < handles.size(); ++r) {
+      handles[r].wait();
+      ASSERT_EQ(handles[r].status(), RequestStatus::kDone) << "request " << r;
+      if (one_backlog) {
+        EXPECT_EQ(handles[r].served_batch_k(), 8) << "request " << r;
+      }
+      engine.matrix(small_id).spmv(xs[r].data(), ref.data());
+      EXPECT_TRUE(bitwise_equal(handles[r].result(), ref)) << "request " << r;
+    }
+    if (one_backlog) return;
+  }
+  FAIL() << "the dispatcher took part of the backlog in every attempt";
+}
+
 TEST(Serve, TeardownWithoutDrainFailsPendingRequests) {
   ThreadPool pool(2);
   const Coo<double> band = test_matrix();
@@ -490,7 +613,6 @@ TEST(Serve, AsyncTeardownFinishesQueuedAndInFlightRequests) {
   ServeOptions so;
   so.max_batch = 8;
   so.max_queue_depth = 1024;
-  so.coalescing_window_us = 20000;
   so.async = true;
   so.tune_from_cache = false;
   Rng rng(23);
@@ -507,7 +629,7 @@ TEST(Serve, AsyncTeardownFinishesQueuedAndInFlightRequests) {
     ServeEngine engine(pool, so);
     const serve::MatrixId id = engine.register_matrix(band).id;
     m.emplace(engine.matrix(id));
-    // A full batch flushes at once; wait until the dispatcher took it.
+    // Wait until the dispatcher has taken the whole first wave.
     for (std::size_t r = 0; r < 8; ++r) {
       handles.push_back(engine.submit(id, "t", xs[r]));
     }
@@ -518,8 +640,7 @@ TEST(Serve, AsyncTeardownFinishesQueuedAndInFlightRequests) {
       std::this_thread::yield();
     }
     ASSERT_EQ(engine.pending(), 0u);
-    // The second wave queues behind the in-flight batch (a partial batch,
-    // inside a 20 ms coalescing window).
+    // The second wave queues behind the in-flight cycle.
     for (std::size_t r = 8; r < xs.size(); ++r) {
       handles.push_back(engine.submit(id, "t", xs[r]));
     }

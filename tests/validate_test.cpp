@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "check/validate.hpp"
@@ -94,6 +95,38 @@ TEST(Validate, FlagsUnsortedOffsets) {
   CrsdStorage<double> s = tri_fixture();
   std::swap(s.patterns[0].offsets[0], s.patterns[0].offsets[1]);
   EXPECT_TRUE(has_code(validate(s), Code::kOffsetOrder));
+}
+
+TEST(Validate, FlagsOffsetOutsideTheMatrix) {
+  // A diagonal with no in-range slot holds only zeros, so the padding
+  // check passes it; row + offset on it can still leave the index range.
+  for (const std::size_t d : {std::size_t{0}, std::size_t{2}}) {
+    CrsdStorage<double> s = tri_fixture();
+    for (index_t seg = 0; seg < 2; ++seg) {
+      for (index_t lane = 0; lane < 4; ++lane) {
+        s.dia_val[static_cast<std::size_t>(seg * 12) + d * 4 +
+                  static_cast<std::size_t>(lane)] = 0.0;
+      }
+    }
+    s.patterns[0].offsets[d] = d == 0
+                                   ? -s.num_rows
+                                   : std::numeric_limits<diag_offset_t>::max();
+    s.patterns[0].groups = group_diagonals(s.patterns[0].offsets);
+    EXPECT_TRUE(has_code(validate(s), Code::kOffsetOrder)) << "diagonal " << d;
+  }
+}
+
+TEST(Validate, FlagsCountsThatOverflowTheSegmentArithmetic) {
+  // Loaded streams carry these counts unchecked; the validator must flag
+  // them without overflowing its own arithmetic.
+  CrsdStorage<double> s = tri_fixture();
+  s.patterns[0].num_segments = std::numeric_limits<index_t>::max();
+  s.patterns.push_back(s.patterns[0]);
+  EXPECT_TRUE(has_code(validate(s), Code::kSegmentCoverage));
+
+  s = tri_fixture();
+  s.num_rows = std::numeric_limits<index_t>::max();
+  EXPECT_TRUE(has_code(validate(s), Code::kIndexOverflow));
 }
 
 TEST(Validate, FlagsGroupingDisagreement) {
