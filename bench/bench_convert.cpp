@@ -1,19 +1,16 @@
-// Conversion-cost benchmark: how expensive is building CRSD, serial vs the
-// parallel pipeline, compared with CSR assembly — and after how many SpMV
-// sweeps does CRSD's faster sweep amortize its costlier conversion (the
-// inspector–executor break-even every OSKI-style system reports)?
+// Conversion-cost benchmark: how expensive is building CRSD compared with
+// CSR assembly — and after how many SpMV sweeps does CRSD's faster sweep
+// amortize its costlier conversion (the inspector–executor break-even every
+// OSKI-style system reports)?
 //
 //   crossover = (t_build_crsd - t_build_csr) / (t_spmv_csr - t_spmv_crsd)
 //
 // A negative crossover means CRSD's CPU sweep does not beat CSR on that
-// matrix at this scale, so conversion never pays for itself. Every parallel
-// build is checked bitwise against the serial reference before its timing
-// is reported (check::validate_same_storage); a mismatch marks the row and
-// fails the binary.
+// matrix at this scale, so conversion never pays for itself.
 //
 // Writes BENCH_convert.json (path overridable via CRSD_BENCH_OUT) with
-// per-matrix conversion times at 1/2/4/8 build threads and the
-// serial-vs-parallel speedup, so later PRs can diff the trajectory.
+// per-matrix conversion and sweep times, so later PRs can diff the
+// trajectory.
 //
 // Usage: bench_convert [--scale S] [--mrows M] [--matrix ID]
 #include <algorithm>
@@ -21,11 +18,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "check/validate.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/build_api.hpp"
@@ -36,31 +31,22 @@
 namespace crsd::bench {
 namespace {
 
-const std::vector<int>& build_thread_counts() {
-  static const std::vector<int> counts = {1, 2, 4, 8};
-  return counts;
-}
-
 struct ConvertRow {
   int id = 0;
   std::string name;
   index_t rows = 0;
   size64_t nnz = 0;
-  double t_csr_conv = 0.0;               ///< CSR from_coo seconds
-  std::vector<double> t_build;           ///< CRSD build, per thread count
-  double t_spmv_csr = 0.0;               ///< CSR CPU sweep seconds
-  double t_spmv_crsd = 0.0;              ///< CRSD vectorized CPU sweep
-  bool identical = true;                 ///< parallel builds match serial
+  double t_csr_conv = 0.0;   ///< CSR from_coo seconds
+  double t_build = 0.0;      ///< CRSD build seconds
+  double t_spmv_csr = 0.0;   ///< CSR CPU sweep seconds
+  double t_spmv_crsd = 0.0;  ///< CRSD vectorized CPU sweep
 
-  double par_speedup(std::size_t i) const {
-    return t_build[i] > 0 ? t_build[0] / t_build[i] : 0.0;
-  }
-  /// SpMV sweeps needed before CRSD conversion (serial) pays off vs CSR;
-  /// negative when the CRSD sweep is not faster.
+  /// SpMV sweeps needed before CRSD conversion pays off vs CSR; negative
+  /// when the CRSD sweep is not faster.
   double crossover() const {
     const double gain = t_spmv_csr - t_spmv_crsd;
     if (gain <= 0.0) return -1.0;
-    return (t_build[0] - t_csr_conv) / gain;
+    return (t_build - t_csr_conv) / gain;
   }
 };
 
@@ -78,49 +64,32 @@ void write_json(const std::vector<ConvertRow>& rows, const SuiteOptions& opts,
       << "  \"precision\": \"double\",\n"
       << "  \"scale\": " << opts.scale << ",\n"
       << "  \"mrows\": " << opts.mrows << ",\n"
-      << "  \"build_threads\": [";
-  for (std::size_t i = 0; i < build_thread_counts().size(); ++i) {
-    out << (i ? ", " : "") << build_thread_counts()[i];
-  }
-  out << "],\n  \"matrices\": [\n";
+      << "  \"matrices\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
-    char buf[640];
+    char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "    {\"id\": %d, \"name\": \"%s\", \"rows\": %d, "
                   "\"nnz\": %llu, \"t_csr_conv\": %.3e, "
-                  "\"t_build\": [%.3e, %.3e, %.3e, %.3e], "
-                  "\"par_speedup_8t\": %.3f, \"t_spmv_csr\": %.3e, "
-                  "\"t_spmv_crsd\": %.3e, \"crossover_spmvs\": %.1f, "
-                  "\"identical\": %s}%s\n",
+                  "\"t_build\": %.3e, \"t_spmv_csr\": %.3e, "
+                  "\"t_spmv_crsd\": %.3e, \"crossover_spmvs\": %.1f}%s\n",
                   r.id, r.name.c_str(), r.rows,
                   static_cast<unsigned long long>(r.nnz), r.t_csr_conv,
-                  r.t_build[0], r.t_build[1], r.t_build[2], r.t_build[3],
-                  r.par_speedup(3), r.t_spmv_csr, r.t_spmv_crsd,
-                  r.crossover(), r.identical ? "true" : "false",
+                  r.t_build, r.t_spmv_csr, r.t_spmv_crsd, r.crossover(),
                   i + 1 < rows.size() ? "," : "");
     out << buf;
   }
-  std::vector<double> sp2, sp4, sp8, conv_ratio;
+  std::vector<double> conv_ratio;
   int amortize_1k = 0;
-  bool all_identical = true;
   for (const auto& r : rows) {
-    sp2.push_back(r.par_speedup(1));
-    sp4.push_back(r.par_speedup(2));
-    sp8.push_back(r.par_speedup(3));
-    if (r.t_csr_conv > 0) conv_ratio.push_back(r.t_build[0] / r.t_csr_conv);
+    if (r.t_csr_conv > 0) conv_ratio.push_back(r.t_build / r.t_csr_conv);
     if (r.crossover() >= 0 && r.crossover() <= 1000.0) ++amortize_1k;
-    all_identical = all_identical && r.identical;
   }
-  char buf[384];
-  std::snprintf(
-      buf, sizeof(buf),
-      "  ],\n  \"summary\": {\"geomean_par_speedup\": "
-      "{\"2t\": %.3f, \"4t\": %.3f, \"8t\": %.3f}, "
-      "\"geomean_build_vs_csr_conv\": %.3f, "
-      "\"amortize_within_1000_spmvs\": %d, \"all_identical\": %s}\n}\n",
-      geomean(sp2), geomean(sp4), geomean(sp8), geomean(conv_ratio),
-      amortize_1k, all_identical ? "true" : "false");
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "  ],\n  \"summary\": {\"geomean_build_vs_csr_conv\": %.3f, "
+                "\"amortize_within_1000_spmvs\": %d}\n}\n",
+                geomean(conv_ratio), amortize_1k);
   out << buf;
 }
 
@@ -132,22 +101,13 @@ int main(int argc, char** argv) {
   using namespace crsd::bench;
   const auto opts = SuiteOptions::parse(argc, argv);
 
-  std::printf("== CRSD conversion cost: serial vs parallel build, "
-              "amortization vs CSR (double) ==\n");
-  std::printf("scale %.3f, mrows %d, hardware threads %u\n\n", opts.scale,
-              opts.mrows, std::thread::hardware_concurrency());
-  std::printf("%3s %-14s %11s | %8s %8s %8s %8s %6s | %9s %5s\n", "id",
-              "matrix", "nnz", "csr(ms)", "b1(ms)", "b4(ms)", "b8(ms)",
-              "sp8", "crossover", "bit=");
-
-  // One pool per thread count, reused across matrices.
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  for (int t : build_thread_counts()) {
-    pools.push_back(t > 1 ? std::make_unique<ThreadPool>(t) : nullptr);
-  }
+  std::printf("== CRSD conversion cost and amortization vs CSR "
+              "(double) ==\n");
+  std::printf("scale %.3f, mrows %d\n\n", opts.scale, opts.mrows);
+  std::printf("%3s %-14s %11s | %8s %9s %7s | %9s\n", "id", "matrix", "nnz",
+              "csr(ms)", "crsd(ms)", "ratio", "crossover");
 
   std::vector<ConvertRow> rows;
-  bool all_identical = true;
   for (const auto& spec : paper_suite()) {
     if (opts.only_matrix && *opts.only_matrix != spec.id) continue;
     const auto a = spec.generate(opts.scale);
@@ -165,22 +125,8 @@ int main(int argc, char** argv) {
 
     CrsdConfig cfg;
     cfg.mrows = opts.mrows;
-    const auto m_serial = build(a, cfg);
-    for (std::size_t ti = 0; ti < build_thread_counts().size(); ++ti) {
-      cfg.threads = build_thread_counts()[ti];
-      ThreadPool* pool = pools[ti].get();
-      // Bitwise determinism gate: the timing below is only meaningful for
-      // a build that reproduces the serial reference.
-      if (cfg.threads > 1) {
-        const auto m_par = build(a, cfg, pool);
-        if (!check::validate_same_storage(m_serial, m_par).empty()) {
-          r.identical = false;
-        }
-      }
-      r.t_build.push_back(
-          time_per_rep([&] { (void)build(a, cfg, pool); }));
-    }
-    all_identical = all_identical && r.identical;
+    const auto m = build(a, cfg);
+    r.t_build = time_per_rep([&] { (void)build(a, cfg); });
 
     const auto csr = CsrMatrix<double>::from_coo(a);
     Rng rng(2026);
@@ -188,31 +134,19 @@ int main(int argc, char** argv) {
     for (auto& v : x) v = rng.next_double(-1.0, 1.0);
     std::vector<double> y(static_cast<std::size_t>(a.num_rows()));
     r.t_spmv_csr = time_per_rep([&] { csr.spmv(x.data(), y.data()); });
-    r.t_spmv_crsd = time_per_rep([&] { m_serial.spmv(x.data(), y.data()); });
+    r.t_spmv_crsd = time_per_rep([&] { m.spmv(x.data(), y.data()); });
 
-    std::printf("%3d %-14s %11llu | %8.3f %8.3f %8.3f %8.3f %5.2fx | %9.1f %5s\n",
-                r.id, r.name.c_str(), static_cast<unsigned long long>(r.nnz),
-                r.t_csr_conv * 1e3, r.t_build[0] * 1e3, r.t_build[2] * 1e3,
-                r.t_build[3] * 1e3, r.par_speedup(3), r.crossover(),
-                r.identical ? "yes" : "NO");
+    std::printf("%3d %-14s %11llu | %8.3f %9.3f %6.2fx | %9.1f\n", r.id,
+                r.name.c_str(), static_cast<unsigned long long>(r.nnz),
+                r.t_csr_conv * 1e3, r.t_build * 1e3,
+                r.t_build / r.t_csr_conv, r.crossover());
     rows.push_back(std::move(r));
   }
-
-  std::vector<double> sp8;
-  for (const auto& r : rows) sp8.push_back(r.par_speedup(3));
-  std::printf("\ngeomean parallel build speedup at 8 threads: %.2fx "
-              "(%u hardware threads)\n",
-              geomean(sp8), std::thread::hardware_concurrency());
 
   const char* out_env = std::getenv("CRSD_BENCH_OUT");
   const std::string out_path =
       out_env != nullptr && *out_env != '\0' ? out_env : "BENCH_convert.json";
   write_json(rows, opts, out_path);
   std::printf("wrote %s\n", out_path.c_str());
-  if (!all_identical) {
-    std::printf("FAIL: a parallel build diverged from the serial "
-                "reference\n");
-    return 1;
-  }
   return 0;
 }

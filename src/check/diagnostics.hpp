@@ -40,7 +40,7 @@ enum class Code {
   kIndexOverflow,       ///< a count the container indexes with index_t
                         ///< exceeds its range (builder overflow guard)
   kStorageMismatch,     ///< two containers that must be bitwise identical
-                        ///< (serial vs parallel build) differ
+                        ///< differ (check::validate_same_storage)
   kDeltaStream,         ///< DCSR delta-compressed column stream malformed
                         ///< (truncated/non-monotone/out-of-range decode)
   // JIT codelet lint (crsd::codegen::lint_*_codelet_source).

@@ -570,11 +570,11 @@ std::vector<Diagnostic> validate_against(const CrsdMatrix<T>& m,
 /// oracle work across storage modes: a u16-encoded build compares
 /// equal to an i32 build of the same content, and two builds of the same
 /// precision compare equal iff their raw streams do (the narrowing casts
-/// are injective). This is what the determinism suite uses to prove the
-/// parallel builder reproduces the serial reference at any thread count and
-/// in every compaction mode; each difference is reported as a
-/// kStorageMismatch diagnostic naming the field and the first offending
-/// index.
+/// are injective). Tests use it to show that two routes to one container
+/// (a value update against a fresh build, a serialization round trip, the
+/// build facade against the builder it wraps) store the same bits in every
+/// compaction mode; each difference is reported as a kStorageMismatch
+/// diagnostic naming the field and the first offending index.
 template <Real T>
 std::vector<Diagnostic> validate_same_storage(const CrsdMatrix<T>& a,
                                               const CrsdMatrix<T>& b) {

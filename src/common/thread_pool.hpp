@@ -5,7 +5,6 @@
 // library has no compiler-flag dependency.
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -151,62 +150,5 @@ class ThreadPool {
   bool stopping_ = false;
   std::exception_ptr first_error_;
 };
-
-/// Convenience: chunked parallel loop over [begin, end) on `pool`.
-/// body signature: void(index_t i) — invoked for each index.
-template <typename Body>
-void parallel_for_each(ThreadPool& pool, index_t begin, index_t end,
-                       Body&& body) {
-  pool.parallel_for(begin, end,
-                    [&body](index_t b, index_t e, int /*tid*/) {
-                      for (index_t i = b; i < e; ++i) body(i);
-                    });
-}
-
-/// Deterministic parallel merge sort over [first, last): equal chunks are
-/// sorted on the pool, then merged pairwise in log-depth rounds of
-/// std::inplace_merge. With a total order over unique keys (the parallel
-/// CRSD builder sorts by unique (diagonal, segment) pairs) the result is
-/// identical to std::sort at any thread count. Small ranges and 1-thread
-/// pools fall through to std::sort.
-template <typename It, typename Cmp>
-void parallel_sort(ThreadPool& pool, It first, It last, Cmp cmp) {
-  const std::ptrdiff_t n = last - first;
-  const int parts = pool.num_threads();
-  if (parts <= 1 || n < 4096) {
-    std::sort(first, last, cmp);
-    return;
-  }
-  std::vector<std::ptrdiff_t> bounds(static_cast<std::size_t>(parts) + 1);
-  for (int p = 0; p <= parts; ++p) {
-    bounds[static_cast<std::size_t>(p)] = n * p / parts;
-  }
-  pool.parallel_for(0, static_cast<index_t>(parts),
-                    [&](index_t b, index_t e, int) {
-                      for (index_t c = b; c < e; ++c) {
-                        std::sort(first + bounds[static_cast<std::size_t>(c)],
-                                  first + bounds[static_cast<std::size_t>(c) + 1],
-                                  cmp);
-                      }
-                    });
-  for (int width = 1; width < parts; width *= 2) {
-    std::vector<int> heads;
-    for (int c = 0; c + width < parts; c += 2 * width) heads.push_back(c);
-    if (heads.empty()) continue;
-    pool.parallel_for(
-        0, static_cast<index_t>(heads.size()),
-        [&](index_t b, index_t e, int) {
-          for (index_t i = b; i < e; ++i) {
-            const int c = heads[static_cast<std::size_t>(i)];
-            const auto lo = first + bounds[static_cast<std::size_t>(c)];
-            const auto mid =
-                first + bounds[static_cast<std::size_t>(std::min(c + width, parts))];
-            const auto hi = first + bounds[static_cast<std::size_t>(
-                                        std::min(c + 2 * width, parts))];
-            std::inplace_merge(lo, mid, hi, cmp);
-          }
-        });
-  }
-}
 
 }  // namespace crsd

@@ -37,9 +37,10 @@ struct BuildOptions {
 
   /// When true, consult the persistent autotuner cache
   /// (kernels::load_cached_tuning) for this matrix structure on `device`
-  /// and adopt the cached winner's construction knobs; config.storage and
-  /// config.threads always stay the caller's. Off by default so build()
-  /// stays bitwise-deterministic for callers that pin configurations.
+  /// and adopt the cached winner's construction knobs; config.storage
+  /// stays the caller's, since it is part of the cache key. Off by default
+  /// so build() stays bitwise-deterministic for callers that pin
+  /// configurations.
   bool tune_from_cache = false;
 
   /// Device the tuning-cache entries (and partition plans) are keyed by.
@@ -61,10 +62,11 @@ struct BuildOptions {
 /// detail::build_crsd_impl. With opts.tune_from_cache set, a
 /// persistent-cache hit replaces the construction knobs with the cached
 /// winner's (zero measured trials, the OSKI re-ingest path); otherwise the
-/// build is exactly detail::build_crsd_impl(a, opts.config, pool).
+/// build is exactly detail::build_crsd_impl(a, opts.config). The pool is
+/// unused (construction is serial); perfbench's callers still pass one.
 template <Real T>
 CrsdMatrix<T> build(const Coo<T>& a, const BuildOptions& opts = {},
-                    ThreadPool* pool = nullptr) {
+                    ThreadPool* = nullptr) {
   CrsdConfig cfg = opts.config;
   if (opts.tune_from_cache) {
     kernels::AutotuneOptions aopts;
@@ -72,14 +74,10 @@ CrsdMatrix<T> build(const Coo<T>& a, const BuildOptions& opts = {},
     aopts.storage = cfg.storage;
     if (std::optional<kernels::CachedTuning> tuned =
             kernels::load_cached_tuning(opts.device, a, {}, aopts)) {
-      const StorageOptions storage = cfg.storage;
-      const int threads = cfg.threads;
       cfg = tuned->config;
-      cfg.storage = storage;
-      cfg.threads = threads;
     }
   }
-  return detail::build_crsd_impl(a, cfg, pool);
+  return detail::build_crsd_impl(a, cfg);
 }
 
 }  // namespace crsd

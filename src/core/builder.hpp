@@ -15,26 +15,11 @@
 // Every nonzero not covered by a live diagonal is a scatter point; the whole
 // row containing it moves to the ELL-format scatter side matrix (§II-D).
 //
-// Two construction paths share the liveness/coalescing decision code and
-// produce bitwise-identical storage:
-//
-//  * Serial path (CrsdConfig::threads == 1): linear passes, O(1) work per
-//    nonzero. Pass 1 counts each segment's offsets in a flat hash table and
-//    keeps only the keys that can become live: anchors and keys next to an
-//    anchor of their diagonal. One forward walk per row then resolves every
-//    nonzero's diagonal once, placing its value, flagging scatter rows and
-//    recording their COO ranges.
-//  * Parallel pipeline (threads > 1, on a ThreadPool): COO shards split at
-//    row-segment boundaries (the input is row-sorted, so every segment's
-//    nonzeros are one contiguous slice). Stage 1 builds per-segment
-//    diagonal histograms in parallel and merge-sorts them into the global
-//    (diagonal, segment) count table; stage 2 runs live-run discovery per
-//    diagonal in parallel and merges the results into per-segment live
-//    sets; stages 4-6 fill scatter flags, the scatter ELL, and the
-//    diagonal-major value stream over the same shards, with every write
-//    landing on a precomputed slot. All intermediate merges sort by unique
-//    keys, so the output is identical to the serial builder at any thread
-//    count.
+// Construction runs linear passes, O(1) work per nonzero. Pass 1 counts
+// each segment's offsets in a flat hash table and keeps only the keys that
+// can become live: anchors and keys next to an anchor of their diagonal.
+// One forward walk per row then resolves every nonzero's diagonal once,
+// placing its value, flagging scatter rows and recording their COO ranges.
 //
 // An overflow guard refuses matrices whose nnz, per-segment value-slot
 // count, or scatter-ELL slot count exceeds index_t range, throwing a
@@ -49,7 +34,6 @@
 
 #include "check/diagnostics.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/crsd_matrix.hpp"
 #include "core/offset_table.hpp"
@@ -97,13 +81,6 @@ struct CrsdConfig {
   /// stream clean and makes fill statistics meaningful.
   bool zero_scatter_rows_in_dia = true;
 
-  /// Construction parallelism. 1 (the default) runs the serial reference
-  /// path; > 1 runs the parallel pipeline on the ThreadPool passed to
-  /// crsd::build (or the process-global pool when none is given). The
-  /// output is bitwise identical either way; the value is an intent, the
-  /// pool's width bounds the real concurrency.
-  int threads = 1;
-
   /// Storage compaction applied as pass 7 after construction: value-stream
   /// precision and scatter-index representation (core/storage_mode.hpp).
   /// Defaults keep the historical fp64/i32 layout bit for bit.
@@ -118,12 +95,6 @@ struct DiagSegCount {
   index_t seg = 0;
   index_t count = 0;
 };
-
-/// Total order over the unique (diagonal, segment) keys.
-inline bool count_key_less(const DiagSegCount& x, const DiagSegCount& y) {
-  if (x.off != y.off) return x.off < y.off;
-  return x.seg < y.seg;
-}
 
 /// Lanes of segment `seg` that diagonal `off` covers (intersection of the
 /// diagonal's row range with the segment's rows).
@@ -150,8 +121,6 @@ inline bool anchors(const DiagSegCount& c, const CrsdConfig& cfg,
 /// and gap bridging exactly as the header comment describes. counts[i, j)
 /// all carry the same offset, ascending by segment. Appends the diagonal's
 /// final live segments (ascending, bridges included) to `final_segs`.
-/// Shared by the serial and parallel builders so the fill/break decisions
-/// cannot diverge between them.
 inline void live_segments_for_diagonal(const std::vector<DiagSegCount>& counts,
                                        std::size_t i, std::size_t j,
                                        const CrsdConfig& cfg, index_t num_rows,
@@ -241,10 +210,9 @@ inline void throw_on_limit_overflow(std::vector<check::Diagnostic> diags) {
       std::move(diags));
 }
 
-/// Serial construction in linear passes, O(1) work per nonzero. Its
-/// storage must equal build_storage_parallel's bitwise: the determinism
-/// suite and bench_convert compare the two with validate_same_storage, and
-/// the golden construction test pins this path to recorded constants.
+/// Construction in linear passes, O(1) work per nonzero. The golden
+/// construction test (tests/build_golden_test.cpp) pins its storage to
+/// recorded constants.
 template <Real T>
 CrsdStorage<T> build_storage_serial(const Coo<T>& a, const CrsdConfig& cfg) {
   const index_t n = a.num_rows();
@@ -434,290 +402,12 @@ CrsdStorage<T> build_storage_serial(const Coo<T>& a, const CrsdConfig& cfg) {
   return storage;
 }
 
-/// Parallel pipeline construction on `pool`. Work is sharded at row-segment
-/// boundaries; every intermediate merge sorts by unique keys and every
-/// value write lands on a precomputed slot, so the output is bitwise
-/// identical to build_storage_serial at any thread count.
-template <Real T>
-CrsdStorage<T> build_storage_parallel(const Coo<T>& a, const CrsdConfig& cfg,
-                                      ThreadPool& pool) {
-  const index_t n = a.num_rows();
-  const index_t mrows = cfg.mrows;
-  const index_t num_segments = (n + mrows - 1) / mrows;
-  const auto& rows = a.row_indices();
-  const auto& cols = a.col_indices();
-  const auto& vals = a.values();
-  const index_t seg_chunk = std::max<index_t>(
-      1, num_segments / (8 * static_cast<index_t>(pool.num_threads())));
-  const std::int64_t num_shards = (num_segments + seg_chunk - 1) / seg_chunk;
-
-  // COO shard boundaries: the input is row-sorted, so segment s owns the
-  // contiguous slice [seg_ptr[s], seg_ptr[s+1]).
-  obs::Span stage1_span("build/par1_diag_counts", "shards", num_shards);
-  std::vector<size64_t> seg_ptr(static_cast<std::size_t>(num_segments) + 1);
-  seg_ptr[0] = 0;
-  seg_ptr[static_cast<std::size_t>(num_segments)] = a.nnz();
-  parallel_for_each(pool, 1, num_segments, [&](index_t s) {
-    seg_ptr[static_cast<std::size_t>(s)] = static_cast<size64_t>(
-        std::lower_bound(rows.begin(), rows.end(), s * mrows) - rows.begin());
-  });
-
-  // Stage 1: per-thread diagonal/segment histograms over the COO shards.
-  // Each segment's offsets are sorted and run-length encoded into its own
-  // slot, then the per-segment tables are concatenated and merge-sorted by
-  // the unique (diagonal, segment) key — the same table pass 1 of the
-  // serial builder produces.
-  std::vector<std::vector<DiagSegCount>> seg_counts(
-      static_cast<std::size_t>(num_segments));
-  pool.parallel_for_chunked(
-      0, num_segments, seg_chunk, [&](index_t sb, index_t se, int) {
-        std::vector<diag_offset_t> offs;
-        for (index_t seg = sb; seg < se; ++seg) {
-          offs.clear();
-          for (size64_t k = seg_ptr[static_cast<std::size_t>(seg)];
-               k < seg_ptr[static_cast<std::size_t>(seg) + 1]; ++k) {
-            offs.push_back(cols[k] - rows[k]);
-          }
-          std::sort(offs.begin(), offs.end());
-          auto& out = seg_counts[static_cast<std::size_t>(seg)];
-          for (std::size_t i = 0; i < offs.size();) {
-            std::size_t j = i;
-            while (j < offs.size() && offs[j] == offs[i]) ++j;
-            out.push_back(
-                {offs[i], seg, static_cast<index_t>(j - i)});
-            i = j;
-          }
-        }
-      });
-  std::vector<size64_t> count_ptr(static_cast<std::size_t>(num_segments) + 1,
-                                  0);
-  for (index_t s = 0; s < num_segments; ++s) {
-    count_ptr[static_cast<std::size_t>(s) + 1] =
-        count_ptr[static_cast<std::size_t>(s)] +
-        seg_counts[static_cast<std::size_t>(s)].size();
-  }
-  std::vector<DiagSegCount> counts(count_ptr.back());
-  pool.parallel_for_chunked(
-      0, num_segments, seg_chunk, [&](index_t sb, index_t se, int) {
-        for (index_t seg = sb; seg < se; ++seg) {
-          std::copy(seg_counts[static_cast<std::size_t>(seg)].begin(),
-                    seg_counts[static_cast<std::size_t>(seg)].end(),
-                    counts.begin() +
-                        static_cast<std::ptrdiff_t>(
-                            count_ptr[static_cast<std::size_t>(seg)]));
-        }
-      });
-  seg_counts.clear();
-  seg_counts.shrink_to_fit();
-  parallel_sort(pool, counts.begin(), counts.end(), count_key_less);
-  stage1_span.end();
-
-  // Stage 2: live-run discovery per diagonal, in parallel. Each static
-  // chunk of diagonals emits (segment, offset) pairs into its own bucket;
-  // the buckets are merged serially (they are tiny next to nnz) and each
-  // segment's offset set is sorted, which makes the merge order — and thus
-  // the thread count — unobservable.
-  obs::Span stage2_span("build/par2_live_runs");
-  std::vector<std::size_t> diag_begin;
-  for (std::size_t i = 0; i < counts.size();) {
-    diag_begin.push_back(i);
-    std::size_t j = i;
-    while (j < counts.size() && counts[j].off == counts[i].off) ++j;
-    i = j;
-  }
-  const index_t ndiag = static_cast<index_t>(diag_begin.size());
-  diag_begin.push_back(counts.size());
-  std::vector<std::vector<std::pair<index_t, diag_offset_t>>> buckets(
-      static_cast<std::size_t>(pool.num_threads()));
-  pool.parallel_for(0, ndiag, [&](index_t db, index_t de, int tid) {
-    auto& bucket = buckets[static_cast<std::size_t>(tid)];
-    std::vector<index_t> final_segs;
-    for (index_t di = db; di < de; ++di) {
-      const std::size_t i = diag_begin[static_cast<std::size_t>(di)];
-      const std::size_t j = diag_begin[static_cast<std::size_t>(di) + 1];
-      final_segs.clear();
-      live_segments_for_diagonal(counts, i, j, cfg, n, a.num_cols(),
-                                 final_segs);
-      for (index_t s : final_segs) bucket.emplace_back(s, counts[i].off);
-    }
-  });
-  std::vector<std::vector<diag_offset_t>> live(
-      static_cast<std::size_t>(num_segments));
-  for (const auto& bucket : buckets) {
-    for (const auto& [s, off] : bucket) {
-      live[static_cast<std::size_t>(s)].push_back(off);
-    }
-  }
-  parallel_for_each(pool, 0, num_segments, [&](index_t s) {
-    auto& set = live[static_cast<std::size_t>(s)];
-    std::sort(set.begin(), set.end());
-  });
-  stage2_span.end();
-
-  // Stage 3: pattern-run coalescing — inherently sequential over the (few)
-  // segments and shared with the serial path.
-  CrsdStorage<T> storage;
-  storage.num_rows = n;
-  storage.num_cols = a.num_cols();
-  storage.mrows = mrows;
-  storage.nnz = a.nnz();
-  {
-    obs::Span span("build/par3_coalesce");
-    storage.patterns = coalesce_live_sets(live, mrows);
-    span.set_arg("patterns",
-                 static_cast<std::int64_t>(storage.patterns.size()));
-  }
-
-  std::vector<size64_t> base(storage.patterns.size() + 1, 0);
-  for (std::size_t p = 0; p < storage.patterns.size(); ++p) {
-    base[p + 1] = base[p] + static_cast<size64_t>(
-                                storage.patterns[p].num_segments) *
-                                storage.patterns[p].slots_per_segment(mrows);
-  }
-  std::vector<index_t> pattern_of_seg(static_cast<std::size_t>(num_segments));
-  std::vector<index_t> first_seg(storage.patterns.size());
-  {
-    index_t seg = 0;
-    for (std::size_t p = 0; p < storage.patterns.size(); ++p) {
-      first_seg[p] = seg;
-      for (index_t s = 0; s < storage.patterns[p].num_segments; ++s) {
-        pattern_of_seg[static_cast<std::size_t>(seg++)] =
-            static_cast<index_t>(p);
-      }
-    }
-  }
-
-  // Stage 4: scatter-row flags over the shards. Rows never span segments,
-  // so each flag byte has exactly one writing shard (std::vector<bool>
-  // would pack bits and race).
-  obs::Span stage4_span("build/par4_scatter_flags", "shards", num_shards);
-  std::vector<std::uint8_t> is_scatter(static_cast<std::size_t>(n), 0);
-  pool.parallel_for_chunked(
-      0, num_segments, seg_chunk, [&](index_t sb, index_t se, int) {
-        for (index_t seg = sb; seg < se; ++seg) {
-          const auto& offs =
-              storage.patterns[static_cast<std::size_t>(
-                                   pattern_of_seg[static_cast<std::size_t>(
-                                       seg)])]
-                  .offsets;
-          for (size64_t k = seg_ptr[static_cast<std::size_t>(seg)];
-               k < seg_ptr[static_cast<std::size_t>(seg) + 1]; ++k) {
-            const diag_offset_t off = cols[k] - rows[k];
-            if (!std::binary_search(offs.begin(), offs.end(), off)) {
-              is_scatter[static_cast<std::size_t>(rows[k])] = 1;
-            }
-          }
-        }
-      });
-
-  // Stage 5: scatter ELL. Slot assignment (ascending row numbers) is a
-  // cheap serial scan; the per-row nonzero counts and the column-major
-  // fill run over the shards — every scatter row belongs to exactly one
-  // shard, so its fill cursor has one writer and its entries land in COO
-  // (ascending column) order, as in the serial builder.
-  stage4_span.end();
-  obs::Span stage5_span("build/par5_scatter_ell", "shards", num_shards);
-  std::vector<index_t> scatter_slot_of_row(static_cast<std::size_t>(n),
-                                           kInvalidIndex);
-  for (index_t r = 0; r < n; ++r) {
-    if (is_scatter[static_cast<std::size_t>(r)] != 0) {
-      scatter_slot_of_row[static_cast<std::size_t>(r)] =
-          static_cast<index_t>(storage.scatter_rowno.size());
-      storage.scatter_rowno.push_back(r);
-    }
-  }
-  const index_t nsr = static_cast<index_t>(storage.scatter_rowno.size());
-  if (nsr > 0) {
-    std::vector<index_t> row_nnz(static_cast<std::size_t>(nsr), 0);
-    pool.parallel_for_chunked(
-        0, num_segments, seg_chunk, [&](index_t sb, index_t se, int) {
-          for (size64_t k = seg_ptr[static_cast<std::size_t>(sb)];
-               k < seg_ptr[static_cast<std::size_t>(se)]; ++k) {
-            const index_t slot_row =
-                scatter_slot_of_row[static_cast<std::size_t>(rows[k])];
-            if (slot_row != kInvalidIndex) {
-              ++row_nnz[static_cast<std::size_t>(slot_row)];
-            }
-          }
-        });
-    for (index_t w : row_nnz) {
-      storage.scatter_width = std::max(storage.scatter_width, w);
-    }
-    throw_on_limit_overflow(check_build_limits(
-        a.nnz(), mrows, &storage.patterns, static_cast<size64_t>(nsr),
-        static_cast<size64_t>(storage.scatter_width)));
-    const size64_t slots = static_cast<size64_t>(storage.scatter_width) * nsr;
-    storage.scatter_col.assign(slots, kInvalidIndex);
-    storage.scatter_val.assign(slots, T(0));
-    std::vector<index_t> fill(static_cast<std::size_t>(nsr), 0);
-    pool.parallel_for_chunked(
-        0, num_segments, seg_chunk, [&](index_t sb, index_t se, int) {
-          for (size64_t k = seg_ptr[static_cast<std::size_t>(sb)];
-               k < seg_ptr[static_cast<std::size_t>(se)]; ++k) {
-            const index_t slot_row =
-                scatter_slot_of_row[static_cast<std::size_t>(rows[k])];
-            if (slot_row == kInvalidIndex) continue;
-            index_t& f = fill[static_cast<std::size_t>(slot_row)];
-            const size64_t slot = static_cast<size64_t>(f) * nsr +
-                                  static_cast<size64_t>(slot_row);
-            storage.scatter_col[slot] = cols[k];
-            storage.scatter_val[slot] = vals[k];
-            ++f;
-          }
-        });
-  } else {
-    throw_on_limit_overflow(
-        check_build_limits(a.nnz(), mrows, &storage.patterns, 0, 0));
-  }
-
-  // Stage 6: diagonal-major value packing over the shards. Every nonzero's
-  // slot is fully determined by the precomputed pattern bases, so writes
-  // are disjoint and order-free.
-  stage5_span.set_arg("scatter_rows", nsr);
-  stage5_span.end();
-  obs::Span stage6_span("build/par6_place_values", "shards", num_shards);
-  storage.dia_val.assign(base.back(), T(0));
-  pool.parallel_for_chunked(
-      0, num_segments, seg_chunk, [&](index_t sb, index_t se, int) {
-        for (index_t seg = sb; seg < se; ++seg) {
-          const index_t p = pattern_of_seg[static_cast<std::size_t>(seg)];
-          const auto& pat = storage.patterns[static_cast<std::size_t>(p)];
-          const index_t seg_in_p =
-              seg - first_seg[static_cast<std::size_t>(p)];
-          const size64_t seg_base =
-              base[static_cast<std::size_t>(p)] +
-              static_cast<size64_t>(seg_in_p) * pat.slots_per_segment(mrows);
-          for (size64_t k = seg_ptr[static_cast<std::size_t>(seg)];
-               k < seg_ptr[static_cast<std::size_t>(seg) + 1]; ++k) {
-            const index_t r = rows[k];
-            if (cfg.zero_scatter_rows_in_dia &&
-                is_scatter[static_cast<std::size_t>(r)] != 0) {
-              continue;
-            }
-            const diag_offset_t off = cols[k] - r;
-            const auto it =
-                std::lower_bound(pat.offsets.begin(), pat.offsets.end(), off);
-            if (it == pat.offsets.end() || *it != off) continue;
-            const index_t d = static_cast<index_t>(it - pat.offsets.begin());
-            const size64_t slot = seg_base +
-                                  static_cast<size64_t>(d) * mrows +
-                                  static_cast<size64_t>(r % mrows);
-            storage.dia_val[slot] = vals[k];
-          }
-        }
-      });
-  stage6_span.end();
-  return storage;
-}
-
 /// Pass 7: storage compaction (core/storage_mode.hpp). Always records the
 /// per-pattern index width — entries are narrowable to 2 bytes when the
 /// pattern's diagonal offsets fit int16 and its segment/start-row counters
 /// fit uint16 (diagonal addressing stores offsets, not absolute columns,
 /// which is what makes this possible on banded matrices) — then re-encodes
-/// the value streams and scatter columns as requested. Runs after either
-/// construction path on identical input, so serial and parallel builds stay
-/// bitwise identical in every mode.
+/// the value streams and scatter columns as requested.
 template <Real T>
 void compact_storage(CrsdStorage<T>& storage, const StorageOptions& opts) {
   const index_t mrows = storage.mrows;
@@ -778,13 +468,10 @@ void compact_storage(CrsdStorage<T>& storage, const StorageOptions& opts) {
 
 namespace detail {
 
-/// Builds a CRSD matrix from canonical COO. With cfg.threads > 1 the
-/// parallel pipeline runs on `pool` (or the process-global pool when null);
-/// the result is bitwise identical to the serial reference either way.
-/// Implementation behind crsd::build (core/build_api.hpp).
+/// Builds a CRSD matrix from canonical COO. Implementation behind
+/// crsd::build (core/build_api.hpp).
 template <Real T>
-CrsdMatrix<T> build_crsd_impl(const Coo<T>& a, const CrsdConfig& cfg = {},
-                              ThreadPool* pool = nullptr) {
+CrsdMatrix<T> build_crsd_impl(const Coo<T>& a, const CrsdConfig& cfg = {}) {
   obs::Span span("build/build_crsd", "nnz",
                  static_cast<std::int64_t>(a.nnz()));
   CRSD_CHECK_MSG(a.is_canonical(), "CRSD requires canonical COO input");
@@ -799,17 +486,7 @@ CrsdMatrix<T> build_crsd_impl(const Coo<T>& a, const CrsdConfig& cfg = {},
   detail::throw_on_limit_overflow(
       detail::check_build_limits(a.nnz(), cfg.mrows, nullptr, 0, 0));
 
-  CrsdStorage<T> storage;
-  ThreadPool* effective = nullptr;
-  if (cfg.threads > 1) {
-    effective = pool != nullptr ? pool : &ThreadPool::global();
-    if (effective->num_threads() <= 1) effective = nullptr;
-  }
-  if (effective != nullptr) {
-    storage = detail::build_storage_parallel(a, cfg, *effective);
-  } else {
-    storage = detail::build_storage_serial(a, cfg);
-  }
+  CrsdStorage<T> storage = detail::build_storage_serial(a, cfg);
 
   {
     obs::Span pass7_span("build/pass7_compact");

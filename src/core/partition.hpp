@@ -27,7 +27,6 @@
 #include "check/diagnostics.hpp"
 #include "check/validate.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/builder.hpp"
 #include "core/crsd_matrix.hpp"
@@ -327,8 +326,7 @@ class PartitionedMatrix {
   /// Builds each region's container from its row slice. Throws a
   /// kPlanPartition DiagnosticError when the region list is not a valid
   /// partition of `a`'s rows.
-  static PartitionedMatrix build(const Coo<T>& a, const PartitionPlan& plan,
-                                 ThreadPool* pool = nullptr) {
+  static PartitionedMatrix build(const Coo<T>& a, const PartitionPlan& plan) {
     obs::Span span("partition/build", "regions",
                    static_cast<std::int64_t>(plan.regions.size()));
     std::vector<check::Diagnostic> diags =
@@ -345,7 +343,7 @@ class PartitionedMatrix {
       Part part;
       part.region = region;
       part.crsd = std::make_unique<CrsdMatrix<T>>(
-          detail::build_crsd_impl(slice, region.config, pool));
+          detail::build_crsd_impl(slice, region.config));
       m.parts_.push_back(std::move(part));
     }
     return m;

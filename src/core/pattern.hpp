@@ -62,9 +62,7 @@ struct DiagonalPattern {
 std::string pattern_to_string(const DiagonalPattern& p);
 
 /// Merges per-segment live-diagonal sets (ascending offsets, one set per
-/// row segment) into maximal equal-set pattern runs — builder pass 3. Both
-/// the serial and the parallel builder derive their pattern list through
-/// this one function, so run coalescing cannot diverge between them.
+/// row segment) into maximal equal-set pattern runs — builder pass 3.
 /// Consumes the sets (they are moved into the patterns).
 std::vector<DiagonalPattern> coalesce_live_sets(
     std::vector<std::vector<diag_offset_t>>& live_sets, index_t mrows);

@@ -379,12 +379,11 @@ AutotuneResult autotune_crsd(gpusim::Device& dev, const Coo<T>& a,
                  "no candidate was legal on this device (mrows must be a "
                  "multiple of the wavefront size)");
 
-  // Phase 1: build every candidate container concurrently (each build runs
-  // the serial path inside its task — the pool is already saturated across
-  // candidates) and predict its launch time statically: replay the
-  // candidate's metadata-determined address streams through the coalescing
-  // model and feed the counters into the device's timing formula. No trial
-  // launch, no value data; deterministic, so concurrent tuners agree.
+  // Phase 1: build every candidate container concurrently (one build per
+  // task) and predict its launch time statically: replay the candidate's
+  // metadata-determined address streams through the coalescing model and
+  // feed the counters into the device's timing formula. No trial launch,
+  // no value data; deterministic, so concurrent tuners agree.
   std::vector<std::unique_ptr<CrsdMatrix<T>>> mats(configs.size());
   std::vector<double> predicted(configs.size(), 0.0);
   {

@@ -200,8 +200,7 @@ PlannedPartition plan_partition_cached(const gpusim::DeviceSpec& spec,
           std::vector<T> y(static_cast<std::size_t>(slice.num_rows()));
           CrsdConfig cfg = region.config;
           cfg.mrows = candidates[c];
-          const CrsdMatrix<T> m =
-              crsd::detail::build_crsd_impl(slice, cfg, nullptr);
+          const CrsdMatrix<T> m = crsd::detail::build_crsd_impl(slice, cfg);
           seconds[c] =
               gpu_spmv_crsd(trial_dev, m, x.data(), y.data(), {}, nullptr)
                   .seconds;
@@ -292,7 +291,7 @@ PartitionedMatrix<T> build_partitioned(const Coo<T>& a,
                                            nullptr) {
   kernels::PlannedPartition p =
       kernels::plan_partition_cached(opts.device, a, opts, pool);
-  PartitionedMatrix<T> m = PartitionedMatrix<T>::build(a, p.plan, pool);
+  PartitionedMatrix<T> m = PartitionedMatrix<T>::build(a, p.plan);
   if (planned != nullptr) *planned = std::move(p);
   return m;
 }

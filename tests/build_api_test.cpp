@@ -1,10 +1,10 @@
 // Facade-parity suite for the unified build API: crsd::build must produce
 // bitwise-identical storage to the builder it wraps, detail::build_crsd_impl
-// (via check::validate_same_storage), across every storage mode and thread
-// count, the CrsdConfig bridge conversion must keep designated-initializer
-// call sites working, and tune_from_cache must adopt a cached autotune
-// winner — construction knobs only, the caller's storage/threads stay — with
-// zero measured trials.
+// (via check::validate_same_storage), across every storage mode, the
+// CrsdConfig bridge conversion must keep designated-initializer call sites
+// working, and tune_from_cache must adopt a cached autotune winner —
+// construction knobs only, the caller's storage stays — with zero measured
+// trials.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -58,20 +58,6 @@ TEST(BuildApiParity, MatchesLegacyBuilderBitwiseAcrossStorageModes) {
   }
 }
 
-TEST(BuildApiParity, MatchesLegacyParallelBuilderBitwise) {
-  const auto a = mixed_matrix();
-  for (int threads : {2, 4}) {
-    CrsdConfig cfg;
-    cfg.mrows = 32;
-    cfg.threads = threads;
-    ThreadPool pool(threads);
-    const auto legacy = detail::build_crsd_impl(a, cfg, &pool);
-    const auto unified = build(a, cfg, &pool);
-    EXPECT_TRUE(check::validate_same_storage(unified, legacy).empty())
-        << threads << " threads";
-  }
-}
-
 TEST(BuildApiParity, DefaultOptionsMatchDefaultLegacyBuild) {
   const auto a = mixed_matrix();
   const auto legacy = detail::build_crsd_impl(a, CrsdConfig{});
@@ -108,17 +94,25 @@ TEST(BuildApiTuning, AdoptsCachedAutotuneWinner) {
   opts.tune_from_cache = true;
   opts.device = dev.spec();
   opts.cache_dir = dir.string();
-  opts.config.threads = 3;
-  ThreadPool pool(3);
-  const auto m = build(a, opts, &pool);
+  const auto m = build(a, opts);
   EXPECT_EQ(m.mrows(), tuned.best_config.mrows) << tuned.summary();
 
   // The cached winner must reproduce exactly what building with its config
   // produces — cache adoption changes which knobs are used, not the build.
-  CrsdConfig direct_cfg = tuned.best_config;
-  direct_cfg.threads = 3;
-  const auto direct = build(a, direct_cfg, &pool);
+  const auto direct = build(a, tuned.best_config);
   EXPECT_TRUE(check::validate_same_storage(m, direct).empty());
+
+  // Compact storage keys its own cache entry, and adopting that entry keeps
+  // the caller's storage options.
+  topts.storage = {ValuePrecision::kFloat32, true};
+  const auto tuned32 = kernels::autotune_crsd(dev, a, {}, topts);
+  ASSERT_GT(tuned32.measured_trials, 0);
+  opts.config.storage = topts.storage;
+  const auto m32 = build(a, opts);
+  EXPECT_EQ(m32.value_precision(), ValuePrecision::kFloat32);
+  EXPECT_EQ(m32.scatter_index_mode(), ScatterIndexMode::kIndex16);
+  EXPECT_TRUE(
+      check::validate_same_storage(m32, build(a, tuned32.best_config)).empty());
 }
 
 TEST(BuildApiTuning, ColdCacheFallsBackToCallerConfig) {

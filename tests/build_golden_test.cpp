@@ -1,9 +1,9 @@
-// Golden construction test: freezes the serial builder's output. Each case
+// Golden construction test: freezes the builder's output. Each case
 // builds one matrix under one CrsdConfig and compares fnv1a64 of the
 // write_crsd stream, and structure_hash of the input, with constants
 // recorded from an earlier builder. A change to any storage byte (pattern,
 // value slot, scatter row, ELL slot) or to the structure hash that keys the
-// tune and partition caches fails here, whatever the parallel pipeline does.
+// tune and partition caches fails here.
 //
 // A mismatch prints the whole table as computed. Paste it only for a
 // deliberate storage-format change, and say which bytes moved and why.
@@ -113,6 +113,20 @@ constexpr Golden kGolden[] = {
     {"zoo/4/m64", 0x13762a5bbb27e5bdull, 0x94ea93eb5ce692a0ull},
     {"zoo/5/m16", 0x4912fdfdc043bcfaull, 0x7b1e7bbbece662c6ull},
     {"zoo/5/m64", 0xdad9199584d6312eull, 0x7b1e7bbbece662c6ull},
+    {"edge/empty_5x7/m16", 0x68784cf0bbf583c0ull, 0xd60524104e20f207ull},
+    {"edge/one_entry_64x64/m16", 0x3a27dc00e1a094f9ull, 0x5417866cdfe2c4f2ull},
+    {"edge/row_1x200/m16", 0x68266de28c61a84eull, 0x20173644de2642c8ull},
+    {"edge/band_7x2/m16", 0x0c4bb4f7accdaef6ull, 0x8bc82bf747148d10ull},
+    {"broken/gap0/fill25/zero/m32", 0x88c0ff18fbfbe557ull, 0x2cbf12e3042e44c7ull},
+    {"broken/gap0/fill25/keep/m32", 0x88c0ff18fbfbe557ull, 0x2cbf12e3042e44c7ull},
+    {"broken/gap0/fill75/zero/m32", 0x922a582e5564600eull, 0x2cbf12e3042e44c7ull},
+    {"broken/gap0/fill75/keep/m32", 0x6f802e5fddfa56e9ull, 0x2cbf12e3042e44c7ull},
+    {"broken/gap4/fill25/zero/m32", 0x88c0ff18fbfbe557ull, 0x2cbf12e3042e44c7ull},
+    {"broken/gap4/fill25/keep/m32", 0x88c0ff18fbfbe557ull, 0x2cbf12e3042e44c7ull},
+    {"broken/gap4/fill75/zero/m32", 0x922a582e5564600eull, 0x2cbf12e3042e44c7ull},
+    {"broken/gap4/fill75/keep/m32", 0x6f802e5fddfa56e9ull, 0x2cbf12e3042e44c7ull},
+    {"bridge/gap1/m32", 0x6d180cb8c8124eb8ull, 0x3747a5a82cce1d76ull},
+    {"bridge/gap4/m32", 0x3acbf40b6828ddcbull, 0x3747a5a82cce1d76ull},
 };
 // clang-format on
 
@@ -145,7 +159,9 @@ Coo<double> random_sparse(index_t n, index_t m, size64_t nnz, int seed) {
   return a;
 }
 
-/// The structure zoo of convert_parallel_test.cpp, same shapes and seeds.
+/// Structure zoo: each entry stresses a different builder path (pure
+/// diagonals, ragged edge extension, gap bridging vs breaking, scatter
+/// extraction, diagonal-structure-free).
 std::vector<Coo<double>> structure_zoo() {
   std::vector<Coo<double>> zoo;
   Rng rng(7);
@@ -154,9 +170,42 @@ std::vector<Coo<double>> structure_zoo() {
   zoo.push_back(full_diagonals(257, {-64, -1, 0, 1, 64}, rng));
   zoo.push_back(broken_diagonals(
       300, {{-40, 0.55, 11}, {0, 1.0, 1}, {40, 0.7, 12}}, rng));
-  zoo.push_back(random_sparse(400, 400, 2500, 41));
-  zoo.push_back(random_sparse(96, 512, 900, 42));
+  zoo.push_back(random_sparse(400, 400, 2500, 41));  // scatter-dominated
+  zoo.push_back(random_sparse(96, 512, 900, 42));    // wide rectangular
   return zoo;
+}
+
+/// Degenerate inputs: no nonzeros, a lone entry in the last row, one wide
+/// row, and fewer rows than one 16-row segment.
+constexpr const char* kEdgeNames[] = {"empty_5x7", "one_entry_64x64",
+                                      "row_1x200", "band_7x2"};
+std::vector<Coo<double>> edge_cases() {
+  std::vector<Coo<double>> edges;
+  edges.emplace_back(5, 7);
+  edges.emplace_back(64, 64);
+  edges.back().add(63, 0, 2.5);
+  edges.emplace_back(1, 200);
+  for (index_t c = 0; c < 200; c += 3) edges.back().add(0, c, double(c + 1));
+  edges.push_back(dense_band(7, 2));
+  for (auto& a : edges) a.canonicalize();
+  return edges;
+}
+
+/// Three broken diagonals for the knob sweep at mrows 32: gap bridging,
+/// the anchor fill threshold and scatter-row zeroing off their defaults.
+Coo<double> broken_sweep() {
+  Rng rng(24);
+  return broken_diagonals(256, {{-30, 0.5, 21}, {0, 0.9, 7}, {30, 0.6, 9}},
+                          rng);
+}
+
+/// One off-diagonal in two live runs three dead 32-row segments apart (the
+/// knob sweep's idle sections are shorter than a segment, so its gap
+/// setting stores the same bytes): gap 4 bridges them with zero fill,
+/// where the default gap 1 breaks the diagonal.
+Coo<double> three_segment_gap() {
+  Rng rng(24);
+  return broken_diagonals(512, {{-30, 0.5, 2}}, rng);
 }
 
 /// bench_partition's partially diagonal members, same shapes and seeds.
@@ -201,6 +250,34 @@ std::vector<Case> cases() {
       out.push_back({"zoo/" + std::to_string(z) + "/m" + std::to_string(mrows),
                      [z] { return structure_zoo()[z]; }, cfg});
     }
+  }
+  for (std::size_t e = 0; e < std::size(kEdgeNames); ++e) {
+    CrsdConfig cfg;
+    cfg.mrows = 16;
+    out.push_back({std::string("edge/") + kEdgeNames[e] + "/m16",
+                   [e] { return edge_cases()[e]; }, cfg});
+  }
+  for (index_t gap : {0, 4}) {
+    for (double fill : {0.25, 0.75}) {
+      for (bool zero_scatter : {true, false}) {
+        CrsdConfig cfg;
+        cfg.mrows = 32;
+        cfg.fill_max_gap_segments = gap;
+        cfg.live_min_fill = fill;
+        cfg.zero_scatter_rows_in_dia = zero_scatter;
+        out.push_back({"broken/gap" + std::to_string(gap) +
+                           (fill < 0.5 ? "/fill25" : "/fill75") +
+                           (zero_scatter ? "/zero" : "/keep") + "/m32",
+                       broken_sweep, cfg});
+      }
+    }
+  }
+  for (index_t gap : {1, 4}) {
+    CrsdConfig cfg;
+    cfg.mrows = 32;
+    cfg.fill_max_gap_segments = gap;
+    out.push_back({"bridge/gap" + std::to_string(gap) + "/m32",
+                   three_segment_gap, cfg});
   }
   return out;
 }

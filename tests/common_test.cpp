@@ -6,6 +6,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <sstream>
@@ -209,6 +210,31 @@ TEST(ThreadPool, UrgentTasksKeepFifoOrder) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_LE(std::abs(order[static_cast<std::size_t>(i)] - i), 1);
   }
+}
+
+TEST(ThreadPool, RunTasksExecutesEveryTaskOnce) {
+  ThreadPool pool(4);
+  std::vector<int> hits(257, 0);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    tasks.push_back([&hits, i] { ++hits[i]; });
+  }
+  pool.run_tasks(tasks);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << "task " << i;
+  }
+  pool.run_tasks({});  // empty set is a no-op
+}
+
+TEST(ThreadPool, RunTasksPropagatesExceptions) {
+  ThreadPool pool(4);
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 32; ++i) {
+    tasks.push_back([i] {
+      if (i == 17) throw Error("task 17 failed");
+    });
+  }
+  EXPECT_THROW(pool.run_tasks(tasks), Error);
 }
 
 TEST(Hash, StableAndCollisionFreeOnSmallSet) {

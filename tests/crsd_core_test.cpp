@@ -1,10 +1,13 @@
 // Unit tests for the CRSD core: AD/NAD grouping, the paper's Fig. 2 worked
 // example, idle-section fill/break behaviour, scatter extraction, SpMV
-// correctness and stats/footprint accounting.
+// correctness, stats/footprint accounting and the index_t overflow guard
+// (with an injected limit, so the tests need no 2^31-entry matrices).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/build_api.hpp"
@@ -334,6 +337,52 @@ TEST(Builder, RejectsBadConfig) {
   CrsdConfig bad_fill;
   bad_fill.live_min_fill = 1.5;
   EXPECT_THROW(build(a, bad_fill), Error);
+}
+
+// --- Overflow guard -------------------------------------------------------
+
+TEST(Builder, OverflowGuardFlagsNnz) {
+  const auto diags =
+      detail::check_build_limits(/*nnz=*/1001, /*mrows=*/64,
+                                 /*patterns=*/nullptr, 0, 0,
+                                 /*max_index=*/1000);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].code, check::Code::kIndexOverflow);
+  EXPECT_THROW(detail::throw_on_limit_overflow(diags), check::DiagnosticError);
+  try {
+    detail::throw_on_limit_overflow(diags);
+  } catch (const check::DiagnosticError& e) {
+    ASSERT_EQ(e.diagnostics().size(), 1u);
+    EXPECT_EQ(e.diagnostics()[0].code, check::Code::kIndexOverflow);
+  }
+}
+
+TEST(Builder, OverflowGuardFlagsPatternAndScatterSlots) {
+  std::vector<DiagonalPattern> patterns(1);
+  patterns[0].num_segments = 1;
+  patterns[0].offsets.assign(10, 0);  // 10 diagonals x mrows 100 = 1000 slots
+  for (std::size_t i = 0; i < patterns[0].offsets.size(); ++i) {
+    patterns[0].offsets[i] = static_cast<diag_offset_t>(i);
+  }
+  const auto pattern_diags = detail::check_build_limits(
+      /*nnz=*/10, /*mrows=*/100, &patterns, 0, 0, /*max_index=*/999);
+  ASSERT_EQ(pattern_diags.size(), 1u);
+  EXPECT_EQ(pattern_diags[0].code, check::Code::kIndexOverflow);
+  EXPECT_EQ(pattern_diags[0].offset, 0);  // names the offending pattern
+
+  const auto ell_diags = detail::check_build_limits(
+      /*nnz=*/10, /*mrows=*/100, &patterns,
+      /*num_scatter_rows=*/50, /*scatter_width=*/20, /*max_index=*/999);
+  ASSERT_EQ(ell_diags.size(), 2u);  // pattern slots + 50*20 ELL slots
+  EXPECT_EQ(ell_diags[1].code, check::Code::kIndexOverflow);
+}
+
+TEST(Builder, OverflowGuardPassesNormalMatrices) {
+  EXPECT_NO_THROW(build(dense_band(200, 2), CrsdConfig{.mrows = 32}));
+  EXPECT_TRUE(detail::check_build_limits(
+                  /*nnz=*/std::numeric_limits<index_t>::max(), 64, nullptr, 0,
+                  0)
+                  .empty());
 }
 
 }  // namespace

@@ -271,5 +271,16 @@ TEST(Validate, DiagnosticsFormatNamesTheCheck) {
             std::string::npos);
 }
 
+TEST(Validate, SameStorageOracleDetectsDifferences) {
+  const auto a = dense_band(128, 2);
+  const auto m1 = build(a, CrsdConfig{.mrows = 32});
+  const auto m2 = build(a, CrsdConfig{.mrows = 64});
+  const auto diags = check::validate_same_storage(m1, m2);
+  ASSERT_FALSE(diags.empty());
+  EXPECT_TRUE(check::has_code(diags, check::Code::kStorageMismatch));
+  // Identity holds reflexively.
+  EXPECT_TRUE(check::validate_same_storage(m1, m1).empty());
+}
+
 }  // namespace
 }  // namespace crsd::check
