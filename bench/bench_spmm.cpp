@@ -1,14 +1,14 @@
 // Batched SpMM vs repeated single-vector SpMV, single thread, on the
-// paper's 23-matrix suite: k right-hand sides through the plan-driven SIMD
-// engine and the register-blocked JIT SpMM codelet, against k sweeps of the
-// single-vector JIT codelet (the strongest SpMV baseline) and k sweeps of
-// the vectorized engine. Also times plan-driven single-vector SpMV against
-// the direct vectorized engine — the ExecPlan must not tax k=1.
+// paper's 23-matrix suite: k right-hand sides through the SpmmEngine,
+// against k sweeps of the single-vector JIT codelet (the strongest SpMV
+// baseline) and k sweeps of the vectorized engine. Also times the engine at
+// k = 1 against the direct vectorized engine — batching must not tax k=1.
 //
-// Every engine's output is parity-checked per column (bitwise against the
-// scalar reference for the interpreted paths, 1e-13 relative for JIT); the
-// process exits nonzero on any parity failure, never on timing, so CI can
-// gate on correctness while timing noise stays informational.
+// The engine's output is parity-checked per column (bitwise against the
+// vectorized single-vector engine, 1e-12 relative against the scalar
+// reference); the process exits nonzero on any parity failure, never on
+// timing, so CI can gate on correctness while timing noise stays
+// informational.
 //
 // Writes BENCH_spmm.json (path overridable via CRSD_BENCH_OUT).
 //
@@ -19,7 +19,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "common/simd.hpp"
 #include "common/timer.hpp"
 #include "core/build_api.hpp"
-#include "core/exec_plan.hpp"
 #include "kernels/cpu_spmm.hpp"
 #include "matrix/paper_suite.hpp"
 #include "suite_runner.hpp"
@@ -43,22 +41,19 @@ struct SpmmRow {
   size64_t nnz = 0;
   double t_kx_jit = 0.0;    ///< k sweeps of the single-vector JIT codelet
   double t_kx_vec = 0.0;    ///< k sweeps of the vectorized engine
-  double t_spmm_simd = 0.0; ///< plan-driven interpreted SpMM engine
-  double t_spmm_jit = 0.0;  ///< register-blocked JIT SpMM codelet
-  double t_spmv_vec = 0.0;  ///< one m.spmv sweep (k = 1 reference)
-  double t_spmv_plan = 0.0; ///< one plan-driven sweep (k = 1)
+  double t_spmm_simd = 0.0;   ///< SpmmEngine::apply over all k columns
+  double t_spmv_vec = 0.0;    ///< one m.spmv sweep (k = 1 reference)
+  double t_spmv_engine = 0.0; ///< one SpmmEngine::apply sweep (k = 1)
   bool parity_ok = true;
 
   double speedup_simd() const {
     const double base = t_kx_jit > 0 ? t_kx_jit : t_kx_vec;
     return t_spmm_simd > 0 ? base / t_spmm_simd : 0.0;
   }
-  double speedup_jit() const {
-    return t_spmm_jit > 0 && t_kx_jit > 0 ? t_kx_jit / t_spmm_jit : 0.0;
-  }
-  /// Plan-driven k=1 sweep relative to the direct engine (<= 1 is faster).
-  double plan_spmv_ratio() const {
-    return t_spmv_vec > 0 && t_spmv_plan > 0 ? t_spmv_plan / t_spmv_vec : 0.0;
+  /// Engine k=1 sweep relative to the direct engine (<= 1 is faster).
+  double engine_spmv_ratio() const {
+    return t_spmv_vec > 0 && t_spmv_engine > 0 ? t_spmv_engine / t_spmv_vec
+                                               : 0.0;
   }
 };
 
@@ -104,30 +99,26 @@ void write_json(const std::vector<SpmmRow>& rows, const SuiteOptions& opts,
         buf, sizeof(buf),
         "    {\"id\": %d, \"name\": \"%s\", \"rows\": %d, \"nnz\": %llu, "
         "\"t_kx_jit\": %.3e, \"t_kx_vec\": %.3e, \"t_spmm_simd\": %.3e, "
-        "\"t_spmm_jit\": %.3e, \"t_spmv_vec\": %.3e, \"t_spmv_plan\": %.3e, "
-        "\"speedup_simd\": %.3f, \"speedup_jit\": %.3f, "
-        "\"plan_spmv_ratio\": %.3f, \"parity_ok\": %s}%s\n",
+        "\"t_spmv_vec\": %.3e, \"t_spmv_engine\": %.3e, "
+        "\"speedup_simd\": %.3f, \"engine_spmv_ratio\": %.3f, "
+        "\"parity_ok\": %s}%s\n",
         r.id, r.name.c_str(), r.rows, static_cast<unsigned long long>(r.nnz),
-        r.t_kx_jit, r.t_kx_vec, r.t_spmm_simd, r.t_spmm_jit, r.t_spmv_vec,
-        r.t_spmv_plan, r.speedup_simd(), r.speedup_jit(), r.plan_spmv_ratio(),
+        r.t_kx_jit, r.t_kx_vec, r.t_spmm_simd, r.t_spmv_vec, r.t_spmv_engine,
+        r.speedup_simd(), r.engine_spmv_ratio(),
         r.parity_ok ? "true" : "false", i + 1 < rows.size() ? "," : "");
     out << buf;
   }
-  std::vector<double> ss, sj, pr;
+  std::vector<double> ss, er;
   for (const auto& r : rows) {
     if (r.speedup_simd() > 0) ss.push_back(r.speedup_simd());
-    if (r.speedup_jit() > 0) sj.push_back(r.speedup_jit());
-    if (r.plan_spmv_ratio() > 0) pr.push_back(r.plan_spmv_ratio());
+    if (r.engine_spmv_ratio() > 0) er.push_back(r.engine_spmv_ratio());
   }
   char buf[320];
   std::snprintf(
       buf, sizeof(buf),
       "  ],\n  \"summary\": {\"geomean_speedup_simd\": %.3f, "
-      "\"geomean_speedup_jit\": %.3f, \"min_speedup_jit\": %.3f, "
-      "\"geomean_plan_spmv_ratio\": %.3f, \"parity_ok\": %s}\n}\n",
-      geomean(ss), geomean(sj),
-      sj.empty() ? 0.0 : *std::min_element(sj.begin(), sj.end()),
-      geomean(pr), all_parity_ok ? "true" : "false");
+      "\"geomean_engine_spmv_ratio\": %.3f, \"parity_ok\": %s}\n}\n",
+      geomean(ss), geomean(er), all_parity_ok ? "true" : "false");
   out << buf;
 }
 
@@ -154,9 +145,8 @@ int main(int argc, char** argv) {
   std::printf("scale %.3f, mrows %d, vector width %d bytes, jit %s\n\n",
               opts.scale, opts.mrows, simd::kVectorBytes,
               with_jit ? "on" : "off");
-  std::printf("%3s %-14s %9s | %9s %9s %9s | %7s %7s %7s %6s\n", "id",
-              "matrix", "rows", "k*jit(ms)", "simd(ms)", "jit(ms)", "simd-x",
-              "jit-x", "k1-rat", "parity");
+  std::printf("%3s %-14s %9s | %9s %9s | %7s %7s %6s\n", "id", "matrix",
+              "rows", "k*jit(ms)", "simd(ms)", "simd-x", "k1-rat", "parity");
 
   codegen::JitCompiler compiler;
   std::vector<SpmmRow> rows;
@@ -176,10 +166,7 @@ int main(int argc, char** argv) {
     std::vector<double> y(ldy * static_cast<size64_t>(k), 0.0);
     std::vector<double> y_ref(y.size(), 0.0);
 
-    ExecPlanOptions plan_opts;
-    plan_opts.num_threads = 1;
-    const ExecPlan<double> plan = ExecPlan<double>::inspect(m, plan_opts);
-    const SpmmEngine<double> engine(m, plan);
+    const SpmmEngine<double> engine(m);
 
     // Per-column scalar reference — the bitwise ground truth.
     for (index_t j = 0; j < k; ++j) {
@@ -193,9 +180,9 @@ int main(int argc, char** argv) {
     r.rows = n_rows;
     r.nnz = a.nnz();
 
-    // Interpreted plan-driven SpMM: must match the scalar reference
-    // bitwise, column by column (same per-row accumulation order).
-    engine.apply_seq(x.data(), ldx, y.data(), ldy, k);
+    // Interpreted SpMM: must match the scalar reference bitwise, column by
+    // column (same per-row accumulation order).
+    engine.apply(x.data(), ldx, y.data(), ldy, k);
     // spmv_scalar's edge path matches spmv's; full interior comparison uses
     // the vectorized single-vector engine, which is the documented bitwise
     // twin of the SpMM interior kernel.
@@ -222,52 +209,38 @@ int main(int argc, char** argv) {
       }
     });
     r.t_spmm_simd =
-        time_per_rep([&] { engine.apply_seq(x.data(), ldx, y.data(), ldy, k); });
+        time_per_rep([&] { engine.apply(x.data(), ldx, y.data(), ldy, k); });
     r.t_spmv_vec = time_per_rep([&] { m.spmv(x.data(), y.data()); });
-    r.t_spmv_plan =
-        time_per_rep([&] { engine.apply_seq(x.data(), ldx, y.data(), ldy, 1); });
+    r.t_spmv_engine =
+        time_per_rep([&] { engine.apply(x.data(), ldx, y.data(), ldy, 1); });
 
     if (with_jit) {
-      const auto kernel = codegen::make_jit_kernel(m, compiler);
-      const auto spmm_kernel = codegen::make_jit_spmm_kernel(m, compiler);
-      if (kernel && spmm_kernel) {
-        std::fill(y.begin(), y.end(), 0.0);
-        spmm_kernel->apply(m, x.data(), ldx, y.data(), ldy, k);
-        if (!columns_close(y, y_ref, 1e-12)) {
-          r.parity_ok = false;
-          std::fprintf(stderr, "PARITY FAIL (jit spmm vs scalar): matrix %d\n",
-                       r.id);
-        }
+      if (const auto kernel = codegen::make_jit_kernel(m, compiler)) {
         r.t_kx_jit = time_per_rep([&] {
           for (index_t j = 0; j < k; ++j) {
             kernel->spmv(m, x.data() + static_cast<size64_t>(j) * ldx,
                          y.data() + static_cast<size64_t>(j) * ldy);
           }
         });
-        r.t_spmm_jit = time_per_rep(
-            [&] { spmm_kernel->apply(m, x.data(), ldx, y.data(), ldy, k); });
       }
     }
 
     all_parity_ok = all_parity_ok && r.parity_ok;
     rows.push_back(r);
-    std::printf("%3d %-14s %9d | %9.3f %9.3f %9.3f | %6.2fx %6.2fx %6.3f %6s\n",
-                r.id, r.name.c_str(), r.rows, r.t_kx_jit * 1e3,
-                r.t_spmm_simd * 1e3, r.t_spmm_jit * 1e3, r.speedup_simd(),
-                r.speedup_jit(), r.plan_spmv_ratio(),
+    std::printf("%3d %-14s %9d | %9.3f %9.3f | %6.2fx %6.3f %6s\n", r.id,
+                r.name.c_str(), r.rows, r.t_kx_jit * 1e3, r.t_spmm_simd * 1e3,
+                r.speedup_simd(), r.engine_spmv_ratio(),
                 r.parity_ok ? "ok" : "FAIL");
   }
 
-  std::vector<double> ss, sj, pr;
+  std::vector<double> ss, er;
   for (const auto& r : rows) {
     if (r.speedup_simd() > 0) ss.push_back(r.speedup_simd());
-    if (r.speedup_jit() > 0) sj.push_back(r.speedup_jit());
-    if (r.plan_spmv_ratio() > 0) pr.push_back(r.plan_spmv_ratio());
+    if (r.engine_spmv_ratio() > 0) er.push_back(r.engine_spmv_ratio());
   }
-  std::printf("\ngeomean SpMM speedup (k = %d): interpreted %.2fx", k,
-              geomean(ss));
-  if (!sj.empty()) std::printf(", jit %.2fx", geomean(sj));
-  std::printf("; plan k=1 SpMV ratio %.3f\n", geomean(pr));
+  std::printf("\ngeomean SpMM speedup (k = %d): %.2fx; engine k=1 SpMV "
+              "ratio %.3f\n",
+              k, geomean(ss), geomean(er));
 
   const char* out_env = std::getenv("CRSD_BENCH_OUT");
   const std::string out_path =

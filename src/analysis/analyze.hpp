@@ -6,8 +6,7 @@
 //    every address stream the kernel issues and proves or refutes, without
 //    executing anything: (a) global bounds safety of the value / x / y /
 //    index / scatter streams, including the clamped x block-reads; (b)
-//    y-write race-freedom across work-groups and across ExecPlan thread
-//    slices (disjoint-cover checks); (c) barrier uniformity of the
+//    y-write race-freedom across work-groups; (c) barrier uniformity of the
 //    local-memory staging path; (d) local-memory window fit and
 //    read-within-window containment. Everything reported here is a
 //    proof over the model, not an observation of a run: the streams are
@@ -39,7 +38,6 @@
 
 #include "analysis/interval.hpp"
 #include "analysis/launch_model.hpp"
-#include "check/cover.hpp"
 #include "check/diagnostics.hpp"
 #include "common/types.hpp"
 #include "core/storage_mode.hpp"
@@ -353,33 +351,6 @@ inline std::vector<check::Diagnostic> analyze_model(const LaunchModel& lm) {
     }
   }
 
-  // --- ExecPlan thread partition ---------------------------------------
-  if (lm.plan.has_value()) {
-    // Each of the three owned ranges (segments, scatter rows, y rows) must
-    // tile its domain exactly once the thread slices are sorted: a gap
-    // leaves work undone, an overlap means two threads write the same y
-    // rows concurrently.
-    auto check_cover = [&](std::vector<std::array<index_t, 2>> runs,
-                           index_t domain, const char* what) {
-      std::sort(runs.begin(), runs.end());
-      for (const check::Diagnostic& d : check::check_ordered_cover(
-               runs, domain, std::string("ExecPlan ") + what + " slice")) {
-        diags.push_back(detail::make_diag(d.code, Buf::kY, -1, d.message));
-      }
-    };
-    std::vector<std::array<index_t, 2>> seg_runs;
-    std::vector<std::array<index_t, 2>> scatter_runs;
-    std::vector<std::array<index_t, 2>> row_runs;
-    for (const PlanSliceModel& s : *lm.plan) {
-      seg_runs.insert(seg_runs.end(), s.seg_runs.begin(), s.seg_runs.end());
-      scatter_runs.push_back({s.scatter_begin, s.scatter_end});
-      row_runs.push_back({s.row_begin, s.row_end});
-    }
-    check_cover(std::move(seg_runs), lm.num_segments, "segment");
-    check_cover(std::move(scatter_runs), sc.num_scatter_rows, "scatter-row");
-    check_cover(std::move(row_runs), lm.num_rows, "row");
-  }
-
   return diags;
 }
 
@@ -582,19 +553,6 @@ template <Real T>
 AnalysisReport analyze_crsd_launch(const CrsdMatrix<T>& m,
                                    const AnalyzeOptions& opts = {}) {
   const LaunchModel lm = build_launch_model(m, opts);
-  AnalysisReport rep;
-  rep.diagnostics = analyze_model(lm);
-  rep.coalescing = predict_crsd_counters(lm);
-  return rep;
-}
-
-/// Overload with an ExecPlan to verify alongside the launch.
-template <Real T>
-AnalysisReport analyze_crsd_launch(const CrsdMatrix<T>& m,
-                                   const ExecPlan<T>& plan,
-                                   const AnalyzeOptions& opts = {}) {
-  LaunchModel lm = build_launch_model(m, opts);
-  attach_exec_plan(lm, plan, m);
   AnalysisReport rep;
   rep.diagnostics = analyze_model(lm);
   rep.coalescing = predict_crsd_counters(lm);

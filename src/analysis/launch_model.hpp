@@ -7,21 +7,18 @@
 // transaction counters exactly.
 //
 // The model is a plain value type on purpose: tests mutate it to plant
-// defects (an unclamped edge read, an overlapping plan partition, a
-// duplicate scatter target, a divergent barrier) and check that the prover
-// refutes exactly the planted property while the untouched model verifies
-// clean.
+// defects (an unclamped edge read, a duplicate scatter target, a divergent
+// barrier) and check that the prover refutes exactly the planted property
+// while the untouched model verifies clean.
 #pragma once
 
 #include <array>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "core/crsd_matrix.hpp"
-#include "core/exec_plan.hpp"
 #include "core/partition.hpp"
 #include "core/storage_mode.hpp"
 #include "gpusim/device.hpp"
@@ -112,19 +109,8 @@ struct ScatterModel {
   std::vector<index_t> decoded_col;
 };
 
-/// One ExecPlan thread slice projected onto what the race check needs: the
-/// segment runs it executes and the y-row / scatter-row ranges it writes.
-struct PlanSliceModel {
-  std::vector<std::array<index_t, 2>> seg_runs;  ///< [begin, end) global ids
-  index_t scatter_begin = 0;
-  index_t scatter_end = 0;
-  index_t row_begin = 0;
-  index_t row_end = 0;
-};
-
 /// The complete abstract launch: geometry, storage-mode widths, buffer
-/// address map, per-pattern structure, scatter part, and (optionally) the
-/// ExecPlan thread partition to verify.
+/// address map, per-pattern structure and scatter part.
 struct LaunchModel {
   gpusim::DeviceSpec spec;
   bool use_local_memory = true;
@@ -143,7 +129,6 @@ struct LaunchModel {
   std::array<gpusim::Buffer, kNumBuffers> buffers{};
   std::vector<PatternModel> patterns;
   ScatterModel scatter;
-  std::optional<std::vector<PlanSliceModel>> plan;
 
   const gpusim::Buffer& buffer(Buf b) const {
     return buffers[static_cast<std::size_t>(b)];
@@ -239,31 +224,6 @@ LaunchModel build_launch_model(const CrsdMatrix<T>& m,
   lm.scatter.rowno = m.scatter_rows();
   lm.scatter.decoded_col = m.decoded_scatter_col();
   return lm;
-}
-
-/// Projects an ExecPlan's thread partition into the model so the prover can
-/// run the disjoint-cover race check on it. The plan must have been
-/// inspected from the same matrix the model was built from.
-template <Real T>
-void attach_exec_plan(LaunchModel& lm, const ExecPlan<T>& plan,
-                      const CrsdMatrix<T>& m) {
-  plan.check_matches(m);
-  std::vector<PlanSliceModel> slices;
-  slices.reserve(static_cast<std::size_t>(plan.num_threads()));
-  for (int t = 0; t < plan.num_threads(); ++t) {
-    const ThreadSlice& s = plan.slice(t);
-    PlanSliceModel pm;
-    pm.seg_runs.reserve(s.steps.size());
-    for (const PlanStep& step : s.steps) {
-      pm.seg_runs.push_back({step.seg_begin, step.seg_end});
-    }
-    pm.scatter_begin = s.scatter_begin;
-    pm.scatter_end = s.scatter_end;
-    pm.row_begin = s.row_begin;
-    pm.row_end = s.row_end;
-    slices.push_back(std::move(pm));
-  }
-  lm.plan = std::move(slices);
 }
 
 /// One region of a partitioned launch as the analyzer sees it.

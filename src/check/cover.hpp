@@ -1,8 +1,7 @@
 // The ordered-cover check every row-split validator shares: partition
-// regions (core/partition.hpp), multi-device shards (runtime/shard.hpp) and
-// the analyzer's ExecPlan thread slices (analysis/analyze.hpp) all own runs
-// of one index domain that must tile it exactly. A gap leaves work undone;
-// an overlap means two executors write the same y rows.
+// regions (core/partition.hpp) and multi-device shards (runtime/shard.hpp)
+// both own runs of one index domain that must tile it exactly. A gap leaves
+// work undone; an overlap means two executors write the same y rows.
 #pragma once
 
 #include <array>

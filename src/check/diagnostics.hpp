@@ -52,9 +52,9 @@ enum class Code {
   kLintScatterLayout,   ///< scatter loop's baked row count, slot stride,
                         ///< slot count or block extent differ from the
                         ///< container's scatter ELL
-  // Static kernel-access analyzer (crsd::analysis::analyze_model).
-  kPlanPartition,       ///< ExecPlan thread slices do not disjointly cover
-                        ///< their segment/scatter/row domains
+  // Row-split validators (check::check_ordered_cover).
+  kPlanPartition,       ///< partition regions or shards do not disjointly
+                        ///< cover their row/segment domain
   // Task-graph runtime (crsd::rt::TaskGraph::validate).
   kGraphCycle,          ///< dependency cycle among graph nodes (including
                         ///< the implicit in-order edges of each queue)

@@ -108,8 +108,7 @@ class LineChecker {
         lane_loop_(R"(for \(std::int32_t lane = 0; lane < (\d+); \+\+lane\))"),
         lane_array_(R"((?:sums|xg|targets)\[(\d+)\])"),
         col_clamp_(R"(crsd_clampi\([^,]*, 0, (-?\d+)\))"),
-        // x[r], x[r + 5], x[(row0 + lane) - 3], xx[lane + 2], xx[i + -4],
-        // and the SpMM codelets' per-RHS streams xx0[lane + 2] / xk[r - 3] —
+        // x[r], x[r + 5], x[(row0 + lane) - 3], xx[lane + 2], xx[i + -4] —
         // but not x[crsd_clampi(...)] (handled by col_clamp_) or xbuf reads.
         x_access_(R"((?:^|[^a-zA-Z_])(x(?!buf)[a-z0-9]*)\[(r|i|lane|\(row0 \+ lane\))(?: ([+-]) (-?\d+))?\])") {}
 
@@ -191,10 +190,9 @@ class LineChecker {
   std::regex x_access_;
 };
 
-/// Per-line structural checks shared by the SpMV and SpMM CPU codelets:
-/// markers, segment/interior bound clamps, trip counts, baked offsets.
-/// Symbol presence is checked by the per-codelet wrappers (the SpMM codelet
-/// carries one symbol pair per register-block size).
+/// Per-line structural checks of the CPU codelet: markers, segment/interior
+/// bound clamps, trip counts, baked offsets. lint_cpu checks symbol presence
+/// and the scatter function.
 void lint_cpu_body(const LintMeta& meta, const std::string& source,
                    std::vector<Diagnostic>& out) {
   const auto& patterns = *meta.patterns;
@@ -402,34 +400,6 @@ std::vector<Diagnostic> lint_cpu(const LintMeta& meta,
   return out;
 }
 
-std::vector<Diagnostic> lint_cpu_spmm(const LintMeta& meta,
-                                      const std::string& source,
-                                      const std::vector<int>& rhs_blocks,
-                                      const std::string& prefix) {
-  std::vector<Diagnostic> out;
-  for (int rhs : rhs_blocks) {
-    const std::string stem = prefix + "_r" + std::to_string(rhs);
-    for (const char* suffix : {"_diag", "_scatter"}) {
-      const std::string decl = "extern \"C\" void " + stem + suffix + "(";
-      if (source.find(decl) == std::string::npos) {
-        emit(out, Code::kLintMissingSymbol, -1,
-             "expected entry point " + stem + suffix + " not found");
-      }
-    }
-    // The baked register-block width must be declared next to each variant;
-    // a mismatch means the dispatcher would feed the wrong number of
-    // vectors to the unrolled accumulators.
-    const std::string marker =
-        "// rhs_block " + std::to_string(rhs) + " vectors";
-    if (source.find(marker) == std::string::npos) {
-      emit(out, Code::kLintMissingSymbol, -1,
-           "register-block marker \"" + marker + "\" not found");
-    }
-  }
-  lint_cpu_body(meta, source, out);
-  return out;
-}
-
 std::vector<Diagnostic> lint_gpu(const LintMeta& meta,
                                  const std::string& source,
                                  const std::string& prefix) {
@@ -497,13 +467,6 @@ std::vector<Diagnostic> lint_cpu_codelet_source(
 }
 
 template <Real T>
-std::vector<Diagnostic> lint_cpu_spmm_codelet_source(
-    const CrsdMatrix<T>& m, const std::string& source,
-    const std::vector<int>& rhs_blocks, const std::string& symbol_prefix) {
-  return lint_cpu_spmm(make_lint_meta(m), source, rhs_blocks, symbol_prefix);
-}
-
-template <Real T>
 std::vector<Diagnostic> lint_gpu_codelet_source(
     const CrsdMatrix<T>& m, const std::string& source,
     const std::string& symbol_prefix) {
@@ -514,12 +477,6 @@ template std::vector<Diagnostic> lint_cpu_codelet_source<double>(
     const CrsdMatrix<double>&, const std::string&, const std::string&);
 template std::vector<Diagnostic> lint_cpu_codelet_source<float>(
     const CrsdMatrix<float>&, const std::string&, const std::string&);
-template std::vector<Diagnostic> lint_cpu_spmm_codelet_source<double>(
-    const CrsdMatrix<double>&, const std::string&, const std::vector<int>&,
-    const std::string&);
-template std::vector<Diagnostic> lint_cpu_spmm_codelet_source<float>(
-    const CrsdMatrix<float>&, const std::string&, const std::vector<int>&,
-    const std::string&);
 template std::vector<Diagnostic> lint_gpu_codelet_source<double>(
     const CrsdMatrix<double>&, const std::string&, const std::string&);
 template std::vector<Diagnostic> lint_gpu_codelet_source<float>(

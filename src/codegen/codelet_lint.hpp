@@ -42,16 +42,6 @@ std::vector<check::Diagnostic> lint_cpu_codelet_source(
     const CrsdMatrix<T>& m, const std::string& source,
     const std::string& symbol_prefix = "crsd_codelet");
 
-/// Lints CPU SpMM codelet source (generate_cpu_spmm_codelet_source output):
-/// the per-line structural checks of the SpMV lint plus, for every
-/// register-block size in `rhs_blocks`, the <prefix>_r<R>_{diag,scatter}
-/// entry points and the baked rhs_block marker.
-template <Real T>
-std::vector<check::Diagnostic> lint_cpu_spmm_codelet_source(
-    const CrsdMatrix<T>& m, const std::string& source,
-    const std::vector<int>& rhs_blocks,
-    const std::string& symbol_prefix = "crsd_spmm_codelet");
-
 /// Lints simulated-GPU codelet source (generate_gpu_codelet_source output).
 template <Real T>
 std::vector<check::Diagnostic> lint_gpu_codelet_source(

@@ -1,6 +1,7 @@
 #include "codegen/crsd_codegen.hpp"
 
 #include <string>
+#include <vector>
 
 #include "codegen/code_writer.hpp"
 #include "common/error.hpp"
@@ -371,270 +372,6 @@ std::string generate_cpu(const Meta& meta, const CpuCodeletOptions& opts) {
   return w.str();
 }
 
-std::string x_base_expr(const Meta& meta, const DiagonalPattern& p,
-                        diag_offset_t off, const std::string& row_var,
-                        const std::string& base) {
-  const std::string shifted =
-      off == 0 ? row_var
-                : row_var + (off > 0 ? " + " + itos(off)
-                                     : " - " + itos(-std::int64_t{off}));
-  if (offset_in_range(meta, p, off)) return base + "[" + shifted + "]";
-  return base + "[crsd_clampi(" + shifted + ", 0, " + itos(meta.num_cols - 1) +
-         ")]";
-}
-
-/// Lane offset expression for interior accesses: "lane", "lane + 3",
-/// "lane - 2".
-std::string lane_off_expr(diag_offset_t off) {
-  if (off == 0) return "lane";
-  return off > 0 ? "lane + " + itos(off)
-                 : "lane - " + itos(-std::int64_t{off});
-}
-
-/// Scalar clamped per-lane SpMM body for one edge segment of pattern `p`,
-/// register-blocked over the right-hand sides: the lane loop is outermost
-/// and each diagonal's value is loaded once to feed all `rhs` accumulators
-/// (the clamp arithmetic is column-independent, so the compiler CSEs the
-/// repeated index expressions). Each column's accumulation order (sum = 0,
-/// then += in pattern order) matches the single-vector codelet exactly.
-void emit_cpu_spmm_edge_segment_body(CodeWriter& w, const Meta& meta,
-                                     const DiagonalPattern& p, index_t seg0,
-                                     size64_t base, size64_t slots, int rhs) {
-  w.line("const T* unit = dia_val + " + itos(static_cast<std::int64_t>(base)) +
-         "ull + static_cast<std::uint64_t>(g - " + itos(seg0) + ") * " +
-         itos(static_cast<std::int64_t>(slots)) + "ull;");
-  w.line("const std::int32_t row0 = g * " + itos(meta.mrows) + ";");
-  w.line("const std::int32_t lanes = row0 + " + itos(meta.mrows) + " <= " +
-         itos(meta.num_rows) + " ? " + itos(meta.mrows) + " : " +
-         itos(meta.num_rows) + " - row0;");
-  for (int r = 0; r < rhs; ++r) {
-    w.line("const T* xk" + itos(r) + " = " +
-           (r == 0 ? "x" : "xk" + itos(r - 1) + " + ldx") + ";");
-  }
-  for (int r = 0; r < rhs; ++r) {
-    w.line("T* yk" + itos(r) + " = " +
-           (r == 0 ? "y" : "yk" + itos(r - 1) + " + ldy") + ";");
-  }
-  w.open("for (std::int32_t lane = 0; lane < lanes; ++lane)");
-  w.line("const std::int32_t r = row0 + lane;");
-  if (p.offsets.empty()) {
-    for (int r = 0; r < rhs; ++r) {
-      w.line("yk" + itos(r) + "[r] = T(0);");
-    }
-  } else {
-    for (int r = 0; r < rhs; ++r) {
-      w.line("T s" + itos(r) + " = T(0);");
-    }
-    for (index_t d = 0; d < p.num_diagonals(); ++d) {
-      const diag_offset_t off = p.offsets[static_cast<std::size_t>(d)];
-      const std::string val = "a" + itos(static_cast<std::int64_t>(d));
-      w.line("const T " + val + " = unit[lane + " +
-             itos(static_cast<std::int64_t>(d) * meta.mrows) + "];");
-      for (int r = 0; r < rhs; ++r) {
-        w.line("s" + itos(r) + " += " + val + " * " +
-               x_base_expr(meta, p, off, "r", "xk" + itos(r)) + ";");
-      }
-    }
-    for (int r = 0; r < rhs; ++r) {
-      w.line("yk" + itos(r) + "[r] = s" + itos(r) + ";");
-    }
-  }
-  w.close();  // lane loop
-}
-
-/// Diagonal-tile width of the interior SpMM loop: one tile's value lanes
-/// (kSpmmDiagTile * mrows * sizeof(T), 8 KiB at mrows 64 / double) stay
-/// L1-resident while every right-hand side replays them.
-constexpr index_t kSpmmDiagTile = 16;
-
-/// Clamp-free interior SpMM loop for one pattern, column-unrolled over
-/// diagonal tiles: for each run of kSpmmDiagTile diagonals, every
-/// right-hand side runs a single-accumulator lane loop while the tile's
-/// value lanes are L1-resident, so diagonal loads after the first column
-/// are cache hits even for patterns whose full value block outgrows L1.
-/// Keeping one accumulator per loop matters: GCC refuses to vectorize the
-/// lane loop once `rhs` accumulators and output streams are live ("no
-/// vectype"), and the scalar multi-accumulator form measures ~30% slower
-/// than vectorized single-column passes. Tiles after the first resume the
-/// accumulation with `T s = yy[lane]` — the continuation of the same
-/// left-to-right chain — so per-element operation order (mul for the first
-/// diagonal, then adds in pattern order) is identical to the single-vector
-/// codelet, column by column.
-void emit_cpu_spmm_interior_loop(CodeWriter& w, const Meta& meta,
-                                 const DiagonalPattern& p, index_t seg0,
-                                 size64_t base, size64_t slots, int rhs) {
-  const index_t m = meta.mrows;
-  const index_t ndias = p.num_diagonals();
-  w.open("for (std::int32_t g = i0; g < i1; ++g)");
-  w.line("const T* CRSD_RESTRICT unit = dia_val + " +
-         itos(static_cast<std::int64_t>(base)) +
-         "ull + static_cast<std::uint64_t>(g - " + itos(seg0) + ") * " +
-         itos(static_cast<std::int64_t>(slots)) + "ull;");
-  w.line("const T* xb = x + static_cast<std::int64_t>(g) * " + itos(m) + ";");
-  w.line("T* yb = y + static_cast<std::int64_t>(g) * " + itos(m) + ";");
-  if (ndias == 0) {
-    w.open("for (std::int32_t rv = 0; rv < " + itos(rhs) + "; ++rv)");
-    w.line("T* CRSD_RESTRICT yy = yb + static_cast<std::int64_t>(rv) * ldy;");
-    w.open("for (std::int32_t lane = 0; lane < " + itos(m) + "; ++lane)");
-    w.line("yy[lane] = T(0);");
-    w.close();  // lane loop
-    w.close();  // rhs loop
-  }
-  for (index_t t0 = 0; t0 < ndias; t0 += kSpmmDiagTile) {
-    const index_t t1 = std::min<index_t>(ndias, t0 + kSpmmDiagTile);
-    w.line("// diagonals [" + itos(t0) + ", " + itos(t1) + ")");
-    w.open("for (std::int32_t rv = 0; rv < " + itos(rhs) + "; ++rv)");
-    w.line("const T* xx = xb + static_cast<std::int64_t>(rv) * ldx;");
-    w.line("T* CRSD_RESTRICT yy = yb + static_cast<std::int64_t>(rv) * ldy;");
-    w.open("for (std::int32_t lane = 0; lane < " + itos(m) + "; ++lane)");
-    if (t0 > 0) w.line("T s = yy[lane];");
-    for (index_t d = t0; d < t1; ++d) {
-      const diag_offset_t off = p.offsets[static_cast<std::size_t>(d)];
-      const std::string unit_ref =
-          "unit[lane + " + itos(static_cast<std::int64_t>(d) * m) + "]";
-      w.line((d == t0 && t0 == 0 ? "T s = " : "s += ") + unit_ref + " * xx[" +
-             lane_off_expr(off) + "];");
-    }
-    w.line("yy[lane] = s;");
-    w.close();  // lane loop
-    w.close();  // rhs loop
-  }
-  w.close();  // interior segment loop
-}
-
-void emit_cpu_spmm_diag(CodeWriter& w, const Meta& meta,
-                        const std::string& prefix, int rhs) {
-  w.open("extern \"C\" void " + prefix + "_r" + itos(rhs) +
-         "_diag(const T* dia_val, const T* x, T* y, std::int64_t ldx, "
-         "std::int64_t ldy, std::int32_t seg_begin, std::int32_t seg_end)");
-  w.line("// rhs_block " + itos(rhs) + " vectors");
-  const auto& patterns = *meta.patterns;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const auto& p = patterns[pi];
-    const index_t seg0 = (*meta.cum_segments)[pi];
-    const index_t seg1 = (*meta.cum_segments)[pi + 1];
-    const size64_t base = (*meta.val_offsets)[pi];
-    const size64_t slots = p.slots_per_segment(meta.mrows);
-    const SegmentInterior in = meta.interior[pi];
-    w.line("// pattern " + itos(static_cast<std::int64_t>(pi)) + ": " +
-           pattern_to_string(p) + ", rows [" + itos(p.start_row) + ", " +
-           itos(std::min<index_t>(meta.num_rows,
-                                  p.start_row + p.num_segments * meta.mrows)) +
-           "), segments [" + itos(seg0) + ", " + itos(seg1) +
-           "), interior [" + itos(in.begin) + ", " + itos(in.end) + ")");
-    w.open("");
-    w.line("const std::int32_t g0 = seg_begin > " + itos(seg0) +
-           " ? seg_begin : " + itos(seg0) + ";");
-    w.line("const std::int32_t g1 = seg_end < " + itos(seg1) +
-           " ? seg_end : " + itos(seg1) + ";");
-    if (in.begin >= in.end) {
-      w.open("for (std::int32_t g = g0; g < g1; ++g)");
-      emit_cpu_spmm_edge_segment_body(w, meta, p, seg0, base, slots, rhs);
-      w.close();
-    } else {
-      w.line("const std::int32_t i0 = crsd_clampi(" + itos(in.begin) +
-             ", g0, g1);");
-      w.line("const std::int32_t i1 = crsd_clampi(" + itos(in.end) +
-             ", i0, g1);");
-      w.line("const std::int32_t edge_bounds[4] = {g0, i0, i1, g1};");
-      w.open("for (std::int32_t ei = 0; ei < 2; ++ei)");
-      w.open("for (std::int32_t g = edge_bounds[2 * ei]; "
-             "g < edge_bounds[2 * ei + 1]; ++g)");
-      emit_cpu_spmm_edge_segment_body(w, meta, p, seg0, base, slots, rhs);
-      w.close();
-      w.close();
-      emit_cpu_spmm_interior_loop(w, meta, p, seg0, base, slots, rhs);
-    }
-    w.close();  // pattern scope
-  }
-  w.close();  // function
-}
-
-void emit_cpu_spmm_scatter(CodeWriter& w, const Meta& meta,
-                           const std::string& prefix, int rhs) {
-  w.open("extern \"C\" void " + prefix + "_r" + itos(rhs) +
-         "_scatter(const T* scatter_val, const std::int32_t* scatter_col, "
-         "const std::int32_t* scatter_rowno, const T* x, T* y, "
-         "std::int64_t ldx, std::int64_t ldy, std::int32_t row_begin, "
-         "std::int32_t row_end)");
-  w.line("// rhs_block " + itos(rhs) + " vectors");
-  if (meta.num_scatter_rows == 0) {
-    w.line("(void)scatter_val; (void)scatter_col; (void)scatter_rowno;");
-    w.line("(void)x; (void)y; (void)ldx; (void)ldy;");
-    w.line("(void)row_begin; (void)row_end;");
-  } else {
-    const index_t nsr = meta.num_scatter_rows;
-    w.line("const std::int32_t i0 = row_begin < 0 ? 0 : row_begin;");
-    w.line("const std::int32_t i1 = row_end > " + itos(nsr) + " ? " +
-           itos(nsr) + " : row_end;");
-    for (int r = 0; r < rhs; ++r) {
-      w.line("const T* xk" + itos(r) + " = " +
-             (r == 0 ? "x" : "xk" + itos(r - 1) + " + ldx") + ";");
-    }
-    for (int r = 0; r < rhs; ++r) {
-      w.line("T* yk" + itos(r) + " = " +
-             (r == 0 ? "y" : "yk" + itos(r - 1) + " + ldy") + ";");
-    }
-    w.open("for (std::int32_t i = i0; i < i1; ++i)");
-    for (int r = 0; r < rhs; ++r) {
-      w.line("T s" + itos(r) + " = T(0);");
-    }
-    for (index_t k = 0; k < meta.scatter_width; ++k) {
-      const std::string slot = "i + " + itos(static_cast<std::int64_t>(k) * nsr);
-      w.open("");
-      w.line("const std::int32_t c = scatter_col[" + slot + "];");
-      w.open("if (c >= 0)");
-      w.line("const T a = scatter_val[" + slot + "];");
-      for (int r = 0; r < rhs; ++r) {
-        w.line("s" + itos(r) + " += a * xk" + itos(r) + "[c];");
-      }
-      w.close();
-      w.close();
-    }
-    w.line("// overwrite after the diagonal phase");
-    for (int r = 0; r < rhs; ++r) {
-      w.line("yk" + itos(r) + "[scatter_rowno[i]] = s" + itos(r) + ";");
-    }
-    w.close();
-  }
-  w.close();
-}
-
-std::string generate_cpu_spmm(const Meta& meta,
-                              const CpuSpmmCodeletOptions& opts) {
-  CRSD_CHECK_MSG(!opts.rhs_blocks.empty(),
-                 "SpMM codelet needs at least one register-block size");
-  CodeWriter w;
-  w.line("// Generated by crsd::codegen — CRSD batched-SpMM codelet for one");
-  w.line("// matrix structure (" + itos((*meta.patterns).size()) +
-         " diagonal pattern(s), mrows = " + itos(meta.mrows) + ",");
-  w.line("// " + itos(meta.num_scatter_rows) +
-         " scatter row(s)). One variant per register-block size; the RHS");
-  w.line("// count is a compile-time constant in each. Do not edit.");
-  w.line("#include <cstdint>");
-  w.line();
-  w.line("using T = " + std::string(meta.type_name) + ";");
-  w.line();
-  w.line("#if defined(_MSC_VER) && !defined(__clang__)");
-  w.line("#define CRSD_RESTRICT __restrict");
-  w.line("#else");
-  w.line("#define CRSD_RESTRICT __restrict__");
-  w.line("#endif");
-  w.line();
-  w.open("static inline std::int32_t crsd_clampi(std::int32_t v, "
-         "std::int32_t lo, std::int32_t hi)");
-  w.line("return v < lo ? lo : (v > hi ? hi : v);");
-  w.close();
-  for (int rhs : opts.rhs_blocks) {
-    CRSD_CHECK_MSG(rhs >= 1, "register-block size must be >= 1");
-    w.line();
-    emit_cpu_spmm_diag(w, meta, opts.symbol_prefix, rhs);
-    w.line();
-    emit_cpu_spmm_scatter(w, meta, opts.symbol_prefix, rhs);
-  }
-  return w.str();
-}
-
 void emit_gpu_group_fn(CodeWriter& w, const Meta& meta,
                        const GpuCodeletOptions& opts) {
   const index_t mrows = meta.mrows;
@@ -962,12 +699,6 @@ std::string generate_cpu_codelet_source(const CrsdMatrix<T>& m,
 }
 
 template <Real T>
-std::string generate_cpu_spmm_codelet_source(const CrsdMatrix<T>& m,
-                                             const CpuSpmmCodeletOptions& opts) {
-  return generate_cpu_spmm(make_meta(m), opts);
-}
-
-template <Real T>
 std::string generate_opencl_kernel_source(const CrsdMatrix<T>& m,
                                           const OpenClCodeletOptions& opts) {
   return generate_opencl(make_meta(m), opts);
@@ -988,10 +719,6 @@ template std::string generate_cpu_codelet_source<double>(
     const CrsdMatrix<double>&, const CpuCodeletOptions&);
 template std::string generate_cpu_codelet_source<float>(
     const CrsdMatrix<float>&, const CpuCodeletOptions&);
-template std::string generate_cpu_spmm_codelet_source<double>(
-    const CrsdMatrix<double>&, const CpuSpmmCodeletOptions&);
-template std::string generate_cpu_spmm_codelet_source<float>(
-    const CrsdMatrix<float>&, const CpuSpmmCodeletOptions&);
 template std::string generate_opencl_kernel_source<double>(
     const CrsdMatrix<double>&, const OpenClCodeletOptions&);
 template std::string generate_opencl_kernel_source<float>(

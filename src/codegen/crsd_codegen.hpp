@@ -14,7 +14,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/crsd_matrix.hpp"
 
@@ -43,33 +42,6 @@ struct CpuCodeletOptions {
 template <Real T>
 std::string generate_cpu_codelet_source(const CrsdMatrix<T>& m,
                                         const CpuCodeletOptions& opts = {});
-
-/// Options for the CPU SpMM (multi-vector) codelet generator.
-struct CpuSpmmCodeletOptions {
-  /// Base symbol prefix. For every register-block size R in `rhs_blocks`
-  /// the translation unit exports
-  ///   <prefix>_r<R>_diag(const T* dia_val, const T* x, T* y,
-  ///                      int64_t ldx, int64_t ldy,
-  ///                      int32_t seg_begin, int32_t seg_end)
-  ///   <prefix>_r<R>_scatter(const T* scatter_val, const int32_t* scatter_col,
-  ///                         const int32_t* scatter_rowno, const T* x, T* y,
-  ///                         int64_t ldx, int64_t ldy,
-  ///                         int32_t row_begin, int32_t row_end)
-  /// processing exactly R column-major right-hand sides (x column j at
-  /// x + j*ldx, y column j at y + j*ldy). The RHS count is baked: the
-  /// interior loop carries R scalar accumulators so one diagonal-value load
-  /// feeds R fused multiply-adds, and the per-diagonal unroll matches the
-  /// single-vector codelet. Any batch width k is covered by dispatching
-  /// blocks of 8/4/2/1.
-  std::string symbol_prefix = "crsd_spmm_codelet";
-  std::vector<int> rhs_blocks = {8, 4, 2, 1};
-};
-
-/// Emits a self-contained C++ translation unit implementing batched SpMM
-/// (one variant per requested register-block size) for the structure of `m`.
-template <Real T>
-std::string generate_cpu_spmm_codelet_source(
-    const CrsdMatrix<T>& m, const CpuSpmmCodeletOptions& opts = {});
 
 /// Options for the simulated-GPU codelet generator.
 struct GpuCodeletOptions {

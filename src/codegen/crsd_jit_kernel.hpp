@@ -4,7 +4,6 @@
 // contain the index information of nonzeros").
 #pragma once
 
-#include <array>
 #include <optional>
 #include <string>
 #include <utility>
@@ -144,80 +143,6 @@ class CrsdJitKernel {
   index_t num_scatter_rows_ = 0;
 };
 
-/// A compiled batched-SpMM codelet bound to one CRSD structure. The
-/// translation unit carries one variant per register-block size
-/// (8/4/2/1 right-hand sides baked); apply() dispatches the widest variant
-/// that fits the remaining batch, so any k is covered while full blocks
-/// amortize every diagonal-value load over eight columns.
-template <Real T>
-class CrsdJitSpmmKernel {
- public:
-  using DiagFn = void (*)(const T*, const T*, T*, std::int64_t, std::int64_t,
-                          std::int32_t, std::int32_t);
-  using ScatterFn = void (*)(const T*, const std::int32_t*,
-                             const std::int32_t*, const T*, T*, std::int64_t,
-                             std::int64_t, std::int32_t, std::int32_t);
-
-  static constexpr std::array<int, 4> kBlocks{8, 4, 2, 1};
-
-  /// Generates and compiles the SpMM codelet for `m`'s structure.
-  explicit CrsdJitSpmmKernel(const CrsdMatrix<T>& m, JitCompiler& compiler)
-      : CrsdJitSpmmKernel(m, compiler, generate_cpu_spmm_codelet_source(m)) {}
-
-  /// Compiles caller-supplied SpMM codelet source (the checked factory /
-  /// fault-injection path). Must export crsd_spmm_codelet_r{8,4,2,1}_*.
-  CrsdJitSpmmKernel(const CrsdMatrix<T>& m, JitCompiler& compiler,
-                    std::string source)
-      : source_(std::move(source)) {
-    CRSD_CHECK_MSG(m.value_precision() == ValuePrecision::kNative &&
-                       m.scatter_index_mode() == ScatterIndexMode::kIndex32,
-                   "the SpMM codelet supports native storage only; "
-                   "rebuild without storage compaction for batched SpMM");
-    lib_ = compiler.compile_and_load(source_);
-    for (std::size_t bi = 0; bi < kBlocks.size(); ++bi) {
-      const std::string stem =
-          "crsd_spmm_codelet_r" + std::to_string(kBlocks[bi]);
-      diag_[bi] = lib_.template symbol_as<DiagFn>(stem + "_diag");
-      scatter_[bi] = lib_.template symbol_as<ScatterFn>(stem + "_scatter");
-    }
-    num_segments_ = m.num_segments_total();
-    num_scatter_rows_ = m.num_scatter_rows();
-  }
-
-  const std::string& source() const { return source_; }
-
-  /// Y[:, j] = A * X[:, j] for j in [0, k): column-major batches with
-  /// leading dimensions ldx/ldy. Per block of vectors the diagonal phase
-  /// runs first, then the scatter overwrite — single-vector semantics per
-  /// column. `m` must have the structure the kernel was built from.
-  void apply(const CrsdMatrix<T>& m, const T* x, size64_t ldx, T* y,
-             size64_t ldy, index_t k) const {
-    index_t j = 0;
-    while (j < k) {
-      std::size_t bi = 0;
-      while (kBlocks[bi] > k - j) ++bi;
-      const T* xb = x + static_cast<size64_t>(j) * ldx;
-      T* yb = y + static_cast<size64_t>(j) * ldy;
-      diag_[bi](m.dia_values().data(), xb, yb,
-                static_cast<std::int64_t>(ldx), static_cast<std::int64_t>(ldy),
-                0, num_segments_);
-      scatter_[bi](m.scatter_val().data(), m.scatter_col().data(),
-                   m.scatter_rows().data(), xb, yb,
-                   static_cast<std::int64_t>(ldx),
-                   static_cast<std::int64_t>(ldy), 0, num_scatter_rows_);
-      j += kBlocks[bi];
-    }
-  }
-
- private:
-  std::string source_;
-  JitLibrary lib_;
-  std::array<DiagFn, 4> diag_{};
-  std::array<ScatterFn, 4> scatter_{};
-  index_t num_segments_ = 0;
-  index_t num_scatter_rows_ = 0;
-};
-
 /// JIT construction, lint-gated by default: generates the codelet source
 /// (or takes `source_override` — the fault-injection path for tests) and,
 /// with Checked::kYes, runs the static codelet lint against `m`, handing
@@ -245,41 +170,6 @@ std::optional<CrsdJitKernel<T>> make_jit_kernel(
   }
   return std::optional<CrsdJitKernel<T>>(
       CrsdJitKernel<T>(m, compiler, std::move(source)));
-}
-
-/// SpMM JIT construction, mirroring make_jit_kernel: with Checked::kYes the
-/// generated (or injected) multi-variant source is linted against `m` and
-/// only clean source reaches the compiler; findings log and return nullopt
-/// so callers fall back to the interpreted SpMM engine.
-template <Real T>
-std::optional<CrsdJitSpmmKernel<T>> make_jit_spmm_kernel(
-    const CrsdMatrix<T>& m, JitCompiler& compiler,
-    Checked checked = Checked::kYes,
-    const std::string* source_override = nullptr) {
-  if (m.value_precision() != ValuePrecision::kNative ||
-      m.scatter_index_mode() != ScatterIndexMode::kIndex32) {
-    CRSD_LOG_WARN("SpMM JIT supports native storage only; falling back to "
-                  "the interpreted SpMM engine for this compact-storage "
-                  "matrix");
-    return std::nullopt;
-  }
-  std::string source = source_override != nullptr
-                           ? *source_override
-                           : generate_cpu_spmm_codelet_source(m);
-  if (checked == Checked::kYes) {
-    const std::vector<int> blocks(CrsdJitSpmmKernel<T>::kBlocks.begin(),
-                                  CrsdJitSpmmKernel<T>::kBlocks.end());
-    const std::vector<check::Diagnostic> findings =
-        lint_cpu_spmm_codelet_source(m, source, blocks);
-    if (!findings.empty()) {
-      CRSD_LOG_WARN("SpMM codelet lint rejected generated source; falling "
-                    "back to the interpreted SpMM engine:\n"
-                    << check::format_diagnostics(findings));
-      return std::nullopt;
-    }
-  }
-  return std::optional<CrsdJitSpmmKernel<T>>(
-      CrsdJitSpmmKernel<T>(m, compiler, std::move(source)));
 }
 
 }  // namespace crsd::codegen

@@ -187,90 +187,6 @@ void ThreadPool::parallel_for(
   }
 }
 
-void ThreadPool::parallel_for(
-    const ParallelPlan& plan,
-    const std::function<void(index_t, index_t, int)>& fn) {
-  if (plan.empty()) return;
-  const int parts = plan.num_parts();
-
-  // Find the first non-empty part: it runs on the calling thread with its
-  // plan-assigned id, so replays keep range->thread affinity.
-  int mine = -1;
-  std::vector<Task> tasks;
-  tasks.reserve(static_cast<std::size_t>(parts));
-  for (int p = 0; p < parts; ++p) {
-    const index_t b = plan.part_begin(p);
-    const index_t e = plan.part_end(p);
-    if (b >= e) continue;
-    if (mine < 0) {
-      mine = p;
-    } else {
-      tasks.push_back(Task{&fn, b, e, p});
-    }
-  }
-  if (mine < 0) return;
-  if (tasks.empty()) {
-    fn(plan.part_begin(mine), plan.part_end(mine), mine);
-    tasks_executed_counter().add(1);
-    return;
-  }
-
-  std::size_t pushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CRSD_CHECK_MSG(outstanding_ == 0 && pending_.empty(),
-                   "nested/concurrent parallel_for on one ThreadPool is not "
-                   "supported");
-    first_error_ = nullptr;
-    pending_ = std::move(tasks);
-    outstanding_ = static_cast<int>(pending_.size());
-    pushed = pending_.size();
-    record_queue_depth(pushed);
-  }
-  wake_workers(pushed);
-
-  try {
-    fn(plan.part_begin(mine), plan.part_end(mine), mine);
-    tasks_executed_counter().add(1);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-
-  // The calling thread drains remaining parts alongside the workers (plans
-  // may carry more parts than the pool has threads). Urgent tasks go first.
-  for (;;) {
-    if (run_one_urgent()) continue;
-    Task task;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.empty()) break;
-      task = pending_.back();
-      pending_.pop_back();
-    }
-    try {
-      (*task.fn)(task.begin, task.end, task.thread_id);
-      tasks_executed_counter().add(1);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --outstanding_;
-      if (outstanding_ == 0 && pending_.empty()) cv_done_.notify_all();
-    }
-  }
-
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return outstanding_ == 0 && pending_.empty(); });
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
 void ThreadPool::parallel_for_chunked(
     index_t begin, index_t end, index_t chunk_size,
     const std::function<void(index_t, index_t, int)>& fn) {

@@ -17,20 +17,15 @@
 
 namespace crsd {
 
-/// A reusable partition of an index range into contiguous sub-ranges, one
-/// per task. parallel_for re-slices and re-dispatches its range on every
-/// call; hot paths that run the same loop thousands of times (SpMV/SpMM
-/// iterations inside a solver) build a ParallelPlan once and replay it —
-/// the executor side of the inspector–executor split. Plans can be cut
-/// into equal pieces or balanced against a per-index cost estimate, and
-/// they are immutable after construction, so one plan can be replayed
-/// concurrently from different pools or iterations without re-partitioning.
+/// A partition of an index range into contiguous sub-ranges, cut into equal
+/// pieces or balanced against a per-index cost estimate. The multi-device
+/// shard planner (runtime/shard.hpp) splits a matrix's segments with it.
 class ParallelPlan {
  public:
   ParallelPlan() = default;
 
   /// [begin, end) cut into `parts` nearly-equal contiguous ranges (empty
-  /// trailing ranges are kept so part index == thread id stays stable).
+  /// trailing ranges are kept, so there are always `parts` parts).
   static ParallelPlan static_partition(index_t begin, index_t end, int parts);
 
   /// Cost-balanced contiguous partition: `cost[i]` estimates the work of
@@ -45,7 +40,6 @@ class ParallelPlan {
   int num_parts() const { return static_cast<int>(bounds_.empty() ? 0 : bounds_.size() - 1); }
   index_t part_begin(int i) const { return bounds_[static_cast<std::size_t>(i)]; }
   index_t part_end(int i) const { return bounds_[static_cast<std::size_t>(i) + 1]; }
-  bool empty() const { return bounds_.size() < 2 || bounds_.front() == bounds_.back(); }
 
  private:
   std::vector<index_t> bounds_;  ///< size num_parts()+1, non-decreasing
@@ -80,16 +74,6 @@ class ThreadPool {
   /// Same fn signature and blocking/exception semantics as parallel_for.
   void parallel_for_chunked(index_t begin, index_t end, index_t chunk_size,
                             const std::function<void(index_t, index_t, int)>& fn);
-
-  /// Replays a precomputed partition: part i runs as fn(part_begin(i),
-  /// part_end(i), i) with no per-call slicing. Part 0 runs on the calling
-  /// thread; empty parts are skipped without dispatch. The part index is
-  /// passed as the thread id, so a plan with num_parts() == num_threads()
-  /// gives each thread a stable range across replays (NUMA first-touch
-  /// affinity relies on this). Blocking/exception semantics match
-  /// parallel_for.
-  void parallel_for(const ParallelPlan& plan,
-                    const std::function<void(index_t, index_t, int)>& fn);
 
   /// Runs a set of independent tasks, each claimed by whichever thread is
   /// free (dynamic scheduling — tasks of very different cost, e.g. autotune

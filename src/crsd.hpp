@@ -61,7 +61,6 @@
 #include "core/partition.hpp"
 #include "core/storage_mode.hpp"
 #include "core/dump.hpp"
-#include "core/exec_plan.hpp"
 #include "core/inspect.hpp"
 #include "core/serialize.hpp"
 #include "core/update.hpp"

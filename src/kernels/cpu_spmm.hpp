@@ -1,8 +1,11 @@
-// Executor half of the inspector–executor split: batched SpMM
-// Y[:, j] = A * X[:, j] for k column-major right-hand sides, replaying a
-// frozen ExecPlan (core/exec_plan.hpp). The hot loop makes no decisions —
-// segment runs, thread slices, staging-arena layout, per-diagonal x sources
-// and prefetch distances all come out of the plan.
+// Batched SpMM Y[:, j] = A * X[:, j] for k column-major right-hand sides,
+// run on the calling thread. The engine walks the matrix once when it is
+// built and keeps what the hot loop reads: where each diagonal reads x (a
+// staged AD-group window at an arena offset, or the raw x stream at a
+// column shift) and how far ahead to prefetch each pattern's value stream.
+// apply() runs the patterns in segment order — edge, interior, edge, as
+// CrsdMatrix::spmv_segments_vec splits them — and the scatter overwrite
+// after them.
 //
 // The interior kernel register-blocks the right-hand sides (R in {8,4,2,1})
 // so one pass over the diagonal value stream feeds R accumulators: the
@@ -22,44 +25,59 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/simd.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/crsd_matrix.hpp"
-#include "core/exec_plan.hpp"
 
 namespace crsd {
 
 namespace detail {
 
-/// Diagonal phase of one plan step's interior segments for an R-vector
+/// Where one diagonal of a pattern reads x in the interior kernel — either
+/// a staged AD-group window (arena-relative) or the raw x stream (column-
+/// shift-relative), so the inner loop makes no grouping decisions.
+struct DiagSource {
+  bool staged = false;
+  index_t arena_off = 0;   ///< window start in the per-RHS staging arena
+  index_t window = 0;      ///< staged window length (mrows + group size - 1)
+  diag_offset_t delta = 0; ///< staged: lane shift inside the window;
+                           ///< direct: the diagonal's column offset
+};
+
+/// What the interior kernel reads for one pattern.
+struct PatternSources {
+  std::vector<DiagSource> diag;  ///< one entry per diagonal, in order
+  index_t prefetch_lines = 0;    ///< 64-byte lines of the next segment
+};
+
+/// Interior segments [seg_begin, seg_end) of pattern `p` for an R-vector
 /// block. `x`/`y` point at column j0 of the batch; `arena` holds R staging
 /// windows per AD group (group-major, vector-minor); `src` is scratch for
 /// ndias*R precomputed source pointers.
 template <Real T, int R>
-void spmm_step_interior(const CrsdMatrix<T>& m, const PatternPlan& pp,
-                        const PlanStep& step, const T* x, size64_t ldx, T* y,
-                        size64_t ldy, T* CRSD_RESTRICT arena,
-                        const T** CRSD_RESTRICT src) {
-  const auto& pat = m.patterns()[static_cast<std::size_t>(step.pattern)];
+void spmm_interior(const CrsdMatrix<T>& m, index_t p,
+                   const PatternSources& ps, index_t seg_begin,
+                   index_t seg_end, const T* x, size64_t ldx, T* y,
+                   size64_t ldy, T* CRSD_RESTRICT arena,
+                   const T** CRSD_RESTRICT src) {
+  const auto& pat = m.patterns()[static_cast<std::size_t>(p)];
   const index_t mrows = m.mrows();
   const index_t ndias = pat.num_diagonals();
   const size64_t slots = pat.slots_per_segment(mrows);
-  const index_t seg0 =
-      m.cum_segments()[static_cast<std::size_t>(step.pattern)];
-  const T* base =
-      m.dia_values().data() +
-      m.pattern_value_offsets()[static_cast<std::size_t>(step.pattern)];
+  const index_t seg0 = m.cum_segments()[static_cast<std::size_t>(p)];
+  const T* base = m.dia_values().data() +
+                  m.pattern_value_offsets()[static_cast<std::size_t>(p)];
   constexpr index_t W = simd::kLanes<T>;
 
-  for (index_t g = step.seg_begin; g < step.seg_end; ++g) {
+  for (index_t g = seg_begin; g < seg_end; ++g) {
     const T* CRSD_RESTRICT unit =
         base + static_cast<size64_t>(g - seg0) * slots;
     // Pull the next segment's value stream toward the core while this one
-    // computes; the distance was fixed by the inspector.
-    if (g + 1 < step.seg_end) {
+    // computes.
+    if (g + 1 < seg_end) {
       const char* next = reinterpret_cast<const char*>(unit + slots);
-      for (index_t l = 0; l < pp.prefetch_lines; ++l) {
+      for (index_t l = 0; l < ps.prefetch_lines; ++l) {
         simd::prefetch(next + static_cast<std::size_t>(l) * 64);
       }
     }
@@ -70,7 +88,7 @@ void spmm_step_interior(const CrsdMatrix<T>& m, const PatternPlan& pp,
     for (const auto& grp : pat.groups) {
       if (grp.type != GroupType::kAdjacent || grp.num_diagonals < 2) continue;
       const DiagSource& head =
-          pp.diag_src[static_cast<std::size_t>(grp.first_diagonal)];
+          ps.diag[static_cast<std::size_t>(grp.first_diagonal)];
       const diag_offset_t first =
           pat.offsets[static_cast<std::size_t>(grp.first_diagonal)];
       T* slab = arena + static_cast<size64_t>(head.arena_off) * R;
@@ -81,7 +99,7 @@ void spmm_step_interior(const CrsdMatrix<T>& m, const PatternPlan& pp,
       }
     }
     for (index_t d = 0; d < ndias; ++d) {
-      const DiagSource& ds = pp.diag_src[static_cast<std::size_t>(d)];
+      const DiagSource& ds = ps.diag[static_cast<std::size_t>(d)];
       for (int r = 0; r < R; ++r) {
         src[d * R + r] =
             ds.staged
@@ -141,25 +159,24 @@ void spmm_step_interior(const CrsdMatrix<T>& m, const PatternPlan& pp,
   }
 }
 
-/// Edge segments of one plan step for an R-vector block: the clamped
-/// scalar path of spmv_segments, register-blocked over the right-hand
-/// sides so the clamp arithmetic and the diagonal value load are paid once
-/// per (lane, diagonal) instead of once per column. Each column's
+/// Edge segments [seg_begin, seg_end) of pattern `p` for an R-vector block:
+/// the clamped scalar path of spmv_segments, register-blocked over the
+/// right-hand sides so the clamp arithmetic and the diagonal value load are
+/// paid once per (lane, diagonal) instead of once per column. Each column's
 /// accumulation (sum = 0, then += in ascending diagonal order) is exactly
 /// the scalar kernel's, so per-column parity stays bitwise.
 template <Real T, int R>
-void spmm_step_edge(const CrsdMatrix<T>& m, const PlanStep& step, const T* x,
-                    size64_t ldx, T* y, size64_t ldy) {
-  const auto& pat = m.patterns()[static_cast<std::size_t>(step.pattern)];
+void spmm_edge(const CrsdMatrix<T>& m, index_t p, index_t seg_begin,
+               index_t seg_end, const T* x, size64_t ldx, T* y,
+               size64_t ldy) {
+  const auto& pat = m.patterns()[static_cast<std::size_t>(p)];
   const index_t mrows = m.mrows();
   const index_t ndias = pat.num_diagonals();
   const size64_t slots = pat.slots_per_segment(mrows);
-  const index_t seg0 =
-      m.cum_segments()[static_cast<std::size_t>(step.pattern)];
-  const T* base =
-      m.dia_values().data() +
-      m.pattern_value_offsets()[static_cast<std::size_t>(step.pattern)];
-  for (index_t g = step.seg_begin; g < step.seg_end; ++g) {
+  const index_t seg0 = m.cum_segments()[static_cast<std::size_t>(p)];
+  const T* base = m.dia_values().data() +
+                  m.pattern_value_offsets()[static_cast<std::size_t>(p)];
+  for (index_t g = seg_begin; g < seg_end; ++g) {
     const T* CRSD_RESTRICT unit =
         base + static_cast<size64_t>(g - seg0) * slots;
     const index_t row0 = g * mrows;
@@ -184,139 +201,117 @@ void spmm_step_edge(const CrsdMatrix<T>& m, const PlanStep& step, const T* x,
 
 }  // namespace detail
 
-/// Plan-driven batched SpMM engine. Bind a matrix and a matching plan once;
-/// apply() replays the plan per sweep with zero per-call inspection.
+/// Batched SpMM engine bound to one matrix. Value updates
+/// (core/update.hpp) keep it valid: it reads the matrix's value streams on
+/// every apply() and fixes only structure. A rebuilt matrix needs a new
+/// engine. One scratch arena serves one apply() at a time, so two threads
+/// must not apply through the same engine at once.
 template <Real T>
 class SpmmEngine {
  public:
-  SpmmEngine(const CrsdMatrix<T>& m, const ExecPlan<T>& plan)
-      : m_(&m), plan_(&plan) {
+  explicit SpmmEngine(const CrsdMatrix<T>& m) : m_(&m) {
     CRSD_CHECK_MSG(m.value_precision() == ValuePrecision::kNative,
                    "the batched SpMM engine reads the native value stream "
                    "directly; rebuild without value compaction for SpMM");
-    plan.check_matches(m);
+    const index_t mrows = m.mrows();
+    index_t max_arena = 0;
     index_t max_ndias = 0;
+    patterns_.reserve(m.patterns().size());
     for (const auto& pat : m.patterns()) {
+      detail::PatternSources ps;
+      ps.diag.resize(static_cast<std::size_t>(pat.num_diagonals()));
+      index_t arena = 0;
+      for (const auto& grp : pat.groups) {
+        const bool staged =
+            grp.type == GroupType::kAdjacent && grp.num_diagonals >= 2;
+        const index_t window = mrows + grp.num_diagonals - 1;
+        for (index_t gd = 0; gd < grp.num_diagonals; ++gd) {
+          const std::size_t d =
+              static_cast<std::size_t>(grp.first_diagonal + gd);
+          detail::DiagSource& src = ps.diag[d];
+          src.staged = staged;
+          if (staged) {
+            src.arena_off = arena;
+            src.window = window;
+            src.delta = gd;
+          } else {
+            src.delta = pat.offsets[d];
+          }
+        }
+        if (staged) arena += window;
+      }
+      const size64_t seg_bytes =
+          pat.slots_per_segment(mrows) * static_cast<size64_t>(sizeof(T));
+      ps.prefetch_lines = static_cast<index_t>(
+          std::min<size64_t>(seg_bytes, kPrefetchBytes) / 64);
+      patterns_.push_back(std::move(ps));
+      max_arena = std::max(max_arena, arena);
       max_ndias = std::max(max_ndias, pat.num_diagonals());
     }
-    // One scratch block per plan slice, allocated once: apply() is on the
-    // per-sweep hot path and must not touch the allocator (a value-
-    // initialized arena costs more than a whole k=1 sweep on small plans).
-    scratch_.resize(static_cast<std::size_t>(plan.num_threads()));
-    for (auto& s : scratch_) {
-      s.arena.resize(static_cast<std::size_t>(plan.max_arena_elems()) *
-                     kMaxBlock);
-      s.src.resize(static_cast<std::size_t>(max_ndias) * kMaxBlock);
-    }
+    // Allocated once: apply() is on the per-sweep hot path and must not
+    // touch the allocator (a value-initialized arena costs more than a whole
+    // k=1 sweep on small matrices).
+    arena_.resize(static_cast<std::size_t>(max_arena) * kMaxBlock);
+    src_.resize(static_cast<std::size_t>(max_ndias) * kMaxBlock);
   }
-
-  const ExecPlan<T>& plan() const { return *plan_; }
 
   /// Y[:, j] = A * X[:, j] for j in [0, k): column-major batches with
-  /// leading dimensions ldx/ldy (>= num_cols / num_rows). Diagonal phase
-  /// first, then the scatter overwrite, matching single-vector semantics
-  /// per column. One parallel dispatch per phase; each thread replays its
-  /// plan slice for every block of vectors.
-  void apply(ThreadPool& pool, const T* x, size64_t ldx, T* y, size64_t ldy,
-             index_t k) const {
-    if (k <= 0) return;
-    const CrsdMatrix<T>& m = *m_;
-    const ExecPlan<T>& plan = *plan_;
-    pool.parallel_for(plan.thread_plan(), [&](index_t t, index_t, int) {
-      apply_slice(static_cast<int>(t), x, ldx, y, ldy, k);
-    });
-    pool.parallel_for(plan.thread_plan(), [&](index_t t, index_t, int) {
-      const ThreadSlice& slice = plan.slice(static_cast<int>(t));
-      for (index_t j = 0; j < k; ++j) {
-        m.spmv_scatter(slice.scatter_begin, slice.scatter_end,
-                       x + static_cast<size64_t>(j) * ldx,
-                       y + static_cast<size64_t>(j) * ldy);
-      }
-    });
-  }
-
-  /// Single-threaded apply(): the full plan runs on the calling thread.
-  void apply_seq(const T* x, size64_t ldx, T* y, size64_t ldy,
-                 index_t k) const {
-    if (k <= 0) return;
-    const ExecPlan<T>& plan = *plan_;
-    for (int t = 0; t < plan.num_threads(); ++t) {
-      apply_slice(t, x, ldx, y, ldy, k);
-    }
-    for (int t = 0; t < plan.num_threads(); ++t) {
-      const ThreadSlice& slice = plan.slice(t);
-      for (index_t j = 0; j < k; ++j) {
-        m_->spmv_scatter(slice.scatter_begin, slice.scatter_end,
-                         x + static_cast<size64_t>(j) * ldx,
-                         y + static_cast<size64_t>(j) * ldy);
-      }
-    }
-  }
-
-  /// Plan-driven single-vector SpMV: apply() with k == 1.
-  void spmv(ThreadPool& pool, const T* x, T* y) const {
-    apply(pool, x, static_cast<size64_t>(m_->num_cols()), y,
-          static_cast<size64_t>(m_->num_rows()), 1);
-  }
-
- private:
-  /// Diagonal phase of one thread slice: right-hand sides in register
-  /// blocks of 8/4/2/1, steps in the plan's (cost-descending) order.
-  /// Slice t only ever touches scratch_[t], so the pool threads of one
-  /// apply() never share a buffer; two simultaneous apply() calls on the
-  /// same engine are not supported.
-  void apply_slice(int t, const T* x, size64_t ldx, T* y, size64_t ldy,
-                   index_t k) const {
-    const ThreadSlice& slice = plan_->slice(t);
-    std::vector<T>& arena = scratch_[static_cast<std::size_t>(t)].arena;
-    std::vector<const T*>& src = scratch_[static_cast<std::size_t>(t)].src;
+  /// leading dimensions ldx/ldy (>= num_cols / num_rows). The diagonal phase
+  /// runs in register blocks of 8/4/2/1 right-hand sides, then the scatter
+  /// overwrite, matching single-vector semantics per column.
+  void apply(const T* x, size64_t ldx, T* y, size64_t ldy, index_t k) const {
     index_t j0 = 0;
     while (j0 < k) {
       const index_t left = k - j0;
       const T* xb = x + static_cast<size64_t>(j0) * ldx;
       T* yb = y + static_cast<size64_t>(j0) * ldy;
-      int r = 1;
       if (left >= 8) {
-        r = 8;
-        run_block<8>(slice, xb, ldx, yb, ldy, arena.data(), src.data());
+        run_block<8>(xb, ldx, yb, ldy);
+        j0 += 8;
       } else if (left >= 4) {
-        r = 4;
-        run_block<4>(slice, xb, ldx, yb, ldy, arena.data(), src.data());
+        run_block<4>(xb, ldx, yb, ldy);
+        j0 += 4;
       } else if (left >= 2) {
-        r = 2;
-        run_block<2>(slice, xb, ldx, yb, ldy, arena.data(), src.data());
+        run_block<2>(xb, ldx, yb, ldy);
+        j0 += 2;
       } else {
-        run_block<1>(slice, xb, ldx, yb, ldy, arena.data(), src.data());
+        run_block<1>(xb, ldx, yb, ldy);
+        j0 += 1;
       }
-      j0 += r;
+    }
+    for (index_t j = 0; j < k; ++j) {
+      m_->spmv_scatter(0, m_->num_scatter_rows(),
+                       x + static_cast<size64_t>(j) * ldx,
+                       y + static_cast<size64_t>(j) * ldy);
     }
   }
 
+ private:
+  /// Diagonal phase for one block of R right-hand sides.
   template <int R>
-  void run_block(const ThreadSlice& slice, const T* x, size64_t ldx, T* y,
-                 size64_t ldy, T* arena, const T** src) const {
+  void run_block(const T* x, size64_t ldx, T* y, size64_t ldy) const {
     const CrsdMatrix<T>& m = *m_;
-    for (const PlanStep& step : slice.steps) {
-      if (step.interior) {
-        detail::spmm_step_interior<T, R>(
-            m, plan_->pattern_plan(step.pattern), step, x, ldx, y, ldy, arena,
-            src);
-      } else {
-        detail::spmm_step_edge<T, R>(m, step, x, ldx, y, ldy);
-      }
+    for (index_t p = 0; p < m.num_patterns(); ++p) {
+      const std::size_t pi = static_cast<std::size_t>(p);
+      const index_t s0 = m.cum_segments()[pi];
+      const index_t s1 = m.cum_segments()[pi + 1];
+      const index_t ib = std::clamp(m.interior_segments(p).begin, s0, s1);
+      const index_t ie = std::clamp(m.interior_segments(p).end, ib, s1);
+      detail::spmm_edge<T, R>(m, p, s0, ib, x, ldx, y, ldy);
+      detail::spmm_interior<T, R>(m, p, patterns_[pi], ib, ie, x, ldx, y,
+                                  ldy, arena_.data(), src_.data());
+      detail::spmm_edge<T, R>(m, p, ie, s1, x, ldx, y, ldy);
     }
   }
 
   static constexpr int kMaxBlock = 8;
-
-  struct Scratch {
-    std::vector<T> arena;
-    std::vector<const T*> src;
-  };
+  /// Bytes of the next segment's value stream to prefetch.
+  static constexpr size64_t kPrefetchBytes = 512;
 
   const CrsdMatrix<T>* m_;
-  const ExecPlan<T>* plan_;
-  mutable std::vector<Scratch> scratch_;
+  std::vector<detail::PatternSources> patterns_;
+  mutable std::vector<T> arena_;
+  mutable std::vector<const T*> src_;
 };
 
 }  // namespace crsd

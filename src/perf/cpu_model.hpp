@@ -14,8 +14,8 @@
 #include "matrix/stats.hpp"
 
 // The GPU-counter overload of predict_crsd_spmv_seconds only references
-// these by const&; forward declarations keep header-only consumers of this
-// file (core/exec_plan.hpp) free of the gpusim include chain.
+// these by const&; forward declarations keep this header free of the gpusim
+// include chain.
 namespace crsd::gpusim {
 struct DeviceSpec;
 struct Counters;
@@ -104,8 +104,8 @@ double predict_crsd_spmv_seconds(const gpusim::DeviceSpec& spec,
 
 /// Byte/flop traffic of one row segment of pattern `p` in the CRSD diagonal
 /// part: the segment's value slots stream once, every diagonal rereads its
-/// x window, and y is written once. Inline so header-only inspectors
-/// (core/exec_plan.hpp) can cost segments without linking crsd_perf.
+/// x window, and y is written once. Inline so header-only callers
+/// (runtime/shard.hpp) can cost segments without linking crsd_perf.
 inline SweepCost pattern_segment_cost(const DiagonalPattern& p, index_t mrows,
                                       int value_bytes) {
   SweepCost c;

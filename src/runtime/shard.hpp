@@ -115,7 +115,7 @@ Shard make_shard(const CrsdMatrix<T>& m, index_t seg_begin, index_t seg_end) {
 }
 
 /// Splits the matrix into `num_shards` contiguous segment runs, balanced by
-/// the same per-segment byte/flop cost the ExecPlan inspector uses.
+/// each segment's byte traffic (perf::pattern_segment_cost).
 template <Real T>
 std::vector<Shard> plan_shards(const CrsdMatrix<T>& m, int num_shards) {
   CRSD_CHECK_MSG(num_shards >= 1, "plan_shards needs >= 1 shard");

@@ -17,7 +17,6 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/log.hpp"
-#include "core/exec_plan.hpp"
 #include "core/inspect.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/cpu_spmm.hpp"
@@ -142,7 +141,6 @@ struct ServeEngineImpl {
     CrsdConfig config;
     bool tuned_from_cache = false;
     CrsdMatrix<double> m;
-    ExecPlan<double> plan;
     std::unique_ptr<SpmmEngine<double>> spmm;  ///< null for compacted values
     std::optional<codegen::CrsdJitKernel<double>> jit;
     // Virtual-timeline cost pieces (perf roofline, modeled seconds):
@@ -278,13 +276,8 @@ struct ServeEngineImpl {
     }
     entry->config.storage = storage;
     entry->m = crsd::build(a, entry->config);
-    ExecPlanOptions plan_opts;
-    plan_opts.num_threads = 1;  // graph nodes run apply_seq on one worker
-    plan_opts.system = opts.system;
-    entry->plan = ExecPlan<double>::inspect(entry->m, plan_opts);
     if (entry->m.value_precision() == ValuePrecision::kNative) {
-      entry->spmm =
-          std::make_unique<SpmmEngine<double>>(entry->m, entry->plan);
+      entry->spmm = std::make_unique<SpmmEngine<double>>(entry->m);
     }
     if (compiler.has_value()) {
       try {
@@ -509,10 +502,9 @@ struct ServeEngineImpl {
           "spmm." + tag, [this, b, k, ncols, nrows] {
             const Entry& en = *b->entry;
             if (k >= 2) {
-              en.spmm->apply_seq(b->x_block.data(),
-                                 static_cast<size64_t>(ncols),
-                                 b->y_block.data(),
-                                 static_cast<size64_t>(nrows), k);
+              en.spmm->apply(b->x_block.data(), static_cast<size64_t>(ncols),
+                             b->y_block.data(), static_cast<size64_t>(nrows),
+                             k);
             } else if (en.jit.has_value()) {
               en.jit->spmv(en.m, b->x_block.data(), b->y_block.data());
             } else {

@@ -9,16 +9,15 @@
 //
 //  * Registry: matrices are registered up front and deduplicated by
 //    (structure hash, value fingerprint, storage mode), so tenants sharing
-//    a matrix share one CRSD build, one ExecPlan, one SpmmEngine, and one
-//    JIT codelet. Each entry's CrsdConfig defaults from the persistent
-//    autotune cache (kernels/crsd_autotune.hpp) keyed by the same
-//    structure hash.
+//    a matrix share one CRSD build, one SpmmEngine, and one JIT codelet.
+//    Each entry's CrsdConfig defaults from the persistent autotune cache
+//    (kernels/crsd_autotune.hpp) keyed by the same structure hash.
 //
 //  * Dispatch: each flush cycle groups the pending queue per matrix into
 //    batches of at most max_batch requests and lowers the whole cycle into
 //    one rt::TaskGraph — a kH2D gather node (pack request vectors into a
 //    column-major X block), a kLaunch compute node on one of a few exec
-//    lanes (SpmmEngine::apply_seq for k >= 2, JIT or interpreted
+//    lanes (SpmmEngine::apply for k >= 2, JIT or interpreted
 //    single-vector SpMV for k == 1; one lane per matrix, matrices dealt
 //    round-robin over the lanes), a kD2H deliver node
 //    (slice Y back into per-request results), and a final kReduce epoch
@@ -174,7 +173,7 @@ class ServeEngine {
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Builds (or dedups) the CRSD container + plan + engines for `a` and
+  /// Builds (or dedups) the CRSD container + engines for `a` and
   /// returns its registry entry. Thread-safe.
   MatrixInfo register_matrix(const Coo<double>& a,
                              const StorageOptions& storage = {});

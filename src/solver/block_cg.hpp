@@ -1,14 +1,13 @@
 // Block conjugate gradient (O'Leary 1980) for SPD systems with multiple
 // right-hand sides: A X = B for k columns at once. The per-iteration cost
-// is dominated by one batched SpMM Q = A P — exactly the kernel the
-// inspector–executor SpMM engine provides — so k systems converge for
+// is dominated by one batched SpMM Q = A P — exactly the kernel
+// SpmmEngine (kernels/cpu_spmm.hpp) provides — so k systems converge for
 // roughly the memory traffic of one, and the search directions share
 // information across columns (block methods often need fewer iterations
 // than k independent CG runs on clustered spectra).
 //
 // The operator is any batched apply Y = A X (column-major, leading
-// dimensions), so the interpreted SpmmEngine, the JIT SpMM codelet, or k
-// single-vector sweeps all plug in.
+// dimensions), so SpmmEngine::apply or k single-vector sweeps both plug in.
 #pragma once
 
 #include <cmath>

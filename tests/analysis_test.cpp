@@ -1,9 +1,8 @@
 // Static kernel-access analyzer suite: clean baselines prove every storage
 // mode and geometry toggle safe with zero findings; the coalescing replay
 // reproduces the simulator's measured counters and seconds exactly; and each
-// planted defect class (unclamped edge read, overlapping ExecPlan partition,
-// divergent barrier, duplicate scatter target) is refuted by precisely the
-// matching diagnostic.
+// planted defect class (unclamped edge read, divergent barrier, duplicate
+// scatter target) is refuted by precisely the matching diagnostic.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,7 +10,6 @@
 #include "analysis/analyze.hpp"
 #include "common/rng.hpp"
 #include "core/build_api.hpp"
-#include "core/exec_plan.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/crsd_gpu.hpp"
 #include "matrix/generators.hpp"
@@ -160,32 +158,6 @@ TEST(AnalysisMutation, UnclampedEdgeReadIsRefuted) {
       << check::format_diagnostics(diags);
 }
 
-TEST(AnalysisMutation, OverlappingPlanPartitionIsRefuted) {
-  const auto m = build_mode(all_modes()[0]);
-  ExecPlanOptions plan_opts;
-  plan_opts.num_threads = 4;
-  const auto plan = ExecPlan<double>::inspect(m, plan_opts);
-  LaunchModel lm = build_launch_model(m, {});
-  attach_exec_plan(lm, plan, m);
-  ASSERT_TRUE(analyze_model(lm).empty()) << "clean plan must verify";
-
-  // Extend one thread's segment run by one: it now either overlaps the next
-  // thread's run or overruns the segment count — both break disjoint cover.
-  ASSERT_TRUE(lm.plan.has_value());
-  bool mutated = false;
-  for (auto& slice : *lm.plan) {
-    if (!slice.seg_runs.empty()) {
-      slice.seg_runs.back()[1] += 1;
-      mutated = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(mutated);
-  const auto diags = analyze_model(lm);
-  EXPECT_TRUE(has_code(diags, Code::kPlanPartition))
-      << check::format_diagnostics(diags);
-}
-
 TEST(AnalysisMutation, DivergentBarrierIsRefuted) {
   const auto m = build_mode(all_modes()[0]);
   LaunchModel lm = build_launch_model(m, {});
@@ -219,19 +191,6 @@ TEST(AnalysisMutation, DuplicateScatterTargetIsRefuted) {
   const auto diags = analyze_model(lm);
   EXPECT_TRUE(has_code(diags, Code::kWriteConflict))
       << check::format_diagnostics(diags);
-}
-
-TEST(Analysis, ExecPlanOverloadVerifiesRealPlan) {
-  for (const int threads : {1, 2, 8}) {
-    const auto m = build_mode(all_modes()[1]);
-    ExecPlanOptions plan_opts;
-    plan_opts.num_threads = threads;
-    const auto plan = ExecPlan<double>::inspect(m, plan_opts);
-    const AnalysisReport rep = analyze_crsd_launch(m, plan, {});
-    EXPECT_TRUE(rep.clean())
-        << "threads=" << threads << ":\n"
-        << check::format_diagnostics(rep.diagnostics);
-  }
 }
 
 }  // namespace

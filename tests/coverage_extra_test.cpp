@@ -3,6 +3,7 @@
 // reorder helpers under unusual inputs.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -24,6 +25,12 @@ struct DeviceMrowsCase {
   const char* device;
   index_t mrows;
 };
+
+// Prints "c2050/mrows32": without it gtest prints the struct's raw bytes,
+// pointer and padding included, into every test's listed name.
+void PrintTo(const DeviceMrowsCase& c, std::ostream* os) {
+  *os << c.device << "/mrows" << c.mrows;
+}
 
 class DeviceMrowsSweep : public ::testing::TestWithParam<DeviceMrowsCase> {};
 

@@ -1,12 +1,10 @@
-// Tests for the inspector–executor SpMM subsystem: ParallelPlan
-// partitioning and replay, ExecPlan inspection/invalidation, plan-driven
-// SpmmEngine parity (bitwise against the single-vector engine per column),
-// the register-blocked JIT SpMM codelet, concurrent JIT cache publication,
-// and block CG on top of the batched apply.
+// Tests for batched SpMM: ParallelPlan partitioning, SpmmEngine parity
+// (bitwise against the single-vector engine per column) before and after a
+// value update, concurrent JIT cache publication, and block CG on top of
+// the batched apply.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -14,11 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "codegen/crsd_jit_kernel.hpp"
+#include "codegen/jit.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/build_api.hpp"
-#include "core/exec_plan.hpp"
 #include "core/update.hpp"
 #include "kernels/cpu_spmm.hpp"
 #include "matrix/generators.hpp"
@@ -27,15 +24,6 @@
 
 namespace crsd {
 namespace {
-
-codegen::JitCompiler fresh_compiler(const char* tag = "spmm") {
-  codegen::JitCompiler::Options opts;
-  opts.cache_dir = (std::filesystem::temp_directory_path() /
-                    ("crsd-" + std::string(tag) + "-test-cache-" +
-                     std::to_string(::getpid())))
-                       .string();
-  return codegen::JitCompiler(opts);
-}
 
 /// Same fixture family as cpu_vec_test: adjacent clusters (AD groups),
 /// isolated diagonals, extreme offsets forcing edge segments, hole bands
@@ -154,155 +142,6 @@ TEST(ParallelPlan, FewerItemsThanPartsStillCoversAll) {
   EXPECT_EQ(total, 3);
 }
 
-TEST(ThreadPoolPlan, ReplayVisitsEveryIndexOnceWithStablePartIds) {
-  const ParallelPlan plan = ParallelPlan::static_partition(0, 101, 4);
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(101);
-  std::vector<std::atomic<int>> part_of(101);
-  for (auto& h : hits) h.store(0);
-  for (auto& p : part_of) p.store(-1);
-  pool.parallel_for(plan, [&](index_t b, index_t e, int part) {
-    for (index_t i = b; i < e; ++i) {
-      hits[static_cast<std::size_t>(i)].fetch_add(1);
-      part_of[static_cast<std::size_t>(i)].store(part);
-    }
-  });
-  for (index_t i = 0; i < 101; ++i) {
-    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
-  }
-  // Part ids reported to the callback are the plan's part indices, so a
-  // replay touches each range with the same id every sweep.
-  for (int p = 0; p < plan.num_parts(); ++p) {
-    for (index_t i = plan.part_begin(p); i < plan.part_end(p); ++i) {
-      EXPECT_EQ(part_of[static_cast<std::size_t>(i)].load(), p);
-    }
-  }
-}
-
-TEST(ThreadPoolPlan, MorePartsThanWorkStillRuns) {
-  const ParallelPlan plan = ParallelPlan::static_partition(0, 2, 6);
-  ThreadPool pool(3);
-  std::atomic<int> visited{0};
-  pool.parallel_for(plan, [&](index_t b, index_t e, int) {
-    visited.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(visited.load(), 2);
-}
-
-// ---------------------------------------------------------------------------
-// ExecPlan inspection
-
-TEST(ExecPlan, SlicesCoverEverySegmentExactlyOnce) {
-  const auto a = random_pattern_matrix(300, 14, 99, 12);
-  const auto m = build(a, CrsdConfig{.mrows = 16});
-  ExecPlanOptions opts;
-  opts.num_threads = 3;
-  const auto plan = ExecPlan<double>::inspect(m, opts);
-  ASSERT_EQ(plan.num_threads(), 3);
-
-  std::vector<int> seg_hits(static_cast<std::size_t>(m.num_segments_total()),
-                            0);
-  index_t scatter_covered = 0;
-  for (int t = 0; t < plan.num_threads(); ++t) {
-    const ThreadSlice& slice = plan.slice(t);
-    scatter_covered += slice.scatter_end - slice.scatter_begin;
-    for (const PlanStep& step : slice.steps) {
-      ASSERT_LT(step.seg_begin, step.seg_end);
-      for (index_t g = step.seg_begin; g < step.seg_end; ++g) {
-        ++seg_hits[static_cast<std::size_t>(g)];
-        // Interior flag must agree with the matrix's own interior ranges.
-        const SegmentInterior in = m.interior_segments(step.pattern);
-        EXPECT_EQ(step.interior, g >= in.begin && g < in.end)
-            << "segment " << g;
-      }
-    }
-  }
-  for (std::size_t g = 0; g < seg_hits.size(); ++g) {
-    EXPECT_EQ(seg_hits[g], 1) << "segment " << g;
-  }
-  EXPECT_EQ(scatter_covered, m.num_scatter_rows());
-}
-
-TEST(ExecPlan, DiagSourcesStageAdjacentGroupsOnly) {
-  const auto a = random_pattern_matrix(256, 12, 7, 0);
-  const auto m = build(a, CrsdConfig{.mrows = 16});
-  const auto plan = ExecPlan<double>::inspect(m);
-  for (std::size_t pi = 0; pi < m.patterns().size(); ++pi) {
-    const auto& pat = m.patterns()[pi];
-    const PatternPlan& pp = plan.pattern_plan(static_cast<index_t>(pi));
-    ASSERT_EQ(pp.diag_src.size(),
-              static_cast<std::size_t>(pat.num_diagonals()));
-    index_t arena_used = 0;
-    for (const auto& grp : pat.groups) {
-      const bool staged =
-          grp.type == GroupType::kAdjacent && grp.num_diagonals >= 2;
-      for (index_t gd = 0; gd < grp.num_diagonals; ++gd) {
-        const std::size_t d = static_cast<std::size_t>(grp.first_diagonal + gd);
-        EXPECT_EQ(pp.diag_src[d].staged, staged);
-        if (staged) {
-          EXPECT_EQ(pp.diag_src[d].window, m.mrows() + grp.num_diagonals - 1);
-          EXPECT_EQ(pp.diag_src[d].delta, gd);
-          EXPECT_EQ(pp.diag_src[d].arena_off, arena_used);
-        } else {
-          EXPECT_EQ(pp.diag_src[d].delta, pat.offsets[d]);
-        }
-      }
-      if (staged) arena_used += m.mrows() + grp.num_diagonals - 1;
-    }
-    EXPECT_EQ(pp.arena_elems, arena_used);
-    EXPECT_LE(arena_used, plan.max_arena_elems());
-  }
-}
-
-TEST(ExecPlan, ValueUpdateKeepsPlanValidRebuildInvalidates) {
-  auto a = random_pattern_matrix(200, 10, 21, 8);
-  auto m = build(a, CrsdConfig{.mrows = 16});
-  const auto plan = ExecPlan<double>::inspect(m);
-  EXPECT_TRUE(plan.matches(m));
-
-  // Same structure, new values: the plan stays bound.
-  Coo<double> a2(a.num_rows(), a.num_cols());
-  a2.reserve(a.nnz());
-  for (size64_t i = 0; i < a.nnz(); ++i) {
-    a2.add(a.row_indices()[i], a.col_indices()[i], a.values()[i] * 2.5);
-  }
-  a2.mark_canonical();
-  update_values(m, a2);
-  EXPECT_TRUE(plan.matches(m));
-  EXPECT_NO_THROW(plan.check_matches(m));
-
-  // Structurally different matrix: rejected at executor entry.
-  const auto b = random_pattern_matrix(200, 11, 22, 8);
-  const auto mb = build(b, CrsdConfig{.mrows = 16});
-  EXPECT_FALSE(plan.matches(mb));
-  EXPECT_THROW(plan.check_matches(mb), Error);
-  EXPECT_THROW(SpmmEngine<double>(mb, plan), Error);
-}
-
-TEST(ExecPlan, FirstTouchZeroesOwnedRowsOnly) {
-  const auto a = random_pattern_matrix(180, 8, 33, 0);
-  const auto m = build(a, CrsdConfig{.mrows = 16});
-  ExecPlanOptions opts;
-  opts.num_threads = 2;
-  const auto plan = ExecPlan<double>::inspect(m, opts);
-  ThreadPool pool(2);
-
-  const index_t k = 2;
-  const size64_t ldy = static_cast<size64_t>(m.num_rows()) + 5;  // padded
-  std::vector<double> y(ldy * k, -7.0);
-  plan.first_touch(pool, y.data(), k, ldy);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t r = 0; r < m.num_rows(); ++r) {
-      EXPECT_EQ(y[static_cast<size64_t>(j) * ldy + r], 0.0)
-          << "col " << j << " row " << r;
-    }
-    // Padding between columns is not owned by any thread slice.
-    for (size64_t r = m.num_rows(); r < ldy; ++r) {
-      EXPECT_EQ(y[static_cast<size64_t>(j) * ldy + r], -7.0);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SpmmEngine parity
 
@@ -320,26 +159,17 @@ TEST_P(SpmmParity, ColumnsMatchSingleVectorSweepsBitwise) {
   const size64_t ldy = static_cast<size64_t>(m.num_rows());
   const auto x = random_block<double>(m.num_cols(), k, 11);
 
-  ExecPlanOptions opts;
-  opts.num_threads = 3;
-  const auto plan = ExecPlan<double>::inspect(m, opts);
-  const SpmmEngine<double> engine(m, plan);
+  const SpmmEngine<double> engine(m);
 
   std::vector<double> y(ldy * k, -1.0), want(ldy * k, -2.0);
-  engine.apply_seq(x.data(), ldx, y.data(), ldy, k);
+  engine.apply(x.data(), ldx, y.data(), ldy, k);
   for (index_t j = 0; j < k; ++j) {
     m.spmv(x.data() + static_cast<size64_t>(j) * ldx,
            want.data() + static_cast<size64_t>(j) * ldy);
   }
   // The SpMM interior kernel makes the same mul-then-fmadd sequence per row
   // as the single-vector engine, so parity is bitwise, not approximate.
-  expect_bitwise(y, want, "apply_seq vs per-column spmv");
-
-  // The threaded path partitions work but never splits a row's accumulation.
-  ThreadPool pool(3);
-  std::vector<double> ypar(ldy * k, -3.0);
-  engine.apply(pool, x.data(), ldx, ypar.data(), ldy, k);
-  expect_bitwise(ypar, want, "apply vs per-column spmv");
+  expect_bitwise(y, want, "apply vs per-column spmv");
 
   // Scalar engine agreement (documented bitwise twin of spmv()).
   std::vector<double> yscalar(ldy * k, -4.0);
@@ -347,7 +177,7 @@ TEST_P(SpmmParity, ColumnsMatchSingleVectorSweepsBitwise) {
     m.spmv_scalar(x.data() + static_cast<size64_t>(j) * ldx,
                   yscalar.data() + static_cast<size64_t>(j) * ldy);
   }
-  expect_bitwise(y, yscalar, "apply_seq vs per-column spmv_scalar");
+  expect_bitwise(y, yscalar, "apply vs per-column spmv_scalar");
 }
 
 TEST_P(SpmmParity, FloatColumnsMatchSingleVectorSweepsBitwise) {
@@ -360,15 +190,14 @@ TEST_P(SpmmParity, FloatColumnsMatchSingleVectorSweepsBitwise) {
   const size64_t ldy = static_cast<size64_t>(m.num_rows());
   const auto x = random_block<float>(m.num_cols(), k, 13);
 
-  const auto plan = ExecPlan<float>::inspect(m);
-  const SpmmEngine<float> engine(m, plan);
+  const SpmmEngine<float> engine(m);
   std::vector<float> y(ldy * k, -1.0f), want(ldy * k, -2.0f);
-  engine.apply_seq(x.data(), ldx, y.data(), ldy, k);
+  engine.apply(x.data(), ldx, y.data(), ldy, k);
   for (index_t j = 0; j < k; ++j) {
     m.spmv(x.data() + static_cast<size64_t>(j) * ldx,
            want.data() + static_cast<size64_t>(j) * ldy);
   }
-  expect_bitwise(y, want, "float apply_seq vs per-column spmv");
+  expect_bitwise(y, want, "float apply vs per-column spmv");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -379,93 +208,49 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(300, 64, 64),
                       std::make_tuple(97, 16, 5)));   // non-multiple rows
 
-TEST(SpmmEngine, PlanDrivenSingleVectorMatchesSpmv) {
-  const auto a = random_pattern_matrix(250, 12, 3, 20);
-  const auto m = build(a, CrsdConfig{.mrows = 16});
-  ExecPlanOptions opts;
-  opts.num_threads = 2;
-  const auto plan = ExecPlan<double>::inspect(m, opts);
-  const SpmmEngine<double> engine(m, plan);
-  ThreadPool pool(2);
-
-  const auto x = random_block<double>(m.num_cols(), 1, 17);
-  std::vector<double> y(static_cast<std::size_t>(m.num_rows()), -1.0);
-  std::vector<double> want(y.size(), -2.0);
-  engine.spmv(pool, x.data(), y.data());
-  m.spmv(x.data(), want.data());
-  expect_bitwise(y, want, "plan-driven spmv vs direct spmv");
-}
-
 TEST(SpmmEngine, WideBatchCoversAllRegisterBlocks) {
   const auto a = random_pattern_matrix(150, 10, 9, 10);
   const auto m = build(a, CrsdConfig{.mrows = 16});
-  const auto plan = ExecPlan<double>::inspect(m);
-  const SpmmEngine<double> engine(m, plan);
+  const SpmmEngine<double> engine(m);
   const index_t k = 15;  // 8 + 4 + 2 + 1
   const size64_t ldx = static_cast<size64_t>(m.num_cols());
   const size64_t ldy = static_cast<size64_t>(m.num_rows());
   const auto x = random_block<double>(m.num_cols(), k, 23);
   std::vector<double> y(ldy * k, -1.0), want(ldy * k, -2.0);
-  engine.apply_seq(x.data(), ldx, y.data(), ldy, k);
+  engine.apply(x.data(), ldx, y.data(), ldy, k);
   for (index_t j = 0; j < k; ++j) {
     m.spmv(x.data() + static_cast<size64_t>(j) * ldx,
            want.data() + static_cast<size64_t>(j) * ldy);
   }
-  expect_bitwise(y, want, "k=15 apply_seq vs per-column spmv");
+  expect_bitwise(y, want, "k=15 apply vs per-column spmv");
 }
 
-// ---------------------------------------------------------------------------
-// JIT SpMM codelet
+TEST(SpmmEngine, ValueUpdateKeepsEngineValid) {
+  auto a = random_pattern_matrix(200, 10, 21, 8);
+  auto m = build(a, CrsdConfig{.mrows = 16});
+  const SpmmEngine<double> engine(m);
 
-TEST(JitSpmm, AppliesAllBlockSizesWithinTolerance) {
-  if (!codegen::JitCompiler::compiler_available()) {
-    GTEST_SKIP() << "no C++ compiler available for JIT";
+  // Same structure, new values: the engine built before the update must
+  // read the new value streams.
+  Coo<double> a2(a.num_rows(), a.num_cols());
+  a2.reserve(a.nnz());
+  for (size64_t i = 0; i < a.nnz(); ++i) {
+    a2.add(a.row_indices()[i], a.col_indices()[i], a.values()[i] * 2.5);
   }
-  const auto a = random_pattern_matrix(160, 8, 41, 12);
-  const auto m = build(a, CrsdConfig{.mrows = 16});
-  auto compiler = fresh_compiler();
-  const auto kernel = codegen::make_jit_spmm_kernel(m, compiler);
-  ASSERT_TRUE(kernel.has_value()) << "lint rejected generated SpMM source";
+  a2.mark_canonical();
+  update_values(m, a2);
 
   const index_t k = 5;
   const size64_t ldx = static_cast<size64_t>(m.num_cols());
   const size64_t ldy = static_cast<size64_t>(m.num_rows());
-  const auto x = random_block<double>(m.num_cols(), k, 29);
+  const auto x = random_block<double>(m.num_cols(), k, 19);
   std::vector<double> y(ldy * k, -1.0), want(ldy * k, -2.0);
-  kernel->apply(m, x.data(), ldx, y.data(), ldy, k);
+  engine.apply(x.data(), ldx, y.data(), ldy, k);
   for (index_t j = 0; j < k; ++j) {
-    m.spmv_scalar(x.data() + static_cast<size64_t>(j) * ldx,
-                  want.data() + static_cast<size64_t>(j) * ldy);
+    m.spmv(x.data() + static_cast<size64_t>(j) * ldx,
+           want.data() + static_cast<size64_t>(j) * ldy);
   }
-  // JIT codelets may contract mul+add differently than this TU; the repo
-  // convention allows a tiny relative tolerance for compiled kernels.
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    ASSERT_LE(std::abs(y[i] - want[i]), 1e-13 * (1.0 + std::abs(want[i])))
-        << "element " << i;
-  }
-  std::filesystem::remove_all(
-      std::filesystem::path(compiler.object_path_for("x")).parent_path());
-}
-
-TEST(JitSpmm, LintRejectsSourceForDifferentStructure) {
-  const auto a = random_pattern_matrix(160, 8, 41, 12);
-  const auto b = random_pattern_matrix(160, 11, 43, 4);
-  const auto ma = build(a, CrsdConfig{.mrows = 16});
-  const auto mb = build(b, CrsdConfig{.mrows = 16});
-  const std::string src_a = codegen::generate_cpu_spmm_codelet_source(ma);
-  const std::vector<check::Diagnostic> findings =
-      codegen::lint_cpu_spmm_codelet_source(mb, src_a, {8, 4, 2, 1});
-  EXPECT_FALSE(findings.empty())
-      << "lint accepted a codelet baked for a different structure";
-}
-
-TEST(JitSpmm, GeneratedSourcePassesOwnLint) {
-  const auto a = random_pattern_matrix(220, 12, 53, 16);
-  const auto m = build(a, CrsdConfig{.mrows = 64});
-  const std::string src = codegen::generate_cpu_spmm_codelet_source(m);
-  const std::vector<check::Diagnostic> findings =
-      codegen::lint_cpu_spmm_codelet_source(m, src, {8, 4, 2, 1});
-  EXPECT_TRUE(findings.empty()) << check::format_diagnostics(findings);
+  expect_bitwise(y, want, "apply after update_values vs per-column spmv");
 }
 
 // ---------------------------------------------------------------------------
@@ -538,17 +323,16 @@ TEST(BlockCg, SolvesSpdSystemForMultipleRhs) {
   }
   a.canonicalize();
   const auto m = build(a, CrsdConfig{.mrows = 16});
-  const auto plan = ExecPlan<double>::inspect(m);
-  const SpmmEngine<double> engine(m, plan);
+  const SpmmEngine<double> engine(m);
 
   const index_t k = 3;
   const auto x_true = random_block<double>(n, k, 61);
   std::vector<double> b(static_cast<std::size_t>(n) * k, 0.0);
-  engine.apply_seq(x_true.data(), n, b.data(), n, k);
+  engine.apply(x_true.data(), n, b.data(), n, k);
 
   const solver::BlockApplyFn<double> apply =
       [&](const double* xin, size64_t ldx, double* yout, size64_t ldy,
-          index_t kk) { engine.apply_seq(xin, ldx, yout, ldy, kk); };
+          index_t kk) { engine.apply(xin, ldx, yout, ldy, kk); };
   std::vector<double> x(static_cast<std::size_t>(n) * k, 0.0);
   solver::SolveOptions opts;
   opts.tolerance = 1e-12;
@@ -575,8 +359,7 @@ TEST(BlockCg, SingleColumnAgreesWithScalarCg) {
   }
   a.canonicalize();
   const auto m = build(a, CrsdConfig{.mrows = 16});
-  const auto plan = ExecPlan<double>::inspect(m);
-  const SpmmEngine<double> engine(m, plan);
+  const SpmmEngine<double> engine(m);
 
   const auto b = random_block<double>(n, 1, 71);
   solver::SolveOptions opts;
@@ -585,7 +368,7 @@ TEST(BlockCg, SingleColumnAgreesWithScalarCg) {
   std::vector<double> x_block(static_cast<std::size_t>(n), 0.0);
   const solver::BlockApplyFn<double> apply =
       [&](const double* xin, size64_t ldx, double* yout, size64_t ldy,
-          index_t kk) { engine.apply_seq(xin, ldx, yout, ldy, kk); };
+          index_t kk) { engine.apply(xin, ldx, yout, ldy, kk); };
   const auto block_result = solver::block_conjugate_gradient<double>(
       n, 1, apply, b.data(), x_block.data(), opts);
 
