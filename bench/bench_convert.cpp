@@ -13,12 +13,10 @@
 // trajectory.
 //
 // Usage: bench_convert [--scale S] [--mrows M] [--matrix ID]
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,9 +29,6 @@
 
 namespace crsd::bench {
 namespace {
-
-/// Alternating timing rounds per sweep (see main()).
-constexpr int kSweepRounds = 5;
 
 struct ConvertRow {
   int id = 0;
@@ -138,16 +133,13 @@ int main(int argc, char** argv) {
     for (auto& v : x) v = rng.next_double(-1.0, 1.0);
     std::vector<double> y(static_cast<std::size_t>(a.num_rows()));
     // The crossover divides by the difference of the two sweeps, so time
-    // them in alternating rounds (CSR, CRSD, CSR, ...) and keep each side's
-    // minimum: both sides see the same host state, and one noisy burst on
-    // one side cannot flip the sign of the denominator.
-    r.t_spmv_csr = r.t_spmv_crsd = std::numeric_limits<double>::infinity();
-    for (int round = 0; round < kSweepRounds; ++round) {
-      r.t_spmv_csr = std::min(
-          r.t_spmv_csr, time_per_rep([&] { csr.spmv(x.data(), y.data()); }));
-      r.t_spmv_crsd = std::min(
-          r.t_spmv_crsd, time_per_rep([&] { m.spmv(x.data(), y.data()); }));
-    }
+    // them in alternating rounds: one noisy burst on one side cannot flip
+    // the sign of the denominator.
+    const std::vector<double> t = time_interleaved(
+        {[&] { csr.spmv(x.data(), y.data()); },
+         [&] { m.spmv(x.data(), y.data()); }});
+    r.t_spmv_csr = t[0];
+    r.t_spmv_crsd = t[1];
 
     std::printf("%3d %-14s %11llu | %8.3f %9.3f %6.2fx | %9.1f\n", r.id,
                 r.name.c_str(), static_cast<unsigned long long>(r.nnz),

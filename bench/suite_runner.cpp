@@ -1,10 +1,13 @@
 #include "suite_runner.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 
 #include "common/table.hpp"
+#include "common/timer.hpp"
 #include "core/build_api.hpp"
 #include "kernels/gpu_spmv.hpp"
 #include "matrix/stats.hpp"
@@ -68,6 +71,9 @@ gpusim::Counters scale_counters(const gpusim::Counters& c, double factor) {
 }
 
 namespace {
+
+/// Alternating timing rounds per sweep in time_interleaved.
+constexpr int kSweepRounds = 5;
 
 /// Full-size DIA footprint check against device memory (the paper's OOM
 /// rows for af_*_k101 in double precision come from here: the scaled matrix
@@ -178,6 +184,18 @@ void print_speedup_table(const std::vector<SuiteRow>& rows,
                cell(Format::kEll), cell(Format::kCsr), cell(Format::kHyb)});
   }
   t.print_text(std::cout);
+}
+
+std::vector<double> time_interleaved(
+    const std::vector<std::function<void()>>& sweeps) {
+  std::vector<double> best(sweeps.size(),
+                           std::numeric_limits<double>::infinity());
+  for (int round = 0; round < kSweepRounds; ++round) {
+    for (std::size_t i = 0; i < sweeps.size(); ++i) {
+      best[i] = std::min(best[i], time_per_rep(sweeps[i]));
+    }
+  }
+  return best;
 }
 
 SpeedupSummary summarize_speedup(const std::vector<SuiteRow>& rows, Format f) {

@@ -5,6 +5,7 @@
 // amortizes) even though the matrices are generated at reduced scale.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -72,6 +73,13 @@ void print_gflops_table(const std::vector<SuiteRow>& rows,
 /// Prints the CRSD-speedup table (Figs. 9/10 layout).
 void print_speedup_table(const std::vector<SuiteRow>& rows,
                          const std::string& title);
+
+/// Host seconds per call of each sweep: five rounds, each timing every
+/// sweep once with time_per_rep in order, keeping each sweep's minimum.
+/// Sweeps that a bench divides by one another then see the same host state,
+/// so one noisy burst cannot land on one side of a ratio only.
+std::vector<double> time_interleaved(
+    const std::vector<std::function<void()>>& sweeps);
 
 /// Max/average of CRSD speedup over `f`, skipping OOM cells.
 struct SpeedupSummary {

@@ -91,7 +91,7 @@ std::string ordinal(std::size_t pattern, std::int64_t value) {
   return os.str();
 }
 
-/// Shared per-line checks: literal lane loops / lane-array extents must use
+/// Per-line checks of the CPU codelet: literal lane loops must use
 /// mrows, column clamps must use num_cols-1, baked x offsets must be live
 /// diagonals of the current pattern (and in range when unclamped).
 ///
@@ -106,20 +106,16 @@ class LineChecker {
   LineChecker(const LintMeta& meta, std::vector<Diagnostic>& out)
       : meta_(meta), out_(out),
         lane_loop_(R"(for \(std::int32_t lane = 0; lane < (\d+); \+\+lane\))"),
-        lane_array_(R"((?:sums|xg|targets)\[(\d+)\])"),
         col_clamp_(R"(crsd_clampi\([^,]*, 0, (-?\d+)\))"),
-        // x[r], x[r + 5], x[(row0 + lane) - 3], xx[lane + 2], xx[i + -4] —
-        // but not x[crsd_clampi(...)] (handled by col_clamp_) or xbuf reads.
-        x_access_(R"((?:^|[^a-zA-Z_])(x(?!buf)[a-z0-9]*)\[(r|i|lane|\(row0 \+ lane\))(?: ([+-]) (-?\d+))?\])") {}
+        // x[r], x[r + 5], xx[lane + 2], xx[i + -4] — but not
+        // x[crsd_clampi(...)] (handled by col_clamp_) or xbuf reads.
+        x_access_(R"((?:^|[^a-zA-Z_])(x(?!buf)[a-z0-9]*)\[(r|i|lane)(?: ([+-]) (-?\d+))?\])") {}
 
   void check(const std::string& line, std::int64_t line_no,
              std::int64_t pattern, const DiagonalPattern* pat) {
     std::smatch sm;
-    if ((contains(line, "for (std::int32_t lane = 0; lane < ") &&
-         std::regex_search(line, sm, lane_loop_)) ||
-        ((contains(line, "sums[") || contains(line, "xg[") ||
-          contains(line, "targets[")) &&
-         std::regex_search(line, sm, lane_array_))) {
+    if (contains(line, "for (std::int32_t lane = 0; lane < ") &&
+        std::regex_search(line, sm, lane_loop_)) {
       const std::int64_t trip = std::stoll(sm[1]);
       if (trip != meta_.mrows) {
         std::ostringstream os;
@@ -142,7 +138,7 @@ class LineChecker {
     }
     if (pat == nullptr ||
         !(contains(line, "[r") || contains(line, "[i") ||
-          contains(line, "[lane") || contains(line, "[(row0 + lane)"))) {
+          contains(line, "[lane"))) {
       return;
     }
     for (auto it = std::sregex_iterator(line.begin(), line.end(), x_access_);
@@ -170,8 +166,7 @@ class LineChecker {
              "baked x offset " + std::to_string(off) +
                  " is not a live diagonal of pattern " +
                  std::to_string(pattern));
-      } else if ((base == "r" || base == "(row0 + lane)") &&
-                 !offset_in_range(meta_, *pat, off)) {
+      } else if (base == "r" && !offset_in_range(meta_, *pat, off)) {
         // Unclamped row-relative access: legal only when provably in range.
         emit(out_, Code::kLintBakedOffset, line_no,
              "unclamped x access at offset " + std::to_string(off) +
@@ -185,7 +180,6 @@ class LineChecker {
   const LintMeta& meta_;
   std::vector<Diagnostic>& out_;
   std::regex lane_loop_;
-  std::regex lane_array_;
   std::regex col_clamp_;
   std::regex x_access_;
 };
@@ -400,63 +394,6 @@ std::vector<Diagnostic> lint_cpu(const LintMeta& meta,
   return out;
 }
 
-std::vector<Diagnostic> lint_gpu(const LintMeta& meta,
-                                 const std::string& source,
-                                 const std::string& prefix) {
-  std::vector<Diagnostic> out;
-  for (const char* suffix : {"_group", "_scatter_group"}) {
-    const std::string decl = "extern \"C\" void " + prefix + suffix + "(";
-    if (source.find(decl) == std::string::npos) {
-      emit(out, Code::kLintMissingSymbol, -1,
-           "expected entry point " + prefix + suffix + " not found");
-    }
-  }
-
-  const auto& patterns = *meta.patterns;
-  const auto& cum = *meta.cum_segments;
-  const std::regex dispatch(R"(if \(group_id < (-?\d+)\) \{  // pattern (\d+):)");
-
-  LineChecker checker(meta, out);
-  std::vector<bool> seen(patterns.size(), false);
-  std::int64_t cur = -1;
-  const std::vector<std::string> lines = split_lines(source);
-  for (std::size_t li = 0; li < lines.size(); ++li) {
-    const std::string& line = lines[li];
-    const std::int64_t line_no = static_cast<std::int64_t>(li) + 1;
-    std::smatch sm;
-    if (contains(line, "if (group_id < ") &&
-        std::regex_search(line, sm, dispatch)) {
-      cur = std::stoll(sm[2]);
-      if (cur < 0 || cur >= static_cast<std::int64_t>(patterns.size())) {
-        emit(out, Code::kLintPatternDispatch, line_no,
-             "dispatch names pattern " + std::to_string(cur) +
-                 " but the container has " + std::to_string(patterns.size()));
-        cur = -1;
-        continue;
-      }
-      const std::size_t p = static_cast<std::size_t>(cur);
-      seen[p] = true;
-      if (std::stoll(sm[1]) != cum[p + 1]) {
-        emit(out, Code::kLintPatternDispatch, line_no,
-             "dispatch bound is " + ordinal(p, std::stoll(sm[1])) +
-                 ", container expects " + std::to_string(cum[p + 1]));
-      }
-      continue;
-    }
-    const DiagonalPattern* pat =
-        cur >= 0 ? &patterns[static_cast<std::size_t>(cur)] : nullptr;
-    checker.check(line, line_no, cur, pat);
-  }
-  for (std::size_t p = 0; p < seen.size(); ++p) {
-    if (!seen[p]) {
-      emit(out, Code::kLintPatternDispatch, -1,
-           "pattern " + std::to_string(p) +
-               " is missing from the generated dispatch chain");
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 template <Real T>
@@ -466,20 +403,9 @@ std::vector<Diagnostic> lint_cpu_codelet_source(
   return lint_cpu(make_lint_meta(m), source, symbol_prefix);
 }
 
-template <Real T>
-std::vector<Diagnostic> lint_gpu_codelet_source(
-    const CrsdMatrix<T>& m, const std::string& source,
-    const std::string& symbol_prefix) {
-  return lint_gpu(make_lint_meta(m), source, symbol_prefix);
-}
-
 template std::vector<Diagnostic> lint_cpu_codelet_source<double>(
     const CrsdMatrix<double>&, const std::string&, const std::string&);
 template std::vector<Diagnostic> lint_cpu_codelet_source<float>(
-    const CrsdMatrix<float>&, const std::string&, const std::string&);
-template std::vector<Diagnostic> lint_gpu_codelet_source<double>(
-    const CrsdMatrix<double>&, const std::string&, const std::string&);
-template std::vector<Diagnostic> lint_gpu_codelet_source<float>(
     const CrsdMatrix<float>&, const std::string&, const std::string&);
 
 }  // namespace crsd::codegen

@@ -372,198 +372,6 @@ std::string generate_cpu(const Meta& meta, const CpuCodeletOptions& opts) {
   return w.str();
 }
 
-void emit_gpu_group_fn(CodeWriter& w, const Meta& meta,
-                       const GpuCodeletOptions& opts) {
-  const index_t mrows = meta.mrows;
-  w.open("extern \"C\" void " + opts.symbol_prefix +
-         "_group(const T* dia_val, const T* x, T* y, std::int32_t group_id, "
-         "const CrsdGpuHooks* h)");
-  const auto& patterns = *meta.patterns;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const auto& p = patterns[pi];
-    const index_t seg0 = (*meta.cum_segments)[pi];
-    const index_t seg1 = (*meta.cum_segments)[pi + 1];
-    const size64_t base = (*meta.val_offsets)[pi];
-    const size64_t slots = p.slots_per_segment(mrows);
-    w.open("if (group_id < " + itos(seg1) + ") {  // pattern " +
-           itos(static_cast<std::int64_t>(pi)) + ": " + pattern_to_string(p));
-    w.line("const std::int32_t row0 = group_id * " + itos(mrows) + ";");
-    w.line("const std::int32_t lanes = row0 + " + itos(mrows) + " <= " +
-           itos(meta.num_rows) + " ? " + itos(mrows) + " : " +
-           itos(meta.num_rows) + " - row0;");
-    if (p.offsets.empty()) {
-      w.open("for (std::int32_t lane = 0; lane < lanes; ++lane)");
-      w.line("y[row0 + lane] = T(0);");
-      w.close();
-      w.line("h->write_block(h->ctx, 2, (unsigned long long)row0, lanes, "
-             "(int)sizeof(T));");
-      w.line("return;");
-      w.close("");
-      continue;
-    }
-    w.line("const T* unit = dia_val + " +
-           itos(static_cast<std::int64_t>(base)) +
-           "ull + (unsigned long long)(group_id - " + itos(seg0) + ") * " +
-           itos(static_cast<std::int64_t>(slots)) + "ull;");
-    w.line("T sums[" + itos(mrows) + "] = {};");
-    w.line("unsigned long long useful;");
-    for (const auto& grp : p.groups) {
-      const bool staged = opts.use_local_memory &&
-                          grp.type == GroupType::kAdjacent &&
-                          grp.num_diagonals >= 2;
-      if (staged) {
-        const diag_offset_t first =
-            p.offsets[static_cast<std::size_t>(grp.first_diagonal)];
-        w.line("// adjacent group " + itos(first) + ".." +
-               itos(first + grp.num_diagonals - 1) +
-               ": stage the x window through local memory");
-        w.open("");
-        w.line("const std::int32_t window = lanes + " +
-               itos(grp.num_diagonals - 1) + ";");
-        w.line("const std::int32_t start = crsd_clampi(row0 + " +
-               itos(first) + ", 0, " + itos(meta.num_cols - 1) + ");");
-        w.line("std::int32_t window_clamped = " + itos(meta.num_cols) +
-               " - start; if (window < window_clamped) window_clamped = "
-               "window; if (window_clamped < 1) window_clamped = 1;");
-        w.line("h->read_block(h->ctx, 1, (unsigned long long)start, "
-               "window_clamped, (int)sizeof(T), 0);");
-        w.line("h->local_rw(h->ctx, (unsigned long long)window * sizeof(T));");
-        w.line("h->barrier(h->ctx);");
-        w.close();
-      }
-      for (index_t gd = 0; gd < grp.num_diagonals; ++gd) {
-        const index_t d = grp.first_diagonal + gd;
-        const diag_offset_t off = p.offsets[static_cast<std::size_t>(d)];
-        const std::string lane_base =
-            itos(static_cast<std::int64_t>(d) * mrows);
-        w.open("");
-        w.line("h->read_block(h->ctx, 0, (unsigned long long)(unit - dia_val) "
-               "+ " + lane_base + ", lanes, (int)sizeof(T), 0);");
-        if (staged) {
-          w.line("h->local_rw(h->ctx, (unsigned long long)lanes * sizeof(T));");
-        } else {
-          // Edge lanes clamp to the last column, so the touched x range
-          // never extends past num_cols.
-          w.line("const std::int32_t xs = crsd_clampi(row0 + " + itos(off) +
-                 ", 0, " + itos(meta.num_cols - 1) + ");");
-          w.line("std::int32_t xn = " + itos(meta.num_cols) +
-                 " - xs; if (lanes < xn) xn = lanes; if (xn < 1) xn = 1;");
-          w.line("h->read_block(h->ctx, 1, (unsigned long long)xs, "
-                 "xn, (int)sizeof(T), 1);");
-        }
-        w.line("useful = 0;");
-        w.open("for (std::int32_t lane = 0; lane < lanes; ++lane)");
-        w.line("const T v = unit[lane + " + lane_base + "];");
-        w.line("sums[lane] += v * " +
-               x_index_expr(meta, p, off, "(row0 + lane)") + ";");
-        w.line("if (v != T(0)) ++useful;");
-        w.close();
-        w.line("h->flops(h->ctx, 2 * useful);");
-        w.line("h->alu(h->ctx, 2 * ((unsigned long long)lanes - useful) + "
-               "2 * (unsigned long long)(" + itos(mrows) + " - lanes));");
-        w.close();
-      }
-      if (staged) {
-        w.line("h->barrier(h->ctx);  // buffer reused by the next AD group");
-      }
-    }
-    w.open("for (std::int32_t lane = 0; lane < lanes; ++lane)");
-    w.line("y[row0 + lane] = sums[lane];");
-    w.close();
-    w.line("h->write_block(h->ctx, 2, (unsigned long long)row0, lanes, "
-           "(int)sizeof(T));");
-    w.line("return;");
-    w.close("");  // pattern dispatch
-  }
-  w.close();  // function
-}
-
-void emit_gpu_scatter_fn(CodeWriter& w, const Meta& meta,
-                         const GpuCodeletOptions& opts) {
-  const index_t mrows = meta.mrows;
-  const index_t nsr = meta.num_scatter_rows;
-  w.open("extern \"C\" void " + opts.symbol_prefix +
-         "_scatter_group(const T* scatter_val, const std::int32_t* "
-         "scatter_col, const std::int32_t* scatter_rowno, const T* x, T* y, "
-         "std::int32_t group_id, const CrsdGpuHooks* h)");
-  if (nsr == 0) {
-    w.line("(void)scatter_val; (void)scatter_col; (void)scatter_rowno;");
-    w.line("(void)x; (void)y; (void)group_id; (void)h;");
-    w.close();
-    return;
-  }
-  w.line("const std::int32_t i0 = group_id * " + itos(mrows) + ";");
-  w.line("const std::int32_t lanes = i0 + " + itos(mrows) + " <= " +
-         itos(nsr) + " ? " + itos(mrows) + " : " + itos(nsr) + " - i0;");
-  w.line("if (lanes <= 0) return;");
-  w.line("h->read_block(h->ctx, 3, (unsigned long long)i0, lanes, 4, 0);");
-  w.line("T sums[" + itos(mrows) + "] = {};");
-  w.line("unsigned long long xg[" + itos(mrows) + "];");
-  for (index_t k = 0; k < meta.scatter_width; ++k) {
-    const std::string slot0 = itos(static_cast<std::int64_t>(k) * nsr);
-    w.open("");
-    w.line("h->read_block(h->ctx, 4, " + slot0 +
-           "ull + (unsigned long long)i0, lanes, 4, 0);");
-    w.line("h->read_block(h->ctx, 5, " + slot0 +
-           "ull + (unsigned long long)i0, lanes, (int)sizeof(T), 0);");
-    w.line("std::int32_t useful = 0;");
-    w.open("for (std::int32_t lane = 0; lane < lanes; ++lane)");
-    w.line("const std::int32_t c = scatter_col[" + slot0 + "ull + i0 + lane];");
-    w.open("if (c >= 0)");
-    w.line("sums[lane] += scatter_val[" + slot0 + "ull + i0 + lane] * x[c];");
-    w.line("xg[useful] = (unsigned long long)c;");
-    w.line("++useful;");
-    w.close();
-    w.close();
-    w.line("h->gather(h->ctx, 1, xg, useful, (int)sizeof(T), 1);");
-    w.line("h->flops(h->ctx, 2 * (unsigned long long)useful);");
-    w.line("h->alu(h->ctx, 2 * (unsigned long long)(lanes - useful));");
-    w.close();
-  }
-  w.line("unsigned long long targets[" + itos(mrows) + "];");
-  w.open("for (std::int32_t lane = 0; lane < lanes; ++lane)");
-  w.line("const std::int32_t r = scatter_rowno[i0 + lane];");
-  w.line("y[r] = sums[lane];  // overwrite after the diagonal phase");
-  w.line("targets[lane] = (unsigned long long)r;");
-  w.close();
-  w.line("h->scatter_write(h->ctx, 2, targets, lanes, (int)sizeof(T));");
-  w.close();
-}
-
-std::string generate_gpu(const Meta& meta, const GpuCodeletOptions& opts) {
-  CodeWriter w;
-  w.line("// Generated by crsd::codegen — CRSD per-work-group GPU codelet");
-  w.line("// (runtime-compiled, executed on the simulated device through");
-  w.line("// the CrsdGpuHooks event ABI). Do not edit.");
-  w.line("#include <cstdint>");
-  w.line();
-  w.line("using T = " + std::string(meta.type_name) + ";");
-  w.line();
-  w.line("extern \"C\" struct CrsdGpuHooks {");
-  w.line("  void* ctx;");
-  w.line("  void (*read_block)(void*, int, unsigned long long, int, int, int);");
-  w.line("  void (*gather)(void*, int, const unsigned long long*, int, int, "
-         "int);");
-  w.line("  void (*write_block)(void*, int, unsigned long long, int, int);");
-  w.line("  void (*scatter_write)(void*, int, const unsigned long long*, "
-         "int, int);");
-  w.line("  void (*flops)(void*, unsigned long long);");
-  w.line("  void (*alu)(void*, unsigned long long);");
-  w.line("  void (*local_rw)(void*, unsigned long long);");
-  w.line("  void (*barrier)(void*);");
-  w.line("};");
-  w.line();
-  w.open("static inline std::int32_t crsd_clampi(std::int32_t v, "
-         "std::int32_t lo, std::int32_t hi)");
-  w.line("return v < lo ? lo : (v > hi ? hi : v);");
-  w.close();
-  w.line();
-  emit_gpu_group_fn(w, meta, opts);
-  w.line();
-  emit_gpu_scatter_fn(w, meta, opts);
-  return w.str();
-}
-
 std::string generate_opencl(const Meta& meta,
                             const OpenClCodeletOptions& opts) {
   const std::string T = meta.type_name;
@@ -703,17 +511,6 @@ std::string generate_opencl_kernel_source(const CrsdMatrix<T>& m,
                                           const OpenClCodeletOptions& opts) {
   return generate_opencl(make_meta(m), opts);
 }
-
-template <Real T>
-std::string generate_gpu_codelet_source(const CrsdMatrix<T>& m,
-                                        const GpuCodeletOptions& opts) {
-  return generate_gpu(make_meta(m), opts);
-}
-
-template std::string generate_gpu_codelet_source<double>(
-    const CrsdMatrix<double>&, const GpuCodeletOptions&);
-template std::string generate_gpu_codelet_source<float>(
-    const CrsdMatrix<float>&, const GpuCodeletOptions&);
 
 template std::string generate_cpu_codelet_source<double>(
     const CrsdMatrix<double>&, const CpuCodeletOptions&);

@@ -43,25 +43,6 @@ template <Real T>
 std::string generate_cpu_codelet_source(const CrsdMatrix<T>& m,
                                         const CpuCodeletOptions& opts = {});
 
-/// Options for the simulated-GPU codelet generator.
-struct GpuCodeletOptions {
-  std::string symbol_prefix = "crsd_gpu_codelet";
-  /// Stage AD-group x windows through (modeled) local memory.
-  bool use_local_memory = true;
-};
-
-/// Emits a self-contained C++ translation unit implementing the per-work-
-/// group CRSD kernel for the structure of `m`, against the CrsdGpuHooks C
-/// ABI (gpu_codelet_abi.hpp): the codelet does the arithmetic *and* reports
-/// the memory events of the equivalent OpenCL kernel, so a compiled codelet
-/// can replace the interpreted kernel on the simulated device — the paper's
-/// full runtime-compilation pipeline. Two symbols are produced:
-///   <prefix>_group(dia_val, x, y, group_id, hooks)    — diagonal phase
-///   <prefix>_scatter_group(sval, scol, srow, x, y, group_id, hooks)
-template <Real T>
-std::string generate_gpu_codelet_source(const CrsdMatrix<T>& m,
-                                        const GpuCodeletOptions& opts = {});
-
 /// Options for the OpenCL-text generator (Fig. 6 reproduction).
 struct OpenClCodeletOptions {
   bool use_local_memory = true;  ///< stage AD-group x windows via __local

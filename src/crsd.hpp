@@ -1,7 +1,7 @@
 // crsd.hpp — the library's single public entry point. Applications include
 // this one header and link the crsd_* libraries; every subsystem needed for
-// the paper's pipeline (ingest -> build CRSD -> tune -> codegen/JIT ->
-// simulated-GPU SpMV -> solvers) is pulled in, together with the
+// the paper's pipeline (ingest -> build CRSD -> tune -> simulated-GPU SpMV,
+// or codegen/JIT -> host SpMV -> solvers) is pulled in, together with the
 // observability layer (obs::Span / obs::Registry, CRSD_TRACE/CRSD_METRICS).
 //
 // Deliberately not included:
@@ -81,9 +81,9 @@
 #include "kernels/crsd_gpu.hpp"
 #include "kernels/gpu_spmv.hpp"
 
-// Runtime code generation and JIT compilation.
+// Runtime code generation: the JIT-compiled CPU codelet and the Fig. 6
+// OpenCL kernel text. The simulated GPU runs kernels::gpu_spmv_crsd.
 #include "codegen/crsd_codegen.hpp"
-#include "codegen/crsd_gpu_jit.hpp"
 #include "codegen/crsd_jit_kernel.hpp"
 #include "codegen/jit.hpp"
 

@@ -10,8 +10,8 @@
 // (pattern metadata fetched from global memory, per-element index
 // arithmetic) and the runtime-generated codelet of §III (indices baked into
 // the instruction stream as immediates, diagonal loop unrolled). The
-// numerical work is identical; the codegen module proves the generated
-// source computes the same thing.
+// numerical work is identical: under either model y equals
+// CrsdMatrix::spmv bitwise for native storage.
 //
 // The launch is range-parameterized (CrsdGpuRange): a contiguous run of row
 // segments plus a slice of the scatter-row list execute against windowed x/y

@@ -2,8 +2,9 @@
 // that registers matrices once, accepts concurrent SpMV requests against
 // them, and *coalesces* requests that target the same matrix into one
 // register-blocked SpMM call (kernels/cpu_spmm.hpp) — the k=8 batch sweep
-// streams the value stream once for eight right-hand sides, which is where
-// the ~1.76x served-throughput headroom under load comes from.
+// streams the value stream once for eight right-hand sides (1.26x geomean
+// over eight single-vector JIT sweeps in BENCH_spmm.json), which is where
+// the served-throughput headroom under load comes from.
 //
 // Shape of the engine:
 //

@@ -1,8 +1,8 @@
 // Tests for the JIT codelet lint: generated source passes clean; textual
 // mutations of the baked constants (trip counts, clamp bounds, offsets,
 // interior split, pattern dispatch) are each caught by the matching
-// diagnostic code; and the lint-gated factories compile clean source but
-// refuse mutated source, falling back to the interpreted kernel.
+// diagnostic code; and the lint-gated factory compiles clean source but
+// refuses mutated source, falling back to the interpreted kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +15,9 @@
 #include <utility>
 #include <vector>
 
-#include "check/memcheck.hpp"
-#include "codegen/crsd_gpu_jit.hpp"
 #include "codegen/crsd_jit_kernel.hpp"
 #include "common/rng.hpp"
 #include "core/build_api.hpp"
-#include "kernels/crsd_gpu.hpp"
 #include "matrix/generators.hpp"
 
 namespace crsd::codegen {
@@ -100,17 +97,6 @@ TEST(CodeletLint, CleanOnGeneratedCpuSource) {
       build(dense_band(96, 3).cast<float>(), CrsdConfig{.mrows = 16});
   EXPECT_TRUE(lint_cpu_codelet_source(mf, generate_cpu_codelet_source(mf))
                   .empty());
-}
-
-TEST(CodeletLint, CleanOnGeneratedGpuSource) {
-  const auto m = stencil_matrix();
-  EXPECT_TRUE(lint_gpu_codelet_source(m, generate_gpu_codelet_source(m))
-                  .empty());
-  GpuCodeletOptions no_local;
-  no_local.use_local_memory = false;
-  EXPECT_TRUE(
-      lint_gpu_codelet_source(m, generate_gpu_codelet_source(m, no_local))
-          .empty());
 }
 
 TEST(CodeletLint, FlagsMissingEntryPoint) {
@@ -221,10 +207,9 @@ TEST(CodeletLint, FlagsWrongMarkerSegmentAndInteriorRanges) {
                     Code::kLintInteriorSplit, lint, "marker interior");
 }
 
-// The edge-path fixtures also rewrite the line so that the x access is its
+// The edge-path fixture also rewrites the line so that the x access is its
 // only x-access prefilter literal: generated lines always carry `[lane`
-// too (`unit[lane + k]`, `sums[lane]`), which would mask a broken `[r` or
-// `[(row0 + lane)` guard.
+// too (`unit[lane + k]`), which would mask a broken `[r` guard.
 
 TEST(CodeletLint, FlagsUnclampedCpuEdgeAccess) {
   const auto m = stencil_matrix();
@@ -241,76 +226,12 @@ TEST(CodeletLint, FlagsUnclampedCpuEdgeAccess) {
                     "unclamped x access");
 }
 
-TEST(CodeletLint, FlagsUnclampedGpuEdgeAccess) {
-  const auto m = stencil_matrix();
-  const auto lint = [&](const std::string& src) {
-    return lint_gpu_codelet_source(m, src);
-  };
-  const std::string src = generate_gpu_codelet_source(m);
-  expect_flagged_at(src, "x[crsd_clampi((row0 + lane) - 1, 0, 127)]",
-                    "x[(row0 + lane) - 1]", Code::kLintBakedOffset, lint,
-                    "unclamped x access");
-  expect_flagged_at(
-      src, "sums[lane] += v * x[crsd_clampi((row0 + lane) - 1, 0, 127)]",
-      "sums[0 + lane] += v * x[(row0 + lane) - 1]", Code::kLintBakedOffset,
-      lint, "unclamped x access");
-}
-
 TEST(CodeletLint, FlagsMissingPatternMarker) {
   const auto m = stencil_matrix();
   const std::string src = mutated(generate_cpu_codelet_source(m),
                                   "// pattern 0:", "// pattern zero:");
   EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src),
                        Code::kLintPatternDispatch));
-}
-
-TEST(CodeletLint, FlagsWrongGpuDispatchBound) {
-  const auto m = stencil_matrix();
-  // The stencil splits into top-edge/interior/bottom-edge patterns; the
-  // interior pattern 1 dispatches on the cumulative bound 7.
-  const std::string src =
-      mutated(generate_gpu_codelet_source(m),
-              "if (group_id < 7) {  // pattern 1:",
-              "if (group_id < 9) {  // pattern 1:");
-  EXPECT_TRUE(has_code(lint_gpu_codelet_source(m, src),
-                       Code::kLintPatternDispatch));
-}
-
-TEST(CodeletLint, FlagsWrongGpuLaneArrayExtent) {
-  const auto m = stencil_matrix();
-  const std::string src = mutated(generate_gpu_codelet_source(m),
-                                  "T sums[16] = {};", "T sums[8] = {};");
-  EXPECT_TRUE(has_code(lint_gpu_codelet_source(m, src),
-                       Code::kLintTripCount));
-}
-
-TEST(CodeletLint, FlagsWrongGpuScatterArrayExtents) {
-  // Scatter rows give the GPU codelet its gather (xg) and scatter-target
-  // arrays, both sized mrows.
-  Rng rng(3);
-  Coo<double> a = astro_convection(24, 8, 8, /*unstructured=*/false, rng);
-  inject_scatter(a, 25, rng);
-  const auto m = build(a, CrsdConfig{.mrows = 16});
-  ASSERT_GT(m.num_scatter_rows(), 0);
-  const std::string src = generate_gpu_codelet_source(m);
-  const auto lint = [&](const std::string& s) {
-    return lint_gpu_codelet_source(m, s);
-  };
-  expect_flagged_at(src, "unsigned long long xg[16];",
-                    "unsigned long long xg[8];", Code::kLintTripCount, lint);
-  expect_flagged_at(src, "unsigned long long targets[16];",
-                    "unsigned long long targets[8];", Code::kLintTripCount,
-                    lint);
-}
-
-TEST(CodeletLint, FlagsMissingGpuEntryPoint) {
-  const auto m = stencil_matrix();
-  const std::string src =
-      mutated(generate_gpu_codelet_source(m),
-              "extern \"C\" void crsd_gpu_codelet_group(",
-              "extern \"C\" void crsd_gpu_codelet_group2(");
-  EXPECT_TRUE(has_code(lint_gpu_codelet_source(m, src),
-                       Code::kLintMissingSymbol));
 }
 
 TEST(CodeletLint, DiagnosticsCarrySourceLineNumbers) {
@@ -331,14 +252,6 @@ TEST(CheckedJit, RejectsMutatedSourceWithoutCompiling) {
                                   ", 0, 127)", ", 0, 126)");
   EXPECT_FALSE(make_jit_kernel(m, compiler, Checked::kYes, &bad).has_value());
   EXPECT_EQ(compiler.compilations(), 0);
-
-  const std::string bad_gpu =
-      mutated(generate_gpu_codelet_source(m),
-              "if (group_id < 7) {  // pattern 1:",
-              "if (group_id < 9) {  // pattern 1:");
-  EXPECT_FALSE(
-      make_gpu_jit_kernel(m, compiler, {}, Checked::kYes, &bad_gpu).has_value());
-  EXPECT_EQ(compiler.compilations(), 0);
 }
 
 TEST(CheckedJit, CleanSourceCompilesAndMatchesScalar) {
@@ -355,31 +268,6 @@ TEST(CheckedJit, CleanSourceCompilesAndMatchesScalar) {
   std::vector<double> got = want;
   m.spmv_scalar(x.data(), want.data());
   kernel->spmv(m, x.data(), got.data());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_NEAR(got[i], want[i], 1e-12) << i;
-  }
-}
-
-TEST(CheckedJit, CleanGpuSourceRunsUnderTheChecker) {
-  if (!JitCompiler::compiler_available()) GTEST_SKIP();
-  // The GPU kernel requires mrows to be a wavefront multiple (32 on the
-  // simulated Tesla C2050), so this fixture uses a wider segment height.
-  const auto m = build(stencil_5pt_2d(16, 8), CrsdConfig{.mrows = 32});
-  JitCompiler compiler = fresh_compiler();
-  auto kernel = make_gpu_jit_kernel(m, compiler);
-  ASSERT_TRUE(kernel.has_value());
-
-  Rng rng(13);
-  std::vector<double> x(static_cast<std::size_t>(m.num_cols()));
-  for (auto& v : x) v = rng.next_double(-1.0, 1.0);
-  std::vector<double> want(static_cast<std::size_t>(m.num_rows()), 0.0);
-  std::vector<double> got = want;
-  m.spmv_scalar(x.data(), want.data());
-
-  gpusim::Device dev(gpusim::DeviceSpec::tesla_c2050());
-  check::MemChecker chk(dev.spec());
-  kernel->run(dev, m, x.data(), got.data(), /*pool=*/nullptr, &chk);
-  EXPECT_TRUE(chk.clean()) << chk.report();
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(got[i], want[i], 1e-12) << i;
   }

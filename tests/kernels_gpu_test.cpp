@@ -1,9 +1,12 @@
 // Tests for the simulated GPU SpMV kernels: numerical agreement with the
-// COO reference for every format and both precisions, plus the qualitative
-// counter properties the paper's evaluation rests on (coalescing, padding
-// traffic, divergence, index-load savings, barrier costs).
+// COO reference for every format and both precisions (for CRSD, bitwise
+// agreement with the CPU engine under every kernel setting), plus the
+// qualitative counter properties the paper's evaluation rests on
+// (coalescing, padding traffic, divergence, index-load savings, barrier
+// costs).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -51,6 +54,23 @@ void check_format(Format f, const Coo<T>& a, double tol) {
   EXPECT_EQ(dev.allocated_bytes(), 0u);
 }
 
+/// The CRSD kernel must reproduce CrsdMatrix::spmv bit for bit and release
+/// every buffer it allocated.
+template <Real T>
+void expect_crsd_matches_engine(const CrsdMatrix<T>& m,
+                                const CrsdGpuOptions& opts) {
+  const auto x = random_vector<T>(m.num_cols(), 7);
+  std::vector<T> want(static_cast<std::size_t>(m.num_rows()));
+  m.spmv(x.data(), want.data());
+  Device dev(DeviceSpec::tesla_c2050());
+  std::vector<T> got(want.size(), T(-1));
+  gpu_spmv_crsd(dev, m, x.data(), got.data(), opts);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(T)), 0)
+      << "jit_codelet " << opts.jit_codelet << ", use_local_memory "
+      << opts.use_local_memory;
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+}
+
 class GpuKernelSuite : public ::testing::TestWithParam<int> {};
 
 TEST_P(GpuKernelSuite, AllFormatsMatchReference) {
@@ -64,6 +84,19 @@ TEST_P(GpuKernelSuite, AllFormatsMatchReference) {
   for (Format f : {Format::kCsr, Format::kEll, Format::kCrsd}) {
     check_format(f, af, 3e-4);
   }
+  // Both cost models and both staging choices compute y in the CPU
+  // engine's order.
+  const auto m = build(a, CrsdConfig{.mrows = 64});
+  for (const bool jit_codelet : {true, false}) {
+    for (const bool use_local_memory : {true, false}) {
+      CrsdGpuOptions opts;
+      opts.jit_codelet = jit_codelet;
+      opts.use_local_memory = use_local_memory;
+      expect_crsd_matches_engine(m, opts);
+    }
+  }
+  expect_crsd_matches_engine(build(af, CrsdConfig{.mrows = 64}),
+                             CrsdGpuOptions{});
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, GpuKernelSuite,
