@@ -1,23 +1,23 @@
-// Adaptive row-region partitioner benchmark + CI gate: on the partially
-// diagonal family — a diagonal-dominant stripe stacked over ragged
+// Partitioned-build benchmark + CI gate on one simulated device: on the
+// partially diagonal family — a diagonal-dominant stripe stacked over ragged
 // scattered rows, the shape the paper's single-format CRSD punts on — the
-// partitioned container (CRSD regions placed by the model, each region's
-// mrows picked by measured trials, launches overlapped one queue and one
-// private simulated device per region on the task-graph runtime) must beat
-// the best single-format launch by >= 1.15x geomean of simulated seconds.
-// Everything runs on the simulator's deterministic virtual timeline, so
-// the gate is noise-free, and every value the JSON holds is a modeled time
-// or a count: CI diffs it against the committed BENCH_partition.json, so a
-// change that moves a plan, a trial count or a modeled time must re-record
-// it.
+// partitioned container (one region whose mrows wins the autotuner's
+// measured race, launched on the same single device as the baselines) must
+// be at least as fast as the best single-format launch on every member.
+// The race's candidates include the default configuration the CRSD
+// baseline runs, so a slower member means the race or the launch is wrong.
+// Everything runs on the simulator's deterministic model, so the gate is
+// noise-free, and every value the JSON holds is a modeled time or a count:
+// CI diffs it against the committed BENCH_partition.json, so a change that
+// moves a plan, a trial count or a modeled time must re-record it.
 //
 // Also asserted per member (CI runs the binary as one assertion):
-//  * native storage: the executor's y is bitwise-identical to the
+//  * native storage: the launch's y is bitwise-identical to the
 //    partitioned CPU reference, which itself matches the COO reference;
-//  * mixed precision (fp32 values + narrow indices on the CRSD regions):
-//    tolerance-gated against the fp64 reference;
-//  * warm-run contract: rebuilding from the same persistent cache reuses
-//    the stored partition with zero measured trials.
+//  * mixed precision (fp32 values + narrow indices): tolerance-gated
+//    against the fp64 reference;
+//  * warm-run contract: rebuilding from the same persistent tuning cache
+//    reuses the stored winner with zero measured trials.
 //
 // Writes BENCH_partition.json (path overridable via CRSD_BENCH_OUT).
 //
@@ -40,7 +40,7 @@
 namespace crsd::bench {
 namespace {
 
-constexpr double kGateMinGeomeanSpeedup = 1.15;
+constexpr double kGateMinSpeedup = 1.00;
 constexpr double kMixedPrecisionRelTol = 5e-4;  // fp32 values on the stripe
 
 /// Family member: tridiagonal-plus-band top stripe over a ragged
@@ -67,8 +67,7 @@ struct PartitionRow {
   double t_crsd = 0.0, t_csr = 0.0, t_ell = 0.0, t_hyb = 0.0;
   Format best_single = Format::kCrsd;
   double t_best = 0.0;
-  double t_part = 0.0;         ///< partitioned makespan (overlapped)
-  double t_part_serial = 0.0;  ///< partitioned regions back to back
+  double t_part = 0.0;  ///< partitioned launch on one device
   std::size_t regions = 0;
   std::string plan;
   bool bitwise_ok = false;
@@ -119,8 +118,8 @@ PartitionRow run_member(const FamilySpec& fs, const std::string& cache_dir,
     }
   }
 
-  // Cold partitioned build: plans, refines per-region mrows with measured
-  // trials, publishes the cache entry.
+  // Cold partitioned build: races the mrows candidates with measured
+  // trials and publishes the tuning-cache entry.
   BuildOptions opts;
   opts.cache_dir = cache_dir;
   kernels::PlannedPartition cold;
@@ -135,12 +134,10 @@ PartitionRow run_member(const FamilySpec& fs, const std::string& cache_dir,
   r.warm_trials = warm.measured_trials;
   r.warm_hit = warm.cache_hit;
 
-  // Partitioned launch, overlapped on the task-graph runtime.
+  // Partitioned launch on one device, like the baselines.
   gpusim::Device dev{gpusim::DeviceSpec{}};
   std::vector<double> y(static_cast<std::size_t>(a.num_rows()), -1.0);
-  const auto res = kernels::spmv(dev, pm, x.data(), y.data(), {}, &pool);
-  r.t_part = res.seconds;
-  r.t_part_serial = res.serial_seconds;
+  r.t_part = kernels::spmv(dev, pm, x.data(), y.data(), {}, &pool).seconds;
 
   // Native storage: bitwise parity with the partitioned CPU reference.
   std::vector<double> y_ref(y.size(), -2.0);
@@ -149,8 +146,8 @@ PartitionRow run_member(const FamilySpec& fs, const std::string& cache_dir,
   return r;
 }
 
-/// Mixed-precision leg: fp32 values + narrow scatter indices on the CRSD
-/// regions, tolerance-gated against the fp64 COO reference.
+/// Mixed-precision leg: fp32 values + narrow scatter indices, tolerance-gated
+/// against the fp64 COO reference.
 bool mixed_precision_ok(const FamilySpec& fs, const std::string& cache_dir,
                         ThreadPool& pool) {
   const auto a = partially_diagonal(fs);
@@ -180,8 +177,8 @@ bool mixed_precision_ok(const FamilySpec& fs, const std::string& cache_dir,
 }
 
 void write_json(const std::vector<PartitionRow>& rows, double geomean,
-                bool all_bitwise, bool warm_ok, bool mixed_ok,
-                bool gate_pass, const std::string& path) {
+                double min_speedup, bool all_bitwise, bool warm_ok,
+                bool mixed_ok, bool gate_pass, const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"partition\",\n  \"precision\": \"double\",\n"
       << "  \"device\": \"default gpusim spec\",\n  \"matrices\": [\n";
@@ -193,12 +190,12 @@ void write_json(const std::vector<PartitionRow>& rows, double geomean,
         "    {\"name\": \"%s\", \"rows\": %lld, \"nnz\": %llu, "
         "\"t_crsd\": %.4e, \"t_csr\": %.4e, \"t_ell\": %.4e, "
         "\"t_hyb\": %.4e, \"best_single\": \"%s\", \"t_partitioned\": %.4e, "
-        "\"t_partitioned_serial\": %.4e, \"regions\": %zu, "
+        "\"regions\": %zu, "
         "\"speedup\": %.3f, \"bitwise_ok\": %s, \"cold_trials\": %lld, "
         "\"warm_trials\": %lld, \"plan\": \"%s\"}%s\n",
         r.name.c_str(), static_cast<long long>(r.rows),
         static_cast<unsigned long long>(r.nnz), r.t_crsd, r.t_csr, r.t_ell,
-        r.t_hyb, format_name(r.best_single), r.t_part, r.t_part_serial,
+        r.t_hyb, format_name(r.best_single), r.t_part,
         r.regions, r.speedup(), r.bitwise_ok ? "true" : "false",
         static_cast<long long>(r.cold_trials),
         static_cast<long long>(r.warm_trials), r.plan.c_str(),
@@ -208,10 +205,11 @@ void write_json(const std::vector<PartitionRow>& rows, double geomean,
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "  ],\n  \"summary\": {\"geomean_speedup\": %.3f, "
-                "\"gate_min_geomean\": %.2f, \"all_bitwise\": %s, "
+                "\"min_speedup\": %.3f, \"gate_min_speedup\": %.2f, "
+                "\"all_bitwise\": %s, "
                 "\"warm_zero_trials\": %s, \"mixed_precision_ok\": %s, "
                 "\"gate_pass\": %s}\n}\n",
-                geomean, kGateMinGeomeanSpeedup,
+                geomean, min_speedup, kGateMinSpeedup,
                 all_bitwise ? "true" : "false", warm_ok ? "true" : "false",
                 mixed_ok ? "true" : "false", gate_pass ? "true" : "false");
   out << buf;
@@ -226,11 +224,11 @@ int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   (void)SuiteOptions::parse(argc, argv);
 
-  std::printf("== Row-region partitioner: partitioned SpMV vs best "
-              "single-format launch (virtual timeline) ==\n\n");
+  std::printf("== Autotuned partitioned SpMV vs best single-format launch, "
+              "one device (modeled) ==\n\n");
 
-  // A scratch partition cache, so the cold/warm contract is measured from a
-  // known-empty state every run.
+  // A scratch tuning cache, so the cold/warm contract is measured from a
+  // known-empty state every run; removed before exit.
   const fs::path cache_dir =
       fs::temp_directory_path() /
       ("crsd-bench-partition-" +
@@ -264,10 +262,12 @@ int main(int argc, char** argv) {
   }
 
   double log_sum = 0.0;
+  double min_speedup = rows.empty() ? 0.0 : rows.front().speedup();
   bool all_bitwise = true;
   bool warm_ok = true;
   for (const auto& r : rows) {
     log_sum += std::log(std::max(r.speedup(), 1e-300));
+    min_speedup = std::min(min_speedup, r.speedup());
     all_bitwise = all_bitwise && r.bitwise_ok;
     warm_ok = warm_ok && r.warm_trials == 0 && r.warm_hit &&
               r.cold_trials > 0;
@@ -277,21 +277,23 @@ int main(int argc, char** argv) {
 
   const bool mixed_ok = mixed_precision_ok(family.front(),
                                            cache_dir.string(), pool);
+  fs::remove_all(cache_dir);
 
-  const bool gate_pass = geomean >= kGateMinGeomeanSpeedup && all_bitwise &&
+  const bool gate_pass = min_speedup >= kGateMinSpeedup && all_bitwise &&
                          warm_ok && mixed_ok;
-  std::printf("\ngeomean speedup vs best single format: %.2fx "
-              "(gate >= %.2fx); bitwise %s; warm cache %s; "
-              "mixed precision %s\n",
-              geomean, kGateMinGeomeanSpeedup, all_bitwise ? "ok" : "FAIL",
-              warm_ok ? "ok (0 trials)" : "FAIL", mixed_ok ? "ok" : "FAIL");
+  std::printf("\nspeedup vs best single format on one device: min %.3fx "
+              "(gate >= %.2fx on every member), geomean %.3fx; bitwise %s; "
+              "warm cache %s; mixed precision %s\n",
+              min_speedup, kGateMinSpeedup, geomean,
+              all_bitwise ? "ok" : "FAIL", warm_ok ? "ok (0 trials)" : "FAIL",
+              mixed_ok ? "ok" : "FAIL");
 
   const char* out_env = std::getenv("CRSD_BENCH_OUT");
   const std::string out_path = out_env != nullptr && *out_env != '\0'
                                    ? out_env
                                    : "BENCH_partition.json";
-  write_json(rows, geomean, all_bitwise, warm_ok, mixed_ok, gate_pass,
-             out_path);
+  write_json(rows, geomean, min_speedup, all_bitwise, warm_ok, mixed_ok,
+             gate_pass, out_path);
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!gate_pass) {

@@ -1,14 +1,12 @@
 // The facade build API: one options struct folding everything the scattered
 // overloads used to thread by hand — CrsdConfig construction knobs, storage
-// compaction (already inside CrsdConfig::storage), the row-partition policy,
-// and tuning-cache defaulting — behind a single crsd::build() entry point.
+// compaction (already inside CrsdConfig::storage) and tuning-cache
+// defaulting — behind a single crsd::build() entry point.
 //
 // This header sits at the facade layer: it deliberately reaches down into
 // kernels/crsd_autotune.hpp for the persistent tuning cache, the same way
-// crsd.hpp aggregates every subsystem. Partitioned *building* through the
-// cached planner and the task-graph *executor* live in
-// kernels/partitioned_spmv.hpp (they need the crsd_runtime library; see the
-// note in crsd.hpp).
+// crsd.hpp aggregates every subsystem. The partitioned build and its
+// executor live in kernels/partitioned_spmv.hpp.
 #pragma once
 
 #include <optional>
@@ -16,7 +14,6 @@
 
 #include "common/thread_pool.hpp"
 #include "core/builder.hpp"
-#include "core/partition.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/crsd_autotune.hpp"
 #include "matrix/coo.hpp"
@@ -30,11 +27,6 @@ struct BuildOptions {
   /// Construction knobs, including storage compaction (config.storage).
   CrsdConfig config;
 
-  /// Row-region partition policy, consumed by crsd::build_partitioned
-  /// (kernels/partitioned_spmv.hpp). Plain crsd::build ignores it: a
-  /// partitioned build produces a PartitionedMatrix, not a CrsdMatrix.
-  PartitionPolicy partition;
-
   /// When true, consult the persistent autotuner cache
   /// (kernels::load_cached_tuning) for this matrix structure on `device`
   /// and adopt the cached winner's construction knobs; config.storage
@@ -43,7 +35,8 @@ struct BuildOptions {
   /// configurations.
   bool tune_from_cache = false;
 
-  /// Device the tuning-cache entries (and partition plans) are keyed by.
+  /// Device the tuning-cache entries are keyed by, and the device
+  /// crsd::build_partitioned races its mrows candidates on.
   /// Callers that run on a simulated device should pass dev.spec(); the
   /// default spec keys its own cache namespace.
   gpusim::DeviceSpec device{};

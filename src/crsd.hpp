@@ -12,11 +12,6 @@
 //  * runtime/ (async task-graph runtime, multi-device sharded SpMV) — needs
 //    the crsd_runtime library; include runtime/task_graph.hpp /
 //    runtime/multi_device.hpp directly.
-//  * kernels/partitioned_spmv.hpp (partitioned build + task-graph executor
-//    for core/partition.hpp containers) — its executor composes regions on
-//    the crsd_runtime graph; include it directly where partitioned SpMV is
-//    launched. The planner and container (core/partition.hpp) are included
-//    here.
 #pragma once
 
 // Common utilities: errors, fixed-width types, RNG, timers, thread pool.
@@ -53,7 +48,7 @@
 #include "formats/hyb.hpp"
 
 // CRSD container: the unified build entry point (crsd::build/BuildOptions),
-// builder internals, matrix, row-region partitioner, inspection,
+// builder internals, matrix, row-region container, inspection,
 // persistence, updates.
 #include "core/build_api.hpp"
 #include "core/builder.hpp"
@@ -75,11 +70,13 @@
 #include "analysis/interval.hpp"
 #include "analysis/launch_model.hpp"
 
-// Kernels: per-format simulated-GPU SpMV, the dispatcher, autotuner, SpMM.
+// Kernels: per-format simulated-GPU SpMV, the dispatcher, autotuner, SpMM,
+// and the autotuned partitioned build with its launch.
 #include "kernels/cpu_spmm.hpp"
 #include "kernels/crsd_autotune.hpp"
 #include "kernels/crsd_gpu.hpp"
 #include "kernels/gpu_spmv.hpp"
+#include "kernels/partitioned_spmv.hpp"
 
 // Runtime code generation: the JIT-compiled CPU codelet and the Fig. 6
 // OpenCL kernel text. The simulated GPU runs kernels::gpu_spmv_crsd.

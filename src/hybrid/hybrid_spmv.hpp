@@ -89,7 +89,7 @@ class HybridSpmv {
     rest.scatter_begin = gpu.range.scatter_end;
     rest.row_begin = gpu.range.row_end;
     const std::vector<rt::RowSplitPart<T>> parts = {
-        {&m_, gpu.range, 0, &dev, false}, {&m_, rest, 0, nullptr, true}};
+        {&m_, gpu.range, &dev, false}, {&m_, rest, nullptr, true}};
 
     rt::MultiDeviceOptions mopts;
     mopts.transfer_vectors = cfg_.transfer_vectors_each_spmv;

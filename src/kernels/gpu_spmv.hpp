@@ -2,8 +2,7 @@
 // plus CRSD), unified behind one options-struct dispatch. The per-container
 // spmv() overloads route CSR/DIA/ELL/HYB/CRSD uniformly; the COO overload
 // builds `format` first. The partitioned overload lives in
-// kernels/partitioned_spmv.hpp because its executor needs the crsd_runtime
-// library.
+// kernels/partitioned_spmv.hpp with the partitioned build.
 #pragma once
 
 #include <optional>

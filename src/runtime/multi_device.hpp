@@ -1,9 +1,8 @@
 // Row-split SpMV on the task-graph runtime. A row split is a list of
-// parts, each a contiguous range of a built CRSD container (shard.hpp)
+// parts, each a contiguous range of one built CRSD container (shard.hpp)
 // bound to one simulated device or to the host CPU. run_row_split is the one
 // lowering of such a list onto a TaskGraph; MultiDeviceSpmv (a shard per
-// device), hybrid::HybridSpmv (a device and the CPU) and kernels::spmv over
-// a PartitionedMatrix (a private device per region) all call it. Parts own
+// device) and hybrid::HybridSpmv (a device and the CPU) call it. Parts own
 // disjoint rows, so each writes its rows straight into the caller's y and
 // one join barrier closes the graph; nothing is merged.
 //
@@ -23,7 +22,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -244,14 +242,11 @@ NodeId append_shard_pipeline(TaskGraph& g, const DeviceLane& lane,
 
 /// One part of a row split: `range` of the built container `matrix`, bound
 /// to the simulated device `device` or, with `on_cpu`, to the host CPU.
-/// `row_offset` is the row of the caller's y that holds the container's
-/// row 0: 0 when every part slices one container, a region's first row when
-/// each part is a region's own container.
+/// The container's rows are the caller's y rows.
 template <Real T>
 struct RowSplitPart {
   const CrsdMatrix<T>* matrix = nullptr;
   kernels::CrsdGpuRange range;
-  index_t row_offset = 0;
   gpusim::Device* device = nullptr;
   bool on_cpu = false;
 };
@@ -263,8 +258,6 @@ struct RowSplitRun {
   double launch_seconds = 0.0;
   double d2h_seconds = 0.0;
   double cpu_seconds = 0.0;
-  /// Modeled compute seconds of each part: its launches, or its CPU sweep.
-  std::vector<double> part_seconds;
 };
 
 namespace detail {
@@ -320,12 +313,10 @@ RowSplitRun run_row_split(const std::vector<RowSplitPart<T>>& parts,
   QueueId cpu = -1;
   std::vector<std::vector<T>> x_stage(parts.size());
   std::vector<std::vector<T>> y_dev(parts.size());
-  std::vector<std::array<NodeId, 2>> part_nodes;  // [first, end) per part
   std::vector<NodeId> tails;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     const RowSplitPart<T>& p = parts[i];
     const std::string tag = "part" + std::to_string(i);
-    const NodeId first = g.num_nodes();
     if (!p.on_cpu) {
       DeviceLane lane;
       lane.h2d = g.add_queue(tag + ".h2d");
@@ -333,7 +324,7 @@ RowSplitRun run_row_split(const std::vector<RowSplitPart<T>>& parts,
       lane.d2h = g.add_queue(tag + ".d2h");
       tails.push_back(append_shard_pipeline(
           g, lane, *p.device, *p.matrix, Shard{p.range}, opts, launch_opts,
-          tag, x, x_stage[i], y_dev[i], y + p.row_offset + p.range.row_begin));
+          tag, x, x_stage[i], y_dev[i], y + p.range.row_begin));
     } else if (!p.range.empty()) {
       if (cpu < 0) cpu = g.add_queue("cpu");
       const double seconds = perf::cpu_spmv_seconds(
@@ -342,15 +333,14 @@ RowSplitRun run_row_split(const std::vector<RowSplitPart<T>>& parts,
           std::is_same_v<T, double>);
       tails.push_back(g.add_node(
           NodeKind::kCpuCompute, cpu, tag + ".cpu",
-          [&p, x, y_part = y + p.row_offset, seconds] {
+          [&p, x, y, seconds] {
             p.matrix->spmv_segments_vec(p.range.seg_begin, p.range.seg_end, x,
-                                        y_part);
+                                        y);
             p.matrix->spmv_scatter(p.range.scatter_begin, p.range.scatter_end,
-                                   x, y_part);
+                                   x, y);
             return seconds;
           }));
     }
-    part_nodes.push_back({first, g.num_nodes()});
   }
   const NodeId done = g.add_node(NodeKind::kBarrier, host, "join");
   for (NodeId tail : tails) {
@@ -364,16 +354,6 @@ RowSplitRun run_row_split(const std::vector<RowSplitPart<T>>& parts,
   run.launch_seconds = run.stats.kind_seconds(g, NodeKind::kLaunch);
   run.d2h_seconds = run.stats.kind_seconds(g, NodeKind::kD2H);
   run.cpu_seconds = run.stats.kind_seconds(g, NodeKind::kCpuCompute);
-  for (const auto& [first, end] : part_nodes) {
-    double seconds = 0.0;
-    for (NodeId n = first; n < end; ++n) {
-      const NodeKind kind = g.node(n).kind;
-      if (kind == NodeKind::kLaunch || kind == NodeKind::kCpuCompute) {
-        seconds += run.stats.nodes[static_cast<std::size_t>(n)].modeled_seconds;
-      }
-    }
-    run.part_seconds.push_back(seconds);
-  }
   return run;
 }
 
@@ -422,7 +402,7 @@ class MultiDeviceSpmv {
     // A null device fails run_row_split's executor check.
     std::vector<RowSplitPart<T>> parts;
     for (std::size_t d = 0; d < shards_.size(); ++d) {
-      parts.push_back({&m_, shards_[d].range, 0, devices[d], false});
+      parts.push_back({&m_, shards_[d].range, devices[d], false});
     }
     const RowSplitRun run = run_row_split(parts, x, y, pool, opts_);
     MultiDeviceResult res;

@@ -4,8 +4,6 @@
 // determinism, the structure-hash cache key, and the summary report.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -15,26 +13,12 @@
 #include "common/rng.hpp"
 #include "kernels/crsd_autotune.hpp"
 #include "matrix/generators.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh private cache directory per test (removed on destruction), so
-/// tests cannot see each other's entries or leftovers of earlier runs.
-struct TempCacheDir {
-  fs::path path;
-  explicit TempCacheDir(const std::string& tag) {
-    path = fs::temp_directory_path() /
-           ("crsd-tune-test-" + tag + "-" + std::to_string(::getpid()));
-    fs::remove_all(path);
-  }
-  ~TempCacheDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 kernels::AutotuneSpace small_space() {
   kernels::AutotuneSpace space;
@@ -56,7 +40,7 @@ Coo<double> test_matrix(int seed = 3) {
 }
 
 TEST(AutotuneCache, MissThenHitWithZeroMeasuredTrials) {
-  TempCacheDir dir("hit");
+  TempCacheDir dir("tune-test-hit");
   gpusim::Device dev(gpusim::DeviceSpec::tesla_c2050());
   const auto a = test_matrix();
   kernels::AutotuneOptions opts;
@@ -84,7 +68,7 @@ TEST(AutotuneCache, MissThenHitWithZeroMeasuredTrials) {
 }
 
 TEST(AutotuneCache, CorruptedEntryIsAMissAndGetsRepaired) {
-  TempCacheDir dir("corrupt");
+  TempCacheDir dir("tune-test-corrupt");
   gpusim::Device dev(gpusim::DeviceSpec::tesla_c2050());
   const auto a = test_matrix();
   kernels::AutotuneOptions opts;
@@ -106,6 +90,10 @@ TEST(AutotuneCache, CorruptedEntryIsAMissAndGetsRepaired) {
         "crsd-tune-v1\nmrows 48\ngap 1\nmin_fill 0.5\nlocal 1\nseconds 1e-5\n",
         // A wavefront multiple the keyed space never searched.
         "crsd-tune-v1\nmrows 96\ngap 1\nmin_fill 0.5\nlocal 1\nseconds 1e-5\n",
+        // Also a wavefront multiple outside the space: a build would pad
+        // the matrix into one segment of this many rows.
+        "crsd-tune-v1\nmrows 33554432\ngap 1\nmin_fill 0.5\nlocal 1\n"
+        "seconds 1e-5\n",
     }) {
     {
       std::ofstream out(entry);
@@ -141,7 +129,7 @@ TEST(AutotuneCache, StorageModeKeysTheCache) {
   // An fp32 (or narrow-index) tuning run streams different bytes and
   // can crown a different winner, so it must not reuse — or overwrite — the
   // entry the fp64 run stored for the same structure.
-  TempCacheDir dir("storage");
+  TempCacheDir dir("tune-test-storage");
   gpusim::Device dev(gpusim::DeviceSpec::tesla_c2050());
   const auto a = test_matrix();
   kernels::AutotuneOptions fp64_opts;
@@ -181,7 +169,7 @@ TEST(AutotuneCache, StorageModeKeysTheCache) {
 }
 
 TEST(AutotuneCache, PruningAccountsForEveryTrial) {
-  TempCacheDir dir("prune");
+  TempCacheDir dir("tune-test-prune");
   gpusim::Device dev(gpusim::DeviceSpec::tesla_c2050());
   const auto a = test_matrix();
   kernels::AutotuneOptions opts;
@@ -217,7 +205,7 @@ TEST(AutotuneCache, PrunedBestStaysCloseToExhaustive) {
   // best; the model's ranking claim is that it stays within a few percent.
   gpusim::Device dev(gpusim::DeviceSpec::tesla_c2050());
   for (int seed : {3, 11}) {
-    TempCacheDir dir("winner" + std::to_string(seed));
+    TempCacheDir dir("tune-test-winner" + std::to_string(seed));
     const auto a = test_matrix(seed);
     const auto exhaustive = kernels::autotune_crsd(dev, a, small_space());
     kernels::AutotuneOptions opts;
@@ -232,7 +220,7 @@ TEST(AutotuneCache, PrunedBestStaysCloseToExhaustive) {
 TEST(AutotuneCache, ParallelEvaluationMatchesSerial) {
   // Trials land in fixed grid slots and simulated seconds are derived from
   // event counters, so a pool changes wall clock only — never the result.
-  TempCacheDir dir("par");
+  TempCacheDir dir("tune-test-par");
   gpusim::Device dev(gpusim::DeviceSpec::tesla_c2050());
   const auto a = test_matrix();
   kernels::AutotuneOptions serial_opts;

@@ -7,7 +7,6 @@
 // trials.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -16,11 +15,10 @@
 #include "core/build_api.hpp"
 #include "kernels/crsd_autotune.hpp"
 #include "matrix/generators.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd {
 namespace {
-
-namespace fs = std::filesystem;
 
 Coo<double> mixed_matrix(std::uint64_t seed = 5) {
   Rng rng(seed);
@@ -78,22 +76,18 @@ TEST(BuildApiBridge, CrsdConfigConvertsImplicitly) {
 
 TEST(BuildApiTuning, AdoptsCachedAutotuneWinner) {
   const auto a = mixed_matrix();
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("crsd-build-api-test-" + std::to_string(static_cast<unsigned>(::getpid())));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const TempCacheDir dir("build-api-test");
 
   gpusim::Device dev{gpusim::DeviceSpec{}};
   kernels::AutotuneOptions topts;
-  topts.cache_dir = dir.string();
+  topts.cache_dir = dir.str();
   const auto tuned = kernels::autotune_crsd(dev, a, {}, topts);
   ASSERT_GT(tuned.measured_trials, 0);
 
   BuildOptions opts;
   opts.tune_from_cache = true;
   opts.device = dev.spec();
-  opts.cache_dir = dir.string();
+  opts.cache_dir = dir.str();
   const auto m = build(a, opts);
   EXPECT_EQ(m.mrows(), tuned.best_config.mrows) << tuned.summary();
 
@@ -117,15 +111,11 @@ TEST(BuildApiTuning, AdoptsCachedAutotuneWinner) {
 
 TEST(BuildApiTuning, ColdCacheFallsBackToCallerConfig) {
   const auto a = mixed_matrix();
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("crsd-build-api-cold-" + std::to_string(static_cast<unsigned>(::getpid())));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const TempCacheDir dir("build-api-cold");
 
   BuildOptions opts = CrsdConfig{.mrows = 32};
   opts.tune_from_cache = true;
-  opts.cache_dir = dir.string();
+  opts.cache_dir = dir.str();
   const auto m = build(a, opts);
   const auto pinned = build(a, CrsdConfig{.mrows = 32});
   EXPECT_TRUE(check::validate_same_storage(m, pinned).empty());

@@ -17,16 +17,16 @@
 #include "core/build_api.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/paper_suite.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd::codegen {
 namespace {
 
 // Per-test-binary JIT cache so tests never collide with a user's cache.
 JitCompiler fresh_compiler() {
+  static const TempCacheDir dir("test-cache");
   JitCompiler::Options opts;
-  opts.cache_dir = (std::filesystem::temp_directory_path() /
-                    ("crsd-test-cache-" + std::to_string(::getpid())))
-                       .string();
+  opts.cache_dir = dir.str();
   return JitCompiler(opts);
 }
 
@@ -169,13 +169,11 @@ TEST(Jit, MissingSymbolThrows) {
 constexpr const char* kGenuine =
     "extern \"C\" int crsd_answer() { return 42; }\n";
 
-/// A fresh, empty directory under the temp directory, unique to this process.
-std::filesystem::path fresh_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("crsd-test-" + tag + "-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
+/// An empty directory under the temp directory, unique to this process,
+/// removed when `scratch` goes.
+const std::filesystem::path& fresh_dir(const TempCacheDir& scratch) {
+  std::filesystem::create_directories(scratch.path);
+  return scratch.path;
 }
 
 JitCompiler compiler_at(const std::filesystem::path& dir) {
@@ -197,26 +195,39 @@ void plant_foreign_object(const std::filesystem::path& dir) {
       std::filesystem::copy_options::overwrite_existing);
 }
 
-int answer_from(JitCompiler& compiler) {
+/// Loads kGenuine through `compiler` and calls it. `object`, when given,
+/// receives the loaded object's path.
+int answer_from(JitCompiler& compiler, std::string* object = nullptr) {
   const JitLibrary lib = compiler.compile_and_load(kGenuine);
+  if (object != nullptr) *object = lib.path();
   return lib.symbol_as<int (*)()>("crsd_answer")();
 }
 
+/// Removes the private mkdtemp directory a compiler that distrusted its
+/// cache compiled `object` into.
+void remove_private_dir(const std::string& object) {
+  std::filesystem::remove_all(std::filesystem::path(object).parent_path());
+}
+
 TEST(Jit, PlantedObjectInWorldWritableCacheIsNotLoaded) {
-  const auto dir = fresh_dir("world-writable");
+  const TempCacheDir scratch("test-world-writable");
+  const auto& dir = fresh_dir(scratch);
   std::filesystem::permissions(dir, std::filesystem::perms::all);
   plant_foreign_object(dir);
   JitCompiler compiler = compiler_at(dir);
-  EXPECT_EQ(answer_from(compiler), 42);
+  std::string object;
+  EXPECT_EQ(answer_from(compiler, &object), 42);
   EXPECT_EQ(compiler.compilations(), 1);
   EXPECT_EQ(compiler.cache_hits(), 0);
   // A second build reuses the private directory, still never the planted one.
   EXPECT_EQ(answer_from(compiler), 42);
   EXPECT_EQ(compiler.compilations(), 1);
+  remove_private_dir(object);
 }
 
 TEST(Jit, PlantedObjectBehindSymlinkedCacheIsNotLoaded) {
-  const auto real = fresh_dir("symlink-target");
+  const TempCacheDir scratch("test-symlink-target");
+  const auto& real = fresh_dir(scratch);
   std::filesystem::permissions(real, std::filesystem::perms::owner_all);
   plant_foreign_object(real);
   const auto link = std::filesystem::temp_directory_path() /
@@ -225,14 +236,17 @@ TEST(Jit, PlantedObjectBehindSymlinkedCacheIsNotLoaded) {
   std::filesystem::create_directory_symlink(real, link);
   for (const std::string& dir : {link.string(), link.string() + "/"}) {
     JitCompiler compiler = compiler_at(dir);
-    EXPECT_EQ(answer_from(compiler), 42) << dir;
+    std::string object;
+    EXPECT_EQ(answer_from(compiler, &object), 42) << dir;
     EXPECT_EQ(compiler.cache_hits(), 0) << dir;
+    remove_private_dir(object);
   }
   std::filesystem::remove(link);
 }
 
 TEST(Jit, TruncatedCachedObjectIsRecompiled) {
-  const auto dir = fresh_dir("truncated");
+  const TempCacheDir scratch("test-truncated");
+  const auto& dir = fresh_dir(scratch);
   std::string path;
   {
     JitCompiler first = compiler_at(dir);
@@ -271,7 +285,8 @@ class ScopedEnv {
 };
 
 TEST(Jit, FreshDefaultCacheDirectoryIsPrivate) {
-  const auto tmp = fresh_dir("tmpdir");
+  const TempCacheDir scratch("test-tmpdir");
+  const auto& tmp = fresh_dir(scratch);
   {
     const ScopedEnv tmpdir("TMPDIR", tmp.c_str());
     const ScopedEnv cache("CRSD_JIT_CACHE", nullptr);

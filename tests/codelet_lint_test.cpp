@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <functional>
 #include <string>
 #include <utility>
@@ -19,6 +18,7 @@
 #include "common/rng.hpp"
 #include "core/build_api.hpp"
 #include "matrix/generators.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd::codegen {
 namespace {
@@ -27,10 +27,9 @@ using check::Code;
 using check::has_code;
 
 JitCompiler fresh_compiler() {
+  static const TempCacheDir dir("lint-cache");
   JitCompiler::Options opts;
-  opts.cache_dir = (std::filesystem::temp_directory_path() /
-                    ("crsd-lint-cache-" + std::to_string(::getpid())))
-                       .string();
+  opts.cache_dir = dir.str();
   return JitCompiler(opts);
 }
 

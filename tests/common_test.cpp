@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <functional>
@@ -125,7 +126,8 @@ TEST(ThreadPool, SubmitUrgentRunsAheadOfPendingChunks) {
   ThreadPool pool(2);
   std::mutex mu;
   std::condition_variable cv;
-  bool urgent_queued = false;
+  bool urgent_queued = false;      // guarded by mu
+  bool urgent_ran = false;         // guarded by mu
   std::atomic<int> parked{0};
   std::vector<std::string> order;  // guarded by mu
 
@@ -134,11 +136,16 @@ TEST(ThreadPool, SubmitUrgentRunsAheadOfPendingChunks) {
     pool.parallel_for_chunked(0, kChunks, 1, [&](index_t b, index_t, int) {
       std::unique_lock<std::mutex> lock(mu);
       if (b < 2) {
-        // Both claiming threads park on the first two chunks until the
-        // urgent task is queued, so the remaining ten chunks form a
-        // pending train behind it.
+        // The pool's two threads park on the first two chunks, so the
+        // other ten form a pending train behind the urgent task. Chunk 0
+        // is released once the task is queued, chunk 1 only by the task
+        // itself: chunk 0's thread is then the one free thread, and it
+        // must claim the task before any queued chunk. The timeout turns
+        // a pool that lets it take a chunk first into a failure below,
+        // not a hang.
         parked.fetch_add(1);
-        cv.wait(lock, [&] { return urgent_queued; });
+        cv.wait_for(lock, std::chrono::seconds(30),
+                    [&] { return b == 0 ? urgent_queued : urgent_ran; });
       }
       order.push_back("chunk" + std::to_string(b));
     });
@@ -146,8 +153,12 @@ TEST(ThreadPool, SubmitUrgentRunsAheadOfPendingChunks) {
   while (parked.load() < 2) std::this_thread::yield();
 
   pool.submit_urgent([&] {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back("urgent");
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back("urgent");
+      urgent_ran = true;
+    }
+    cv.notify_all();
   });
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -157,12 +168,9 @@ TEST(ThreadPool, SubmitUrgentRunsAheadOfPendingChunks) {
   runner.join();
   pool.drain_urgent();
 
-  // The two parked chunks record first; the urgent task must be claimed
-  // before the ten queued chunks (one racing chunk record at most).
-  const auto it = std::find(order.begin(), order.end(), "urgent");
-  ASSERT_NE(it, order.end());
-  EXPECT_LE(it - order.begin(), 3);
-  EXPECT_EQ(order.size(), static_cast<std::size_t>(kChunks) + 1);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kChunks) + 1);
+  EXPECT_EQ(order[0], "chunk0");
+  EXPECT_EQ(order[1], "urgent");
 }
 
 TEST(ThreadPool, SubmitUrgentRunsInlineOnSingleThreadPool) {

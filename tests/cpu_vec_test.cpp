@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <set>
 #include <vector>
 
@@ -20,15 +19,15 @@
 #include "common/thread_pool.hpp"
 #include "core/build_api.hpp"
 #include "matrix/generators.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd {
 namespace {
 
 codegen::JitCompiler fresh_compiler() {
+  static const TempCacheDir dir("vec-test-cache");
   codegen::JitCompiler::Options opts;
-  opts.cache_dir = (std::filesystem::temp_directory_path() /
-                    ("crsd-vec-test-cache-" + std::to_string(::getpid())))
-                       .string();
+  opts.cache_dir = dir.str();
   return codegen::JitCompiler(opts);
 }
 

@@ -18,6 +18,7 @@
 #include "matrix/matrix_market.hpp"
 #include "matrix/paper_suite.hpp"
 #include "solver/solvers.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd {
 namespace {
@@ -108,10 +109,9 @@ TEST(Integration, SolverOverJitKernelFromGeneratedSuiteMatrix) {
   auto a = paper_matrix(5).generate(0.004);
   make_diagonally_dominant(a, 0.5);
   const auto m = build(a, CrsdConfig{.mrows = 32});
+  const TempCacheDir dir("it-cache");
   codegen::JitCompiler::Options jopts;
-  jopts.cache_dir =
-      (fs::temp_directory_path() /
-       ("crsd-it-cache-" + std::to_string(::getpid()))).string();
+  jopts.cache_dir = dir.str();
   codegen::JitCompiler compiler(jopts);
   const codegen::CrsdJitKernel<double> kernel(m, compiler);
 

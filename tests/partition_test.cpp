@@ -1,12 +1,12 @@
-// Row-region partitioner tests: planner validity/determinism on partially
-// diagonal matrices, the single-region collapse on uniform structure, the
-// partitioned container's CPU/executor parity with the COO reference,
-// partition mutation fixtures (overlapping regions, non-covering regions, a
-// lying per-region mrows descriptor), the persistent partition cache's
-// warm-run contract and its rejection of illegal entries, a seeded mutation
-// fuzz over the partition and tune cache loaders, and the partitioned
-// launch-model extraction. Suite names contain "Partition" so the TSan CI
-// job picks them up via -R.
+// Row-region container tests: the partitioned build's one region at the
+// autotuner's measured-best mrows (and its empty-matrix case), the
+// container's CPU and launch parity with the COO reference on a hand-made
+// multi-region plan, partition mutation fixtures (overlapping regions,
+// non-covering regions, a lying per-region mrows descriptor), the tuning
+// cache's warm-run contract under the partitioned build and its rejection
+// of illegal entries, a seeded mutation fuzz over the tune cache loader,
+// and the partitioned launch-model extraction. Suite names contain
+// "Partition" so the TSan CI job picks them up via -R.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "kernels/partitioned_spmv.hpp"
 #include "matrix/generators.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd {
 namespace {
@@ -58,16 +59,17 @@ Coo<double> partially_diagonal(index_t top_rows, index_t bottom_rows,
   return a;
 }
 
-/// A scratch cache directory per test, so cache tests never see entries
-/// published by other tests (or earlier runs of this one).
-std::string fresh_cache_dir(const char* tag) {
-  const fs::path dir =
-      fs::temp_directory_path() /
-      (std::string("crsd-partition-test-") + tag + "-" +
-       std::to_string(static_cast<unsigned>(::getpid())));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
+/// Three regions at multiples of 256 rows, each with its own mrows: the
+/// multi-region shape PartitionedMatrix::build, the validators and the
+/// analyzer's per-region model accept. `num_rows` must be at least 768.
+PartitionPlan three_regions(index_t num_rows) {
+  const index_t cut1 = num_rows / 3 / 256 * 256;
+  const index_t cut2 = 2 * num_rows / 3 / 256 * 256;
+  PartitionPlan plan;
+  plan.regions = {{0, cut1, CrsdConfig{.mrows = 64}},
+                  {cut1, cut2, CrsdConfig{.mrows = 128}},
+                  {cut2, num_rows, CrsdConfig{.mrows = 256}}};
+  return plan;
 }
 
 std::string read_file(const fs::path& path) {
@@ -82,16 +84,15 @@ void write_file(const fs::path& path, const std::string& text) {
   out << text;
 }
 
-/// Builds `plan` and checks that the executor's launch is bitwise equal to
-/// the partitioned CPU reference.
-void expect_relaunch_bitwise(const Coo<double>& a, const PartitionPlan& plan,
+/// Checks that the launch of `m` is bitwise equal to the partitioned CPU
+/// reference.
+void expect_relaunch_bitwise(const PartitionedMatrix<double>& m,
                              const gpusim::DeviceSpec& spec,
                              const std::string& label) {
-  const auto m = PartitionedMatrix<double>::build(a, plan);
   Rng rng(29);
-  std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
+  std::vector<double> x(static_cast<std::size_t>(m.num_cols()));
   for (auto& v : x) v = rng.next_double(-1.0, 1.0);
-  std::vector<double> want(static_cast<std::size_t>(a.num_rows()), -1.0);
+  std::vector<double> want(static_cast<std::size_t>(m.num_rows()), -1.0);
   m.spmv(x.data(), want.data());
   gpusim::Device dev(spec);
   std::vector<double> got(want.size(), -1.0);
@@ -99,59 +100,63 @@ void expect_relaunch_bitwise(const Coo<double>& a, const PartitionPlan& plan,
   EXPECT_EQ(got, want) << label;
 }
 
-TEST(PartitionPlan, IsDeterministic) {
-  const auto a = partially_diagonal(2048, 1024, 16);
-  const gpusim::DeviceSpec spec;
-  const PartitionPlan p1 = plan_partition(a, spec);
-  const PartitionPlan p2 = plan_partition(a, spec);
-  EXPECT_EQ(p1.summary(), p2.summary());
-  EXPECT_DOUBLE_EQ(p1.predicted_serial_seconds, p2.predicted_serial_seconds);
+TEST(PartitionBuildSuite, OneRegionAtTheAutotunersBestMrows) {
+  const auto a = partially_diagonal(2048, 512, 16);
+  const TempCacheDir dir("partition-test-one-region");
+  BuildOptions opts;
+  opts.cache_dir = dir.str();
+  opts.config.fill_max_gap_segments = 0;
+  opts.config.live_min_fill = 0.25;
+  ThreadPool pool(4);
+  kernels::PlannedPartition planned;
+  const auto m = build_partitioned(a, opts, &pool, &planned);
+  ASSERT_EQ(m.parts().size(), 1u) << m.summary();
+  const RowRegion& region = m.parts().front().region;
+  EXPECT_EQ(region.row_begin, 0);
+  EXPECT_EQ(region.row_end, a.num_rows());
+  EXPECT_EQ(planned.plan.summary(), m.summary());
+  EXPECT_FALSE(planned.cache_hit);
+  EXPECT_EQ(planned.measured_trials,
+            static_cast<index_t>(kernels::AutotuneSpace{}.mrows.size()));
+
+  // The same race, run directly: every mrows candidate at the caller's
+  // fill knobs with local memory on, unpruned and uncached.
+  kernels::AutotuneSpace space;
+  space.fill_max_gap_segments = {0};
+  space.live_min_fill = {0.25};
+  space.use_local_memory = {true};
+  gpusim::Device dev(opts.device);
+  const auto best = kernels::autotune_crsd(dev, a, space, &pool);
+  EXPECT_EQ(region.config.mrows, best.best_config.mrows);
+  EXPECT_EQ(m.parts().front().crsd->mrows(), best.best_config.mrows);
+  EXPECT_EQ(region.config.fill_max_gap_segments, 0);
+  EXPECT_EQ(region.config.live_min_fill, 0.25);
+  EXPECT_TRUE(check::validate_against(m, a).empty());
+  expect_relaunch_bitwise(m, opts.device, "one region");
 }
 
-TEST(PartitionPlan, UniformDiagonalMatrixCollapsesToOneRegion) {
-  // With the overlap re-split disabled the whole matrix is one region.
-  Rng rng(3);
-  const auto a = full_diagonals(4096, {-16, -1, 0, 1, 16}, rng);
-  PartitionPolicy pol;
-  pol.overlap_regions = 1;
-  const PartitionPlan plan = plan_partition(a, gpusim::DeviceSpec{}, pol);
-  ASSERT_EQ(plan.regions.size(), 1u) << plan.summary();
-  EXPECT_EQ(plan.regions.front().row_begin, 0);
-  EXPECT_EQ(plan.regions.front().row_end, a.num_rows());
-}
-
-TEST(PartitionPlan, UniformMatrixSplitsBalancedRegionsForOverlap) {
-  // Default policy: the planner splits even a uniform matrix into
-  // overlap_regions balanced stripes so the executor's queues overlap.
-  Rng rng(3);
-  const auto a = full_diagonals(4096, {-16, -1, 0, 1, 16}, rng);
-  const PartitionPolicy pol;
-  const PartitionPlan plan = plan_partition(a, gpusim::DeviceSpec{});
-  ASSERT_EQ(plan.regions.size(),
-            static_cast<std::size_t>(pol.overlap_regions))
-      << plan.summary();
-  EXPECT_TRUE(validate_partition(a.num_rows(), plan.regions).empty());
-  EXPECT_LT(plan.predicted_overlap_seconds,
-            plan.predicted_serial_seconds);
-}
-
-TEST(PartitionPlan, RespectsOverlapRegionsAndWavefront) {
-  const auto a = partially_diagonal(4096, 2048, 24);
-  PartitionPolicy pol;
-  pol.overlap_regions = 2;
-  const gpusim::DeviceSpec spec;
-  const PartitionPlan plan = plan_partition(a, spec, pol);
-  EXPECT_LE(plan.regions.size(), 2u) << plan.summary();
-  for (const RowRegion& r : plan.regions) {
-    EXPECT_EQ(r.config.mrows % spec.wavefront_size, 0) << plan.summary();
-  }
+TEST(PartitionBuildSuite, EmptyMatrixBuildsAnEmptyContainerWithoutTrials) {
+  Coo<double> a(0, 0);
+  a.canonicalize();
+  const TempCacheDir dir("partition-test-empty");
+  BuildOptions opts;
+  opts.cache_dir = dir.str();
+  kernels::PlannedPartition planned;
+  const auto m = build_partitioned(a, opts, nullptr, &planned);
+  EXPECT_TRUE(m.parts().empty());
+  EXPECT_EQ(m.num_rows(), 0);
+  EXPECT_EQ(planned.measured_trials, 0);
+  EXPECT_FALSE(planned.cache_hit);
+  // The race alone refuses a matrix it cannot build.
+  gpusim::Device dev(opts.device);
+  EXPECT_THROW(kernels::autotune_crsd(dev, a), Error);
 }
 
 TEST(PartitionedMatrixSuite, CpuSpmvMatchesCooReference) {
   const auto a = partially_diagonal(2048, 512, 16);
   const auto m =
-      PartitionedMatrix<double>::build(a, plan_partition(a, {}));
-  ASSERT_GE(m.parts().size(), 1u);
+      PartitionedMatrix<double>::build(a, three_regions(a.num_rows()));
+  ASSERT_EQ(m.parts().size(), 3u);
   EXPECT_GT(m.footprint_bytes(), 0u);
 
   Rng rng(11);
@@ -170,8 +175,7 @@ TEST(PartitionedMatrixSuite, CpuSpmvMatchesCooReference) {
 
 TEST(PartitionedMatrixSuite, BuildRejectsOverlappingRegions) {
   const auto a = partially_diagonal(1024, 256, 8);
-  PartitionPlan plan = plan_partition(a, {});
-  ASSERT_GE(plan.regions.size(), 2u) << plan.summary();
+  PartitionPlan plan = three_regions(a.num_rows());
   plan.regions[1].row_begin -= 128;  // overlap region 0
   try {
     PartitionedMatrix<double>::build(a, plan);
@@ -184,7 +188,7 @@ TEST(PartitionedMatrixSuite, BuildRejectsOverlappingRegions) {
 
 TEST(PartitionedMatrixSuite, BuildRejectsNonCoveringRegions) {
   const auto a = partially_diagonal(1024, 256, 8);
-  PartitionPlan plan = plan_partition(a, {});
+  PartitionPlan plan = three_regions(a.num_rows());
   plan.regions.back().row_end -= 64;  // leave a row gap at the end
   EXPECT_THROW(PartitionedMatrix<double>::build(a, plan),
                check::DiagnosticError);
@@ -192,7 +196,7 @@ TEST(PartitionedMatrixSuite, BuildRejectsNonCoveringRegions) {
 
 TEST(PartitionedMatrixSuite, ValidatorFlagsWrongPerRegionMrows) {
   const auto a = partially_diagonal(2048, 512, 16);
-  auto m = PartitionedMatrix<double>::build(a, plan_partition(a, {}));
+  auto m = PartitionedMatrix<double>::build(a, three_regions(a.num_rows()));
   ASSERT_TRUE(check::validate_against(m, a).empty());
 
   // Plant the defect: the descriptor claims an mrows the container does not
@@ -212,12 +216,12 @@ TEST(PartitionedMatrixSuite, ValidatorFlagsWrongPerRegionMrows) {
 }
 
 TEST(PartitionExecutorSuite, MatchesCpuReferenceAndOverlapsRegions) {
+  // Regions no longer overlap: they run back to back on the caller's
+  // device, so the launch time is the sum of their standalone launches.
   const auto a = partially_diagonal(2048, 512, 16);
-  BuildOptions opts;
-  opts.cache_dir = fresh_cache_dir("executor");
+  const auto m =
+      PartitionedMatrix<double>::build(a, three_regions(a.num_rows()));
   ThreadPool pool(4);
-  const auto m = build_partitioned(a, opts, &pool);
-  ASSERT_GE(m.parts().size(), 2u) << m.summary();
 
   Rng rng(13);
   std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
@@ -229,37 +233,37 @@ TEST(PartitionExecutorSuite, MatchesCpuReferenceAndOverlapsRegions) {
   std::vector<double> got(want.size(), -1.0);
   const auto res = kernels::spmv(dev, m, x.data(), got.data(), {}, &pool);
 
-  // Native storage: the executor is bitwise-identical to the partitioned
+  // Native storage: the launch is bitwise-identical to the partitioned
   // CPU reference — each region accumulates exactly as its standalone
   // container would.
   EXPECT_EQ(got, want);
-  EXPECT_GT(res.seconds, 0.0);
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
   ASSERT_EQ(res.region_seconds.size(), m.parts().size());
   double sum = 0.0;
   for (std::size_t i = 0; i < m.parts().size(); ++i) {
-    // Each region is priced as its own container's standalone launch.
-    gpusim::Device solo{gpusim::DeviceSpec{}};
+    // Each region is priced as its own container's standalone launch on
+    // the same device.
     std::vector<double> y_solo(
         static_cast<std::size_t>(m.parts()[i].crsd->num_rows()));
     EXPECT_EQ(res.region_seconds[i],
-              kernels::gpu_spmv_crsd(solo, *m.parts()[i].crsd, x.data(),
+              kernels::gpu_spmv_crsd(dev, *m.parts()[i].crsd, x.data(),
                                      y_solo.data())
                   .seconds)
         << "region " << i;
     EXPECT_GT(res.region_seconds[i], 0.0);
     sum += res.region_seconds[i];
   }
-  EXPECT_DOUBLE_EQ(res.serial_seconds, sum);
-  // Regions overlap on the graph: the makespan cannot exceed the serial
-  // schedule, and with >= 2 busy queues it must beat it.
-  EXPECT_LT(res.seconds, res.serial_seconds);
-  EXPECT_GE(res.overlap_speedup(), 1.0);
+  EXPECT_GT(res.seconds, 0.0);
+  EXPECT_EQ(res.seconds, res.serial_seconds);
+  EXPECT_EQ(res.serial_seconds, sum);
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
 }
 
 TEST(PartitionExecutorSuite, DeterministicAcrossRuns) {
   const auto a = partially_diagonal(1024, 512, 12);
+  const TempCacheDir dir("partition-test-determinism");
   BuildOptions opts;
-  opts.cache_dir = fresh_cache_dir("determinism");
+  opts.cache_dir = dir.str();
   const auto m = build_partitioned(a, opts);
   std::vector<double> x(static_cast<std::size_t>(a.num_cols()), 1.0);
   std::vector<double> y1(static_cast<std::size_t>(a.num_rows()), -1.0);
@@ -276,15 +280,17 @@ TEST(PartitionExecutorSuite, DeterministicAcrossRuns) {
 
 TEST(PartitionCacheSuite, WarmRunReusesPlanWithZeroMeasuredTrials) {
   const auto a = partially_diagonal(2048, 512, 16);
+  const TempCacheDir dir("partition-test-cache");
   BuildOptions opts;
-  opts.cache_dir = fresh_cache_dir("cache");
-  const gpusim::DeviceSpec spec;
+  opts.cache_dir = dir.str();
 
-  const auto cold = kernels::plan_partition_cached(spec, a, opts);
+  kernels::PlannedPartition cold;
+  (void)build_partitioned(a, opts, nullptr, &cold);
   EXPECT_FALSE(cold.cache_hit);
-  EXPECT_GT(cold.measured_trials, 0) << "cold run must refine mrows";
+  EXPECT_GT(cold.measured_trials, 0) << "cold run must race mrows";
 
-  const auto warm = kernels::plan_partition_cached(spec, a, opts);
+  kernels::PlannedPartition warm;
+  (void)build_partitioned(a, opts, nullptr, &warm);
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.measured_trials, 0);
   EXPECT_EQ(warm.plan.summary(), cold.plan.summary());
@@ -293,65 +299,49 @@ TEST(PartitionCacheSuite, WarmRunReusesPlanWithZeroMeasuredTrials) {
 
 TEST(PartitionCacheSuite, IllegalCachedMrowsIsAMissAndRelaunchesBitwise) {
   const auto a = partially_diagonal(2048, 512, 16);
+  const TempCacheDir dir("partition-test-cache-mrows");
   BuildOptions opts;
-  opts.cache_dir = fresh_cache_dir("cache-mrows");
+  opts.cache_dir = dir.str();
   const gpusim::DeviceSpec spec;  // wavefront 32
-  const auto cold = kernels::plan_partition_cached(spec, a, opts);
+  kernels::PlannedPartition cold;
+  (void)build_partitioned(a, opts, nullptr, &cold);
   ASSERT_FALSE(cold.cache_hit);
-  const fs::path entry = fs::path(opts.cache_dir) / (cold.cache_key + ".txt");
+  const fs::path entry = dir.path / (cold.cache_key + ".txt");
   const std::string stored = read_file(entry);
 
-  // Rewrite one region of the stored entry to each mrows below. Each parses
-  // and still covers the rows, but no cold plan could have stored it: no
-  // launch on this device can run 48, 96 is not a candidate, and 33554432
-  // would pad the region into one segment of that many rows.
+  // Rewrite the stored winner's mrows to each value below. Each parses,
+  // but no race on this key could have stored it: no launch on this device
+  // can run 48, 96 is not a candidate, and 33554432 would pad the matrix
+  // into one segment of that many rows.
   for (index_t bad : {48, 96, 33554432}) {
     std::istringstream in(stored);
     std::ostringstream out;
     bool rewritten = false;
     for (std::string line; std::getline(in, line);) {
-      std::istringstream ls(line);
-      std::string tag, format;
-      index_t begin = 0, end = 0, mrows = 0;
-      if (!rewritten && ls >> tag >> begin >> end >> format >> mrows &&
-          tag == "region" && format == "crsd") {
-        line = "region " + std::to_string(begin) + ' ' + std::to_string(end) +
-               " crsd " + std::to_string(bad);
+      if (line.rfind("mrows ", 0) == 0) {
+        line = "mrows " + std::to_string(bad);
         rewritten = true;
       }
       out << line << '\n';
     }
-    ASSERT_TRUE(rewritten) << cold.plan.summary();
+    ASSERT_TRUE(rewritten) << stored;
     write_file(entry, out.str());
 
     const std::string label = "mrows " + std::to_string(bad);
-    const auto again = kernels::plan_partition_cached(spec, a, opts);
+    kernels::PlannedPartition again;
+    const auto m = build_partitioned(a, opts, nullptr, &again);
     EXPECT_FALSE(again.cache_hit) << label;
     EXPECT_GT(again.measured_trials, 0) << label;
+    EXPECT_EQ(again.plan.summary(), cold.plan.summary()) << label;
     EXPECT_TRUE(validate_partition(a.num_rows(), again.plan.regions,
                                    spec.wavefront_size)
                     .empty())
         << label << ": " << again.plan.summary();
-    expect_relaunch_bitwise(a, again.plan, spec, label);
+    expect_relaunch_bitwise(m, spec, label);
   }
 }
 
-TEST(PartitionCacheSuite, PolicyChangeKeysADifferentEntry) {
-  const auto a = partially_diagonal(1024, 512, 12);
-  BuildOptions opts;
-  opts.cache_dir = fresh_cache_dir("cache-key");
-  const gpusim::DeviceSpec spec;
-  const auto base = kernels::plan_partition_cached(spec, a, opts);
-
-  BuildOptions other = opts;
-  other.partition.overlap_regions = 1;
-  const auto changed = kernels::plan_partition_cached(spec, a, other);
-  EXPECT_NE(changed.cache_key, base.cache_key);
-  EXPECT_FALSE(changed.cache_hit);
-  EXPECT_EQ(changed.plan.regions.size(), 1u) << changed.plan.summary();
-}
-
-// --- Seeded mutation fuzz over both persistent-cache loaders. ------------
+// --- Seeded mutation fuzz over the tune cache loader. --------------------
 
 enum class EntryMutation { kByteFlip, kTruncate, kDropLine, kDuplicateLine };
 
@@ -391,20 +381,12 @@ void mutate_entry(std::string& text, EntryMutation kind, Rng& rng) {
 }
 
 TEST(PartitionCacheFuzz, MutatedEntriesMissOrPassTheLoaderChecks) {
-  // Freshly stored crsd-part-v1 and crsd-tune-v1 entries, mutated by seeded
-  // byte flips, truncations, and dropped or duplicated lines. Every lookup
-  // must be a miss or a hit that passes the loader's own checks; a
-  // partition miss re-plans and relaunches bitwise; nothing throws.
+  // A freshly stored crsd-tune-v1 entry, mutated by seeded byte flips,
+  // truncations, and dropped or duplicated lines. Every lookup must be a
+  // miss or a hit that passes the loader's own checks; nothing throws.
   const auto a = partially_diagonal(1024, 256, 8);
   const gpusim::DeviceSpec spec;  // wavefront 32
-  BuildOptions opts;
-  opts.cache_dir = fresh_cache_dir("fuzz");
-  const auto cold = kernels::plan_partition_cached(spec, a, opts);
-  const fs::path part_entry =
-      fs::path(opts.cache_dir) / (cold.cache_key + ".txt");
-  const std::string part_text = read_file(part_entry);
-  const std::vector<index_t> legal =
-      partition_mrows_candidates(spec.wavefront_size);
+  const TempCacheDir dir("partition-test-fuzz");
 
   kernels::AutotuneSpace space;
   space.mrows = {32, 64};
@@ -412,43 +394,19 @@ TEST(PartitionCacheFuzz, MutatedEntriesMissOrPassTheLoaderChecks) {
   space.live_min_fill = {0.5};
   space.use_local_memory = {true};
   kernels::AutotuneOptions topts;
-  topts.cache_dir = opts.cache_dir;
+  topts.cache_dir = dir.str();
   gpusim::Device dev(spec);
   const auto tuned = kernels::autotune_crsd(dev, a, space, topts);
-  const fs::path tune_entry =
-      fs::path(opts.cache_dir) / (tuned.cache_key + ".txt");
+  const fs::path tune_entry = dir.path / (tuned.cache_key + ".txt");
   const std::string tune_text = read_file(tune_entry);
 
-  int part_hits = 0, part_misses = 0, tune_hits = 0, tune_misses = 0;
+  int tune_hits = 0, tune_misses = 0;
   for (int i = 0; i < 120; ++i) {
     Rng rng(0x5eed0000u + static_cast<std::uint64_t>(i));
     const auto kind = static_cast<EntryMutation>(rng.next_below(4));
     const std::string label = "case " + std::to_string(i);
 
-    std::string text = part_text;
-    mutate_entry(text, kind, rng);
-    write_file(part_entry, text);
-    try {
-      const auto got = kernels::plan_partition_cached(spec, a, opts);
-      (got.cache_hit ? part_hits : part_misses) += 1;
-      EXPECT_TRUE(validate_partition(a.num_rows(), got.plan.regions,
-                                     spec.wavefront_size)
-                      .empty())
-          << label << ": " << got.plan.summary();
-      for (const RowRegion& r : got.plan.regions) {
-        EXPECT_NE(std::find(legal.begin(), legal.end(), r.config.mrows),
-                  legal.end())
-            << label << ": " << got.plan.summary();
-      }
-      if (!got.cache_hit) {
-        EXPECT_GT(got.measured_trials, 0) << label;
-        expect_relaunch_bitwise(a, got.plan, spec, label);
-      }
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << label << ": partition lookup threw: " << e.what();
-    }
-
-    text = tune_text;
+    std::string text = tune_text;
     mutate_entry(text, kind, rng);
     write_file(tune_entry, text);
     try {
@@ -464,9 +422,7 @@ TEST(PartitionCacheFuzz, MutatedEntriesMissOrPassTheLoaderChecks) {
       ADD_FAILURE() << label << ": tune lookup threw: " << e.what();
     }
   }
-  // Both outcomes must occur, or the mutations stopped reaching the loaders.
-  EXPECT_GT(part_hits, 0);
-  EXPECT_GT(part_misses, 0);
+  // Both outcomes must occur, or the mutations stopped reaching the loader.
   EXPECT_GT(tune_hits, 0);
   EXPECT_GT(tune_misses, 0);
 }
@@ -474,7 +430,7 @@ TEST(PartitionCacheFuzz, MutatedEntriesMissOrPassTheLoaderChecks) {
 TEST(PartitionLaunchModelSuite, ExtractsOneCrsdModelPerCrsdRegion) {
   const auto a = partially_diagonal(2048, 512, 16);
   const auto m =
-      PartitionedMatrix<double>::build(a, plan_partition(a, {}));
+      PartitionedMatrix<double>::build(a, three_regions(a.num_rows()));
   analysis::AnalyzeOptions opts;
   opts.spec = gpusim::DeviceSpec{};
   const auto pm = analysis::build_launch_model(m, opts);
@@ -491,7 +447,7 @@ TEST(PartitionLaunchModelSuite, ExtractsOneCrsdModelPerCrsdRegion) {
 
 TEST(PartitionLaunchModelSuite, RejectsInvalidPartition) {
   const auto a = partially_diagonal(1024, 256, 8);
-  auto m = PartitionedMatrix<double>::build(a, plan_partition(a, {}));
+  auto m = PartitionedMatrix<double>::build(a, three_regions(a.num_rows()));
   m.mutable_parts().front().region.row_end -= 32;  // break the cover
   analysis::AnalyzeOptions opts;
   opts.spec = gpusim::DeviceSpec{};

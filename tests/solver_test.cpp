@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <type_traits>
-#include <unistd.h>
 
 #include "codegen/crsd_jit_kernel.hpp"
 #include "common/rng.hpp"
@@ -16,6 +14,7 @@
 #include "formats/csr.hpp"
 #include "matrix/generators.hpp"
 #include "solver/solvers.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd::solver {
 namespace {
@@ -62,10 +61,9 @@ TEST(ConjugateGradient, SolvesPoissonWithCrsdBackend) {
 TEST(ConjugateGradient, SolvesWithJitCodeletBackend) {
   const auto a = stencil_5pt_2d(20, 20);
   const auto m = build(a, CrsdConfig{.mrows = 32});
+  const TempCacheDir dir("solver-cache");
   codegen::JitCompiler::Options jopts;
-  jopts.cache_dir = (std::filesystem::temp_directory_path() /
-                     ("crsd-solver-cache-" + std::to_string(::getpid())))
-                        .string();
+  jopts.cache_dir = dir.str();
   codegen::JitCompiler compiler(jopts);
   const codegen::CrsdJitKernel<double> kernel(m, compiler);
   check_cg_recovers(

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <unistd.h>
 
 #include "check/validate.hpp"
 #include "codegen/crsd_jit_kernel.hpp"
@@ -14,6 +12,7 @@
 #include "formats/dcsr.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/paper_suite.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd {
 namespace {
@@ -52,10 +51,9 @@ TEST(UpdateValues, KeepsCompiledCodeletValid) {
   // refresh the same compiled kernel must compute the new product.
   const auto a = stencil_5pt_2d(16, 16);
   auto m = build(a, CrsdConfig{.mrows = 32});
+  const TempCacheDir dir("upd");
   codegen::JitCompiler::Options jopts;
-  jopts.cache_dir = (std::filesystem::temp_directory_path() /
-                     ("crsd-upd-" + std::to_string(::getpid())))
-                        .string();
+  jopts.cache_dir = dir.str();
   codegen::JitCompiler compiler(jopts);
   const codegen::CrsdJitKernel<double> kernel(m, compiler);
 

@@ -3,15 +3,13 @@
 // broken compiler, and the logger must honour its threshold.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <unistd.h>
-
 #include "codegen/jit.hpp"
 #include "common/log.hpp"
 #include "core/build_api.hpp"
 #include "core/crsd_matrix.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/stats.hpp"
+#include "temp_cache_dir.hpp"
 
 namespace crsd {
 namespace {
@@ -88,22 +86,20 @@ TEST(StorageValidation, RejectsScatterArraySizeMismatch) {
 }
 
 TEST(JitValidation, BrokenCompilerFailsLoudly) {
+  const TempCacheDir dir("badcc");
   codegen::JitCompiler::Options opts;
   opts.compiler = "/bin/false";
-  opts.cache_dir = (std::filesystem::temp_directory_path() /
-                    ("crsd-badcc-" + std::to_string(::getpid())))
-                       .string();
+  opts.cache_dir = dir.str();
   codegen::JitCompiler compiler(opts);
   EXPECT_THROW(compiler.compile_and_load("int x;"), Error);
   EXPECT_EQ(compiler.cache_hits(), 0);
 }
 
 TEST(JitValidation, MissingCompilerBinaryFails) {
+  const TempCacheDir dir("nocc");
   codegen::JitCompiler::Options opts;
   opts.compiler = "/nonexistent/compiler-binary";
-  opts.cache_dir = (std::filesystem::temp_directory_path() /
-                    ("crsd-nocc-" + std::to_string(::getpid())))
-                       .string();
+  opts.cache_dir = dir.str();
   codegen::JitCompiler compiler(opts);
   EXPECT_THROW(compiler.compile_and_load("int x;"), Error);
 }
