@@ -1,11 +1,13 @@
 #include "codegen/codelet_lint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
-#include <regex>
-#include <sstream>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -60,7 +62,9 @@ bool offset_in_range(const LintMeta& meta, const DiagonalPattern& p,
 }
 
 bool offset_is_live(const DiagonalPattern& p, std::int64_t off) {
-  return std::binary_search(p.offsets.begin(), p.offsets.end(),
+  return off >= std::numeric_limits<diag_offset_t>::min() &&
+         off <= std::numeric_limits<diag_offset_t>::max() &&
+         std::binary_search(p.offsets.begin(), p.offsets.end(),
                             static_cast<diag_offset_t>(off));
 }
 
@@ -73,201 +77,276 @@ void emit(std::vector<Diagnostic>& out, Code code, std::int64_t line_no,
   out.push_back(std::move(d));
 }
 
-std::vector<std::string> split_lines(const std::string& source) {
-  std::vector<std::string> lines;
-  std::istringstream is(source);
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(line);
-  return lines;
-}
-
-bool contains(const std::string& line, const char* literal) {
-  return line.find(literal) != std::string::npos;
-}
-
 std::string ordinal(std::size_t pattern, std::int64_t value) {
-  std::ostringstream os;
-  os << "pattern " << pattern << ": " << value;
-  return os.str();
+  return "pattern " + std::to_string(pattern) + ": " + std::to_string(value);
 }
 
-/// Per-line checks of the CPU codelet: literal lane loops must use
-/// mrows, column clamps must use num_cols-1, baked x offsets must be live
-/// diagonals of the current pattern (and in range when unclamped).
-///
-/// Prefilter: every std::regex search here and in the lint functions below is
-/// guarded by a plain substring test on a literal that occurs in every match
-/// of that regex, so a line the guard skips is one the regex cannot match;
-/// findings and their line numbers are those of the unguarded search. Most
-/// codelet lines carry none of a regex's literals, so most of the costly
-/// std::regex searches never run.
-class LineChecker {
- public:
-  LineChecker(const LintMeta& meta, std::vector<Diagnostic>& out)
-      : meta_(meta), out_(out),
-        lane_loop_(R"(for \(std::int32_t lane = 0; lane < (\d+); \+\+lane\))"),
-        col_clamp_(R"(crsd_clampi\([^,]*, 0, (-?\d+)\))"),
-        // x[r], x[r + 5], xx[lane + 2], xx[i + -4] — but not
-        // x[crsd_clampi(...)] (handled by col_clamp_) or xbuf reads.
-        x_access_(R"((?:^|[^a-zA-Z_])(x(?!buf)[a-z0-9]*)\[(r|i|lane)(?: ([+-]) (-?\d+))?\])") {}
+// --- Literal-anchored matchers over one line of source. --------------------
+//
+// Each construct the lint reads starts with a literal anchor, so a matcher
+// finds the anchor with a plain substring search and reads the rest of the
+// construct in place: literals with take(), baked numbers with take_int().
 
-  void check(const std::string& line, std::int64_t line_no,
-             std::int64_t pattern, const DiagonalPattern* pat) {
-    std::smatch sm;
-    if (contains(line, "for (std::int32_t lane = 0; lane < ") &&
-        std::regex_search(line, sm, lane_loop_)) {
-      const std::int64_t trip = std::stoll(sm[1]);
-      if (trip != meta_.mrows) {
-        std::ostringstream os;
-        os << "literal lane trip count " << trip << " != mrows ("
-           << meta_.mrows << ")";
-        emit(out_, Code::kLintTripCount, line_no, os.str());
-      }
-    }
-    if (contains(line, "crsd_clampi(")) {
-      for (auto it = std::sregex_iterator(line.begin(), line.end(), col_clamp_);
-           it != std::sregex_iterator(); ++it) {
-        const std::int64_t hi = std::stoll((*it)[1]);
-        if (hi != meta_.num_cols - 1) {
-          std::ostringstream os;
-          os << "column clamp upper bound " << hi << " != num_cols-1 ("
-             << meta_.num_cols - 1 << ")";
-          emit(out_, Code::kLintBakedOffset, line_no, os.str());
-        }
-      }
-    }
-    if (pat == nullptr ||
-        !(contains(line, "[r") || contains(line, "[i") ||
-          contains(line, "[lane"))) {
-      return;
-    }
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), x_access_);
-         it != std::sregex_iterator(); ++it) {
-      const std::smatch& xm = *it;
-      std::int64_t off = 0;
-      if (xm[4].matched) {
-        off = std::stoll(xm[4]);
-        if (xm[3] == "-") off = -off;
-      }
-      const std::string base = xm[2];
-      if (base == "i") {
-        // AD-group staging copy: xbuf[i] = xx[i + first]; `first` must be a
-        // live diagonal (the group's first offset).
-        if (!offset_is_live(*pat, off)) {
-          emit(out_, Code::kLintBakedOffset, line_no,
-               "staged x window starts at offset " + std::to_string(off) +
-                   ", not a live diagonal of " +
-                   ordinal(static_cast<std::size_t>(pattern), off));
-        }
-        continue;
-      }
-      if (!offset_is_live(*pat, off)) {
-        emit(out_, Code::kLintBakedOffset, line_no,
-             "baked x offset " + std::to_string(off) +
-                 " is not a live diagonal of pattern " +
-                 std::to_string(pattern));
-      } else if (base == "r" && !offset_in_range(meta_, *pat, off)) {
-        // Unclamped row-relative access: legal only when provably in range.
-        emit(out_, Code::kLintBakedOffset, line_no,
-             "unclamped x access at offset " + std::to_string(off) +
-                 " can leave [0, num_cols) for pattern " +
-                 std::to_string(pattern));
-      }
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Moves `s` past `lit` if it starts with it.
+bool take(std::string_view& s, std::string_view lit) {
+  if (!s.starts_with(lit)) return false;
+  s.remove_prefix(lit.size());
+  return true;
+}
+
+/// Moves `s` past the decimal integer at its front (a leading '-' only when
+/// `sign` is set) and reads it into `v`. A number too long for int64 reads
+/// as +-INT64_MAX, which equals no baked constant and negates safely.
+bool take_int(std::string_view& s, bool sign, std::int64_t& v) {
+  if (s.empty() || (s.front() == '-' && !sign)) return false;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc::invalid_argument) return false;
+  if (ec == std::errc::result_out_of_range) {
+    v = s.front() == '-' ? -std::numeric_limits<std::int64_t>::max()
+                         : std::numeric_limits<std::int64_t>::max();
+  }
+  s.remove_prefix(static_cast<std::size_t>(ptr - s.data()));
+  return true;
+}
+
+/// Tries `tail(rest, at)` after each occurrence of `anchor` in `line`, left
+/// to right: `rest` is the text after the occurrence at `at`, and a tail
+/// that matches moves `rest` past the match and returns true. Unless
+/// `every` is set, the first match ends the search; with it, the search
+/// resumes after each match. Returns whether anything matched.
+template <typename Tail>
+bool match(std::string_view line, std::string_view anchor, bool every,
+           Tail&& tail) {
+  bool matched = false;
+  std::size_t at = line.find(anchor);
+  while (at != std::string_view::npos) {
+    std::string_view rest = line.substr(at + anchor.size());
+    if (tail(rest, at)) {
+      if (!every) return true;
+      matched = true;
+      at = line.find(anchor, line.size() - rest.size());
+    } else {
+      at = line.find(anchor, at + 1);
     }
   }
+  return matched;
+}
 
- private:
-  const LintMeta& meta_;
-  std::vector<Diagnostic>& out_;
-  std::regex lane_loop_;
-  std::regex col_clamp_;
-  std::regex x_access_;
+/// The first `prefix`, integer, `suffix` in `line`.
+bool find_int(std::string_view line, std::string_view prefix, bool sign,
+              std::string_view suffix, std::int64_t& v) {
+  return match(line, prefix, false, [&](std::string_view& rest, std::size_t) {
+    return take_int(rest, sign, v) && take(rest, suffix);
+  });
+}
+
+/// Calls `on_line(line, line_no)` for each line of `text`, without its
+/// '\n', numbering from `line_no`.
+template <typename OnLine>
+void for_each_line(std::string_view text, std::int64_t line_no,
+                   OnLine&& on_line) {
+  for (; !text.empty(); ++line_no) {
+    const std::size_t nl = text.find('\n');
+    on_line(text.substr(0, nl), line_no);
+    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+  }
+}
+
+/// Reads the x access whose 'x' is at `at`, with `rest` the text after it:
+/// an identifier that starts with 'x' (not after a letter or '_'), goes on
+/// in [a-z0-9] and is no xbuf*, indexed by r, i or lane, bare or plus or
+/// minus a literal: x[r], x[r + 5], xx[lane - 16], xx[i + -4]. Gives the
+/// index variable's first letter and the offset.
+bool take_x_access(std::string_view line, std::size_t at,
+                   std::string_view& rest, char& base, std::int64_t& off) {
+  const auto letter_or_underscore = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+  };
+  if ((at > 0 && letter_or_underscore(line[at - 1])) ||
+      rest.starts_with("buf")) {
+    return false;
+  }
+  while (!rest.empty() && ((rest.front() >= 'a' && rest.front() <= 'z') ||
+                           (rest.front() >= '0' && rest.front() <= '9'))) {
+    rest.remove_prefix(1);
+  }
+  if (!take(rest, "[")) return false;
+  if (take(rest, "r")) {
+    base = 'r';
+  } else if (take(rest, "i")) {
+    base = 'i';
+  } else if (take(rest, "lane")) {
+    base = 'l';
+  } else {
+    return false;
+  }
+  off = 0;
+  if (take(rest, "]")) return true;
+  const bool minus = take(rest, " - ");
+  if (!(minus || take(rest, " + ")) || !take_int(rest, true, off) ||
+      !take(rest, "]")) {
+    return false;
+  }
+  if (minus) off = -off;
+  return true;
+}
+
+/// Per-line checks of the CPU codelet: literal lane loops must use mrows,
+/// column clamps must use num_cols-1, baked x offsets must be live diagonals
+/// of the current pattern (and in range when unclamped).
+void lint_line(const LintMeta& meta, std::string_view line,
+               std::int64_t line_no, std::int64_t pattern,
+               const DiagonalPattern* pat, std::vector<Diagnostic>& out) {
+  std::int64_t trip = 0;
+  if (find_int(line, "for (std::int32_t lane = 0; lane < ", false,
+               "; ++lane)", trip) &&
+      trip != meta.mrows) {
+    emit(out, Code::kLintTripCount, line_no,
+         "literal lane trip count " + std::to_string(trip) + " != mrows (" +
+             std::to_string(meta.mrows) + ")");
+  }
+  // crsd_clampi(<no comma>, 0, hi)
+  match(line, "crsd_clampi(", true, [&](std::string_view& rest, std::size_t) {
+    std::int64_t hi = 0;
+    rest.remove_prefix(std::min(rest.find(','), rest.size()));
+    if (!(take(rest, ", 0, ") && take_int(rest, true, hi) &&
+          take(rest, ")"))) {
+      return false;
+    }
+    if (hi != meta.num_cols - 1) {
+      emit(out, Code::kLintBakedOffset, line_no,
+           "column clamp upper bound " + std::to_string(hi) +
+               " != num_cols-1 (" + std::to_string(meta.num_cols - 1) + ")");
+    }
+    return true;
+  });
+  if (pat == nullptr) return;
+  match(line, "x", true, [&](std::string_view& rest, std::size_t at) {
+    char base = 0;
+    std::int64_t off = 0;
+    if (!take_x_access(line, at, rest, base, off)) return false;
+    if (base == 'i') {
+      // AD-group staging copy: xbuf[i] = xx[i + first]; `first` must be a
+      // live diagonal (the group's first offset).
+      if (!offset_is_live(*pat, off)) {
+        emit(out, Code::kLintBakedOffset, line_no,
+             "staged x window starts at offset " + std::to_string(off) +
+                 ", not a live diagonal of " +
+                 ordinal(static_cast<std::size_t>(pattern), off));
+      }
+    } else if (!offset_is_live(*pat, off)) {
+      emit(out, Code::kLintBakedOffset, line_no,
+           "baked x offset " + std::to_string(off) +
+               " is not a live diagonal of pattern " +
+               std::to_string(pattern));
+    } else if (base == 'r' && !offset_in_range(meta, *pat, off)) {
+      // Unclamped row-relative access: legal only when provably in range.
+      emit(out, Code::kLintBakedOffset, line_no,
+           "unclamped x access at offset " + std::to_string(off) +
+               " can leave [0, num_cols) for pattern " +
+               std::to_string(pattern));
+    }
+    return true;
+  });
+}
+
+/// A pattern marker, "// pattern P: ..., segments [s0, s1), interior
+/// [i0, i1)": P at the first "// pattern " that has one, the ranges at the
+/// last "segments [" after it.
+struct Marker {
+  std::int64_t pattern = 0, seg0 = 0, seg1 = 0, in0 = 0, in1 = 0;
 };
+
+bool find_marker(std::string_view line, Marker& mk) {
+  std::string_view rest;
+  if (!match(line, "// pattern ", false, [&](std::string_view& r, std::size_t) {
+        if (!(take_int(r, false, mk.pattern) && take(r, ": "))) return false;
+        rest = r;
+        return true;
+      })) {
+    return false;
+  }
+  constexpr std::string_view kSegments = "segments [";
+  const std::size_t at = rest.rfind(kSegments);
+  if (at == std::string_view::npos) return false;
+  rest.remove_prefix(at + kSegments.size());
+  return take_int(rest, true, mk.seg0) && take(rest, ", ") &&
+         take_int(rest, true, mk.seg1) && take(rest, "), interior [") &&
+         take_int(rest, true, mk.in0) && take(rest, ", ") &&
+         take_int(rest, true, mk.in1) && take(rest, ")");
+}
 
 /// Per-line structural checks of the CPU codelet: markers, segment/interior
 /// bound clamps, trip counts, baked offsets. lint_cpu checks symbol presence
 /// and the scatter function.
-void lint_cpu_body(const LintMeta& meta, const std::string& source,
+void lint_cpu_body(const LintMeta& meta, std::string_view source,
                    std::vector<Diagnostic>& out) {
   const auto& patterns = *meta.patterns;
   const auto& cum = *meta.cum_segments;
-  const std::regex marker(
-      R"(// pattern (\d+): .*segments \[(-?\d+), (-?\d+)\), interior \[(-?\d+), (-?\d+)\))");
-  const std::regex g0_line(R"(g0 = seg_begin > (-?\d+))");
-  const std::regex g1_line(R"(g1 = seg_end < (-?\d+))");
-  const std::regex i0_line(R"(i0 = crsd_clampi\((-?\d+), g0, g1\))");
-  const std::regex i1_line(R"(i1 = crsd_clampi\((-?\d+), i0, g1\))");
-
-  LineChecker checker(meta, out);
   std::vector<bool> seen(patterns.size(), false);
   std::int64_t cur = -1;  // pattern the scanner is inside
-  const std::vector<std::string> lines = split_lines(source);
-  for (std::size_t li = 0; li < lines.size(); ++li) {
-    const std::string& line = lines[li];
-    const std::int64_t line_no = static_cast<std::int64_t>(li) + 1;
-    std::smatch sm;
-    if (contains(line, "// pattern ") && std::regex_search(line, sm, marker)) {
-      cur = std::stoll(sm[1]);
-      if (cur < 0 || cur >= static_cast<std::int64_t>(patterns.size())) {
+  for_each_line(source, 1, [&](std::string_view line, std::int64_t line_no) {
+    Marker mk;
+    if (find_marker(line, mk)) {
+      cur = mk.pattern;
+      if (cur >= static_cast<std::int64_t>(patterns.size())) {
         emit(out, Code::kLintPatternDispatch, line_no,
              "marker names pattern " + std::to_string(cur) +
                  " but the container has " + std::to_string(patterns.size()));
         cur = -1;
-        continue;
+        return;
       }
-      seen[static_cast<std::size_t>(cur)] = true;
       const std::size_t p = static_cast<std::size_t>(cur);
-      if (std::stoll(sm[2]) != cum[p] || std::stoll(sm[3]) != cum[p + 1]) {
+      seen[p] = true;
+      if (mk.seg0 != cum[p] || mk.seg1 != cum[p + 1]) {
         emit(out, Code::kLintPatternDispatch, line_no,
-             "marker segment range [" + sm[2].str() + ", " + sm[3].str() +
-                 ") != container's [" + std::to_string(cum[p]) + ", " +
-                 std::to_string(cum[p + 1]) + ") for pattern " +
-                 std::to_string(cur));
+             "marker segment range [" + std::to_string(mk.seg0) + ", " +
+                 std::to_string(mk.seg1) + ") != container's [" +
+                 std::to_string(cum[p]) + ", " + std::to_string(cum[p + 1]) +
+                 ") for pattern " + std::to_string(cur));
       }
-      if (std::stoll(sm[4]) != meta.interior[p].begin ||
-          std::stoll(sm[5]) != meta.interior[p].end) {
+      if (mk.in0 != meta.interior[p].begin || mk.in1 != meta.interior[p].end) {
         emit(out, Code::kLintInteriorSplit, line_no,
-             "marker interior [" + sm[4].str() + ", " + sm[5].str() +
-                 ") != pattern_interior_segments' [" +
+             "marker interior [" + std::to_string(mk.in0) + ", " +
+                 std::to_string(mk.in1) + ") != pattern_interior_segments' [" +
                  std::to_string(meta.interior[p].begin) + ", " +
                  std::to_string(meta.interior[p].end) + ") for pattern " +
                  std::to_string(cur));
       }
-      continue;
+      return;
     }
     const DiagonalPattern* pat =
         cur >= 0 ? &patterns[static_cast<std::size_t>(cur)] : nullptr;
     if (cur >= 0) {
       const std::size_t p = static_cast<std::size_t>(cur);
-      if (contains(line, "g0 = seg_begin > ") &&
-          std::regex_search(line, sm, g0_line) && std::stoll(sm[1]) != cum[p]) {
+      std::int64_t v = 0;
+      if (find_int(line, "g0 = seg_begin > ", true, "", v) && v != cum[p]) {
         emit(out, Code::kLintPatternDispatch, line_no,
-             "segment lower bound is " + ordinal(p, std::stoll(sm[1])) +
+             "segment lower bound is " + ordinal(p, v) +
                  ", container expects " + std::to_string(cum[p]));
-      } else if (contains(line, "g1 = seg_end < ") &&
-                 std::regex_search(line, sm, g1_line) &&
-                 std::stoll(sm[1]) != cum[p + 1]) {
+      } else if (find_int(line, "g1 = seg_end < ", true, "", v) &&
+                 v != cum[p + 1]) {
         emit(out, Code::kLintPatternDispatch, line_no,
-             "segment upper bound is " + ordinal(p, std::stoll(sm[1])) +
+             "segment upper bound is " + ordinal(p, v) +
                  ", container expects " + std::to_string(cum[p + 1]));
-      } else if (contains(line, "i0 = crsd_clampi(") &&
-                 std::regex_search(line, sm, i0_line) &&
-                 std::stoll(sm[1]) != meta.interior[p].begin) {
+      } else if (find_int(line, "i0 = crsd_clampi(", true, ", g0, g1)", v) &&
+                 v != meta.interior[p].begin) {
         emit(out, Code::kLintInteriorSplit, line_no,
-             "interior begin is " + ordinal(p, std::stoll(sm[1])) +
+             "interior begin is " + ordinal(p, v) +
                  ", pattern_interior_segments gives " +
                  std::to_string(meta.interior[p].begin));
-      } else if (contains(line, "i1 = crsd_clampi(") &&
-                 std::regex_search(line, sm, i1_line) &&
-                 std::stoll(sm[1]) != meta.interior[p].end) {
+      } else if (find_int(line, "i1 = crsd_clampi(", true, ", i0, g1)", v) &&
+                 v != meta.interior[p].end) {
         emit(out, Code::kLintInteriorSplit, line_no,
-             "interior end is " + ordinal(p, std::stoll(sm[1])) +
+             "interior end is " + ordinal(p, v) +
                  ", pattern_interior_segments gives " +
                  std::to_string(meta.interior[p].end));
       }
     }
-    checker.check(line, line_no, cur, pat);
-  }
+    lint_line(meta, line, line_no, cur, pat, out);
+  });
   for (std::size_t p = 0; p < seen.size(); ++p) {
     if (!seen[p]) {
       emit(out, Code::kLintPatternDispatch, -1,
@@ -282,76 +361,74 @@ void lint_cpu_body(const LintMeta& meta, const std::string& source,
 /// num_scatter_rows, its slot loop must run scatter_width times, and its
 /// accumulator array and block row clamp must hold one block step. With
 /// scatter rows, each of these constructs must be present. The scan starts
-/// at the function's declaration, the last one in the codelet. The regexes
-/// are compiled once: compiling them costs more than scanning the function.
-void lint_cpu_scatter(const LintMeta& meta, const std::string& source,
+/// at the function's declaration, the last one in the codelet.
+void lint_cpu_scatter(const LintMeta& meta, std::string_view source,
                       std::size_t decl_pos, std::vector<Diagnostic>& out) {
-  static const std::regex row_clamp(
-      R"(i1 = row_end > (-?\d+) \? (-?\d+) : row_end;)");
-  static const std::regex acc_decl(R"((?:^|\s)acc\[(\d+)\];)");
-  static const std::regex block_loop(R"(b < i1; b \+= (\d+)\))");
-  static const std::regex block_rows(
-      R"(nb = i1 - b < (\d+) \? i1 - b : (\d+);)");
-  static const std::regex slot_loop(
-      R"(for \(std::int32_t k = 0; k < (-?\d+); \+\+k\))");
-  static const std::regex slot_run(
-      R"((scatter_val|scatter_col) \+ static_cast<std::int64_t>\(k\) \* )"
-      R"((-?\d+) \+ b;)");
   const std::int64_t nsr = meta.num_scatter_rows;
   const auto mismatch = [&](std::int64_t line_no, const std::string& what,
                             std::int64_t got, const char* expected,
                             std::int64_t want) {
     if (got == want) return;
-    std::ostringstream os;
-    os << "scatter " << what << " " << got << " != " << expected << " ("
-       << want << ")";
-    emit(out, Code::kLintScatterLayout, line_no, os.str());
+    emit(out, Code::kLintScatterLayout, line_no,
+         "scatter " + what + " " + std::to_string(got) + " != " + expected +
+             " (" + std::to_string(want) + ")");
   };
   // Lines of the constructs found (0: not found); the block-extent checks
   // run after the scan, once the block step is known.
   std::int64_t clamp_line = 0, acc_line = 0, step_line = 0, rows_line = 0,
                slot_line = 0, val_line = 0, col_line = 0;
   std::int64_t acc_extent = 0, step = 0, rows_lo = 0, rows_hi = 0;
-  std::int64_t line_no =
+  const std::int64_t decl_line_no =
       1 + std::count(source.begin(),
                      source.begin() + static_cast<std::ptrdiff_t>(decl_pos),
                      '\n');
-  std::istringstream is(source.substr(decl_pos));
-  std::string line;
-  for (; std::getline(is, line); ++line_no) {
-    std::smatch sm;
-    if (contains(line, "i1 = row_end > ") &&
-        std::regex_search(line, sm, row_clamp)) {
+  const auto on_line = [&](std::string_view line, std::int64_t line_no) {
+    std::int64_t lo = 0, hi = 0;
+    std::int64_t* run_line = nullptr;  // val_line or col_line
+    if (match(line, "i1 = row_end > ", false,
+              [&](std::string_view& rest, std::size_t) {
+                return take_int(rest, true, lo) && take(rest, " ? ") &&
+                       take_int(rest, true, hi) && take(rest, " : row_end;");
+              })) {
       clamp_line = line_no;
-      mismatch(line_no, "row clamp", std::stoll(sm[1]),
-               "num_scatter_rows", nsr);
-      mismatch(line_no, "row clamp", std::stoll(sm[2]),
-               "num_scatter_rows", nsr);
-    } else if (contains(line, "acc[") &&
-               std::regex_search(line, sm, acc_decl)) {
+      mismatch(line_no, "row clamp", lo, "num_scatter_rows", nsr);
+      mismatch(line_no, "row clamp", hi, "num_scatter_rows", nsr);
+    } else if (match(line, "acc[", false,
+                     [&](std::string_view& rest, std::size_t at) {
+                       return (at == 0 || is_space(line[at - 1])) &&
+                              take_int(rest, false, acc_extent) &&
+                              take(rest, "];");
+                     })) {
       acc_line = line_no;
-      acc_extent = std::stoll(sm[1]);
-    } else if (contains(line, "b += ") &&
-               std::regex_search(line, sm, block_loop)) {
+    } else if (find_int(line, "b < i1; b += ", false, ")", step)) {
       step_line = line_no;
-      step = std::stoll(sm[1]);
-    } else if (contains(line, "nb = i1 - b < ") &&
-               std::regex_search(line, sm, block_rows)) {
+    } else if (match(line, "nb = i1 - b < ", false,
+                     [&](std::string_view& rest, std::size_t) {
+                       return take_int(rest, false, rows_lo) &&
+                              take(rest, " ? i1 - b : ") &&
+                              take_int(rest, false, rows_hi) &&
+                              take(rest, ";");
+                     })) {
       rows_line = line_no;
-      rows_lo = std::stoll(sm[1]);
-      rows_hi = std::stoll(sm[2]);
-    } else if (contains(line, "for (std::int32_t k = 0; k < ") &&
-               std::regex_search(line, sm, slot_loop)) {
+    } else if (find_int(line, "for (std::int32_t k = 0; k < ", true,
+                        "; ++k)", lo)) {
       slot_line = line_no;
-      mismatch(line_no, "slot count", std::stoll(sm[1]), "scatter_width",
-               meta.scatter_width);
-    } else if (contains(line, "static_cast<std::int64_t>(k) * ") &&
-               std::regex_search(line, sm, slot_run)) {
-      (sm[1] == "scatter_val" ? val_line : col_line) = line_no;
-      mismatch(line_no, "slot stride", std::stoll(sm[2]), "num_scatter_rows",
-               nsr);
+      mismatch(line_no, "slot count", lo, "scatter_width", meta.scatter_width);
+    } else if (match(line, "scatter_", false,
+                     [&](std::string_view& rest, std::size_t) {
+                       run_line = take(rest, "val")   ? &val_line
+                                  : take(rest, "col") ? &col_line
+                                                      : nullptr;
+                       return run_line != nullptr &&
+                              take(rest,
+                                   " + static_cast<std::int64_t>(k) * ") &&
+                              take_int(rest, true, lo) && take(rest, " + b;");
+                     })) {
+      *run_line = line_no;
+      mismatch(line_no, "slot stride", lo, "num_scatter_rows", nsr);
     }
-  }
+  };
+  for_each_line(source.substr(decl_pos), decl_line_no, on_line);
   if (acc_line > 0 && step_line > 0) {
     mismatch(acc_line, "accumulator extent", acc_extent, "block step", step);
   }

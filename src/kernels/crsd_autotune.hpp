@@ -291,6 +291,39 @@ struct CachedTuning {
   std::string key;        ///< cache entry name
 };
 
+namespace detail {
+
+/// load_cached_tuning's lookup of the entry named `key`, which the caller
+/// computed with tune_cache_key for the same inputs.
+inline std::optional<CachedTuning> lookup_tuning(const gpusim::DeviceSpec& spec,
+                                                 std::string key,
+                                                 const AutotuneSpace& space,
+                                                 const AutotuneOptions& opts) {
+  static obs::Counter& hits =
+      obs::Registry::global().counter("autotune.cache_hit");
+  static obs::Counter& misses =
+      obs::Registry::global().counter("autotune.cache_miss");
+  CachedTuning t;
+  t.key = std::move(key);
+  const std::string path =
+      (std::filesystem::path(tune_cache_dir(opts)) / (t.key + ".txt"))
+          .string();
+  if (tune_cache_load(path, t.config, t.local_memory, t.seconds) &&
+      t.config.mrows % spec.wavefront_size == 0 &&
+      std::find(space.mrows.begin(), space.mrows.end(), t.config.mrows) !=
+          space.mrows.end()) {
+    // The entry was stored under these storage options (they are part of
+    // the key), so rebuild-from-cache must apply them too.
+    t.config.storage = opts.storage;
+    hits.add(1);
+    return t;
+  }
+  misses.add(1);
+  return std::nullopt;
+}
+
+}  // namespace detail
+
 /// Looks up the persistent tuning cache without running any search. Returns
 /// the cached winner for this (matrix structure, device, precision, search
 /// space), or nullopt on a miss or when opts.use_cache is false. An entry
@@ -306,27 +339,8 @@ std::optional<CachedTuning> load_cached_tuning(const gpusim::DeviceSpec& spec,
                                                const AutotuneOptions& opts = {}) {
   if (!opts.use_cache) return std::nullopt;
   obs::Span span("autotune/cache_lookup");
-  static obs::Counter& hits =
-      obs::Registry::global().counter("autotune.cache_hit");
-  static obs::Counter& misses =
-      obs::Registry::global().counter("autotune.cache_miss");
-  CachedTuning t;
-  t.key = detail::tune_cache_key(spec, a, space, opts);
-  const std::string path =
-      (std::filesystem::path(detail::tune_cache_dir(opts)) / (t.key + ".txt"))
-          .string();
-  if (detail::tune_cache_load(path, t.config, t.local_memory, t.seconds) &&
-      t.config.mrows % spec.wavefront_size == 0 &&
-      std::find(space.mrows.begin(), space.mrows.end(), t.config.mrows) !=
-          space.mrows.end()) {
-    // The entry was stored under these storage options (they are part of
-    // the key), so rebuild-from-cache must apply them too.
-    t.config.storage = opts.storage;
-    hits.add(1);
-    return t;
-  }
-  misses.add(1);
-  return std::nullopt;
+  return detail::lookup_tuning(
+      spec, detail::tune_cache_key(spec, a, space, opts), space, opts);
 }
 
 /// Searches the candidate grid for the fastest configuration, with
@@ -346,16 +360,21 @@ AutotuneResult autotune_crsd(gpusim::Device& dev, const Coo<T>& a,
   std::string cache_path;
   if (opts.use_cache) {
     cache_dir = detail::tune_cache_dir(opts);
-    if (std::optional<CachedTuning> cached =
-            load_cached_tuning(dev.spec(), a, space, opts)) {
-      result.cache_key = cached->key;
+    // One structure hash names the entry for the lookup and, on a miss,
+    // for the store.
+    std::optional<CachedTuning> cached;
+    {
+      obs::Span span("autotune/cache_lookup");
+      result.cache_key = detail::tune_cache_key(dev.spec(), a, space, opts);
+      cached = detail::lookup_tuning(dev.spec(), result.cache_key, space, opts);
+    }
+    if (cached) {
       result.best_config = cached->config;
       result.best_local_memory = cached->local_memory;
       result.best_seconds = cached->seconds;
       result.cache_hit = true;
       return result;
     }
-    result.cache_key = detail::tune_cache_key(dev.spec(), a, space, opts);
     cache_path = (fs::path(cache_dir) / (result.cache_key + ".txt")).string();
   }
 

@@ -55,41 +55,76 @@ std::string_view take_line(std::string_view& text) {
   return line;
 }
 
+const char* skip_space(const char* p, const char* end) {
+  while (p != end && is_space(*p)) ++p;
+  return p;
+}
+
+/// The token that starts at `p`: the text up to the next whitespace.
+std::string_view token_at(const char* p, const char* end) {
+  const char* e = p;
+  while (e != end && !is_space(*e)) ++e;
+  return {p, static_cast<std::size_t>(e - p)};
+}
+
 /// Splits the next whitespace-delimited token off the front of `text`;
 /// empty once only whitespace is left.
 std::string_view take_token(std::string_view& text) {
-  std::size_t b = 0;
-  while (b < text.size() && is_space(text[b])) ++b;
-  std::size_t e = b;
-  while (e < text.size() && !is_space(text[e])) ++e;
-  const std::string_view token = text.substr(b, e - b);
-  text.remove_prefix(e);
+  const char* const end = text.data() + text.size();
+  const std::string_view token = token_at(skip_space(text.data(), end), end);
+  text.remove_prefix(
+      static_cast<std::size_t>(token.data() + token.size() - text.data()));
   return token;
 }
 
 enum class Parsed : std::uint8_t { kOk, kMalformed, kOutOfRange };
 
-/// Parses a whole token as one decimal number in the grammar the reader has
-/// always accepted: an optional sign ('+' too, which from_chars alone
+/// Converts the token at `p` as one decimal number in the grammar the reader
+/// has always accepted: an optional sign ('+' too, which from_chars alone
 /// rejects), then digits; reals may also start with '.' and carry a
-/// fraction and exponent. inf/nan/hex, which from_chars would take, are
-/// malformed. Out-of-range covers overflow and a nonzero real that
-/// underflows to zero.
+/// fraction and exponent. The number must end at whitespace or at `end`;
+/// inf/nan/hex, which from_chars would take, are malformed. Out-of-range
+/// covers overflow and a nonzero real that underflows to zero, even with
+/// junk after the number. On kOk, `p` moves past the number.
 template <typename V>
-Parsed parse_number(std::string_view token, V& out) {
-  const char* p = token.data();
-  const char* const end = p + token.size();
+Parsed parse_number(const char*& p, const char* end, V& out) {
   const char* first = p;
   if (first != end && (*first == '+' || *first == '-')) ++first;
   if (first == end ||
       !(is_digit(*first) || (std::is_floating_point_v<V> && *first == '.'))) {
     return Parsed::kMalformed;
   }
-  if (*p == '+') ++p;
-  const auto [ptr, ec] = std::from_chars(p, end, out);
+  const auto [ptr, ec] = std::from_chars(*p == '+' ? p + 1 : p, end, out);
   if (ec == std::errc::result_out_of_range) return Parsed::kOutOfRange;
-  if (ec != std::errc() || ptr != end) return Parsed::kMalformed;
+  if (ec != std::errc() || (ptr != end && !is_space(*ptr))) {
+    return Parsed::kMalformed;
+  }
+  p = ptr;
   return Parsed::kOk;
+}
+
+/// parse_number over a whole token.
+template <typename V>
+Parsed parse_number(std::string_view token, V& out) {
+  const char* p = token.data();
+  return parse_number(p, p + token.size(), out);
+}
+
+/// One token of an entry and how it converted.
+struct Token {
+  std::string_view text;
+  Parsed parsed;
+};
+
+/// Skips whitespace and converts the token there into `out`, moving `p`
+/// past it; only a rejected token is measured out to be quoted.
+template <typename V>
+Token next_token(const char*& p, const char* end, V& out) {
+  const char* const at = skip_space(p, end);
+  p = at;
+  const Parsed parsed = parse_number(p, end, out);
+  if (parsed != Parsed::kOk) p = at + token_at(at, end).size();
+  return {{at, static_cast<std::size_t>(p - at)}, parsed};
 }
 
 /// Case-insensitive match of a banner token against a lower-case `name`.
@@ -170,17 +205,17 @@ index_t parse_dimension(std::string_view token, const char* what,
   return static_cast<index_t>(v);
 }
 
-/// Parses a 1-based row or column index of entry `k` into [0, bound).
-index_t parse_index(std::string_view token, index_t bound, std::int64_t k,
-                    const char* what) {
-  std::int64_t v = 0;
-  if (parse_number(token, v) == Parsed::kMalformed) {
+/// Checks the 1-based row or column index `v` of entry `k`, converted from
+/// `token`, and returns it 0-based in [0, bound).
+index_t check_index(const Token& token, std::int64_t v, index_t bound,
+                    std::int64_t k, const char* what) {
+  if (token.parsed == Parsed::kMalformed) {
     reject(Code::kMalformedInput, k,
-           std::string("malformed ") + what + " index " + quoted(token));
+           std::string("malformed ") + what + " index " + quoted(token.text));
   }
   if (v < 1 || v > bound) {
     reject(Code::kMalformedInput, k,
-           std::string(what) + " index " + quoted(token) +
+           std::string(what) + " index " + quoted(token.text) +
                " out of range [1, " + std::to_string(bound) + "]");
   }
   return static_cast<index_t>(v - 1);
@@ -227,43 +262,58 @@ Coo<double> parse_matrix_market(std::string_view text) {
   Coo<double> a(rows, cols);
   a.reserve(general ? expect : 2 * expect);
 
+  // One pass over the entries: each number is converted straight from the
+  // input, and its end is checked against whitespace.
+  const char* p = text.data();
+  const char* const end = p + text.size();
   for (std::int64_t k = 1; k <= entries; ++k) {
-    const std::string_view row_token = take_token(text);
-    const std::string_view col_token = take_token(text);
-    if (col_token.empty()) {
+    std::int64_t rv = 0;
+    std::int64_t cv = 0;
+    const Token row = next_token(p, end, rv);
+    p = skip_space(p, end);
+    if (p == end) {
       reject(Code::kMalformedInput, k,
              "truncated Matrix Market stream: header declares " +
                  std::to_string(entries) + " entries");
     }
-    const index_t r = parse_index(row_token, rows, k, "row");
-    const index_t c = parse_index(col_token, cols, k, "column");
+    const index_t r = check_index(row, rv, rows, k, "row");
+    const Token col = next_token(p, end, cv);
+    const index_t c = check_index(col, cv, cols, k, "column");
     double v = 1.0;
     if (!pattern) {
-      const std::string_view value_token = take_token(text);
-      if (value_token.empty()) {
+      const Token value = next_token(p, end, v);
+      if (value.text.empty()) {
         reject(Code::kMalformedInput, k, "missing value");
       }
-      const Parsed p = parse_number(value_token, v);
-      if (p == Parsed::kMalformed) {
+      if (value.parsed == Parsed::kMalformed) {
         reject(Code::kMalformedInput, k,
-               "malformed value " + quoted(value_token));
+               "malformed value " + quoted(value.text));
       }
-      if (p == Parsed::kOutOfRange) {
+      if (value.parsed == Parsed::kOutOfRange) {
         reject(Code::kMalformedInput, k,
-               "value " + quoted(value_token) +
+               "value " + quoted(value.text) +
                    " overflows, or underflows to zero, as a double");
       }
     }
     if (!general && r < c) {
       reject(Code::kMalformedInput, k,
-             "upper-triangle entry (" + std::string(row_token) + ", " +
-                 std::string(col_token) +
+             "upper-triangle entry (" + std::string(row.text) + ", " +
+                 std::string(col.text) +
                  ") in a file that stores only the lower triangle");
     }
     if (skew && r == c) {
       reject(Code::kMalformedInput, k,
-             "diagonal entry (" + std::string(row_token) + ", " +
-                 std::string(col_token) + ") in a skew-symmetric file");
+             "diagonal entry (" + std::string(row.text) + ", " +
+                 std::string(col.text) + ") in a skew-symmetric file");
+    }
+    // In a non-square file, a lower-triangle entry can mirror past the last
+    // column.
+    if (!general && r >= cols) {
+      reject(Code::kMalformedInput, k,
+             "mirrored entry (" + std::string(col.text) + ", " +
+                 std::string(row.text) + ") is outside the " +
+                 std::to_string(rows) + " x " + std::to_string(cols) +
+                 " matrix");
     }
     a.add(r, c, v);
     if (!general && r != c) a.add(c, r, skew ? -v : v);
