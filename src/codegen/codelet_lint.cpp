@@ -142,6 +142,14 @@ bool find_int(std::string_view line, std::string_view prefix, bool sign,
   });
 }
 
+/// The extent N of an accumulator array declared `acc[N];` on `line`.
+bool find_acc_extent(std::string_view line, std::int64_t& n) {
+  return match(line, "acc[", false, [&](std::string_view& rest, std::size_t at) {
+    return (at == 0 || is_space(line[at - 1])) && take_int(rest, false, n) &&
+           take(rest, "];");
+  });
+}
+
 /// Calls `on_line(line, line_no)` for each line of `text`, without its
 /// '\n', numbering from `line_no`.
 template <typename OnLine>
@@ -279,10 +287,11 @@ bool find_marker(std::string_view line, Marker& mk) {
 }
 
 /// Per-line structural checks of the CPU codelet: markers, segment/interior
-/// bound clamps, trip counts, baked offsets. lint_cpu checks symbol presence
-/// and the scatter function.
+/// bound clamps, trip counts, baked offsets, and, before byte `diag_end`
+/// (the scatter function's declaration), the interior accumulator blocks.
+/// lint_cpu checks symbol presence and the scatter function.
 void lint_cpu_body(const LintMeta& meta, std::string_view source,
-                   std::vector<Diagnostic>& out) {
+                   std::size_t diag_end, std::vector<Diagnostic>& out) {
   const auto& patterns = *meta.patterns;
   const auto& cum = *meta.cum_segments;
   std::vector<bool> seen(patterns.size(), false);
@@ -316,6 +325,13 @@ void lint_cpu_body(const LintMeta& meta, std::string_view source,
                  std::to_string(cur));
       }
       return;
+    }
+    std::int64_t extent = 0;
+    if (static_cast<std::size_t>(line.data() - source.data()) < diag_end &&
+        find_acc_extent(line, extent) && extent != meta.mrows) {
+      emit(out, Code::kLintTripCount, line_no,
+           "interior accumulator extent " + std::to_string(extent) +
+               " != mrows (" + std::to_string(meta.mrows) + ")");
     }
     const DiagonalPattern* pat =
         cur >= 0 ? &patterns[static_cast<std::size_t>(cur)] : nullptr;
@@ -393,12 +409,7 @@ void lint_cpu_scatter(const LintMeta& meta, std::string_view source,
       clamp_line = line_no;
       mismatch(line_no, "row clamp", lo, "num_scatter_rows", nsr);
       mismatch(line_no, "row clamp", hi, "num_scatter_rows", nsr);
-    } else if (match(line, "acc[", false,
-                     [&](std::string_view& rest, std::size_t at) {
-                       return (at == 0 || is_space(line[at - 1])) &&
-                              take_int(rest, false, acc_extent) &&
-                              take(rest, "];");
-                     })) {
+    } else if (find_acc_extent(line, acc_extent)) {
       acc_line = line_no;
     } else if (find_int(line, "b < i1; b += ", false, ")", step)) {
       step_line = line_no;
@@ -462,9 +473,9 @@ std::vector<Diagnostic> lint_cpu(const LintMeta& meta,
            "expected entry point " + prefix + suffix + " not found");
     }
   }
-  lint_cpu_body(meta, source, out);
   const std::size_t scatter =
       source.find("extern \"C\" void " + prefix + "_scatter(");
+  lint_cpu_body(meta, source, scatter, out);
   if (scatter != std::string::npos) {
     lint_cpu_scatter(meta, source, scatter, out);
   }

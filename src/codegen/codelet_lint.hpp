@@ -16,7 +16,8 @@
 //     emitted, in order;
 //   * kLintInteriorSplit   — the interior [i0, i1) clamps match
 //     pattern_interior_segments for the container;
-//   * kLintTripCount       — literal lane-loop trip counts equal mrows;
+//   * kLintTripCount       — literal lane-loop trip counts and the diag
+//     function's interior accumulator extents equal mrows;
 //   * kLintBakedOffset     — every baked x offset belongs to its pattern's
 //     live-diagonal set, clamp bounds equal num_cols-1, and unclamped
 //     accesses are provably in range for every row of the pattern;

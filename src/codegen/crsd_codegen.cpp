@@ -24,8 +24,8 @@ struct Meta {
   index_t scatter_width = 0;
   const char* type_name = "double";
   /// Storage mode of the matrix the codelet is generated for. Native
-  /// fp64/fp32 + i32 storage emits the historical source byte for byte;
-  /// compact modes switch the value/column stream parameters to a raw
+  /// fp64/fp32 + i32 storage passes typed stream pointers and accumulates
+  /// in T; compact modes switch the value/column stream parameters to a raw
   /// void* ABI and widen loads into double accumulators.
   ValuePrecision value_precision = ValuePrecision::kNative;
   ScatterIndexMode scol_mode = ScatterIndexMode::kIndex32;
@@ -35,8 +35,8 @@ std::string itos(std::int64_t v) { return std::to_string(v); }
 
 /// Text-generation policy derived from the storage mode: which type names
 /// the value stream and accumulators use, and how a value load / multiply /
-/// store line is spelled. The native policy reproduces the historical text
-/// exactly (vt/at collapse to "T", term() is the bare product).
+/// store line is spelled. Under the native policy vt/at collapse to "T" and
+/// term() and store() leave their operands as they are.
 struct StorageCtx {
   bool raw = false;    ///< non-native storage: void* stream parameters
   bool widen = false;  ///< compact values: accumulate in double
@@ -123,6 +123,10 @@ void emit_cpu_edge_segment_body(CodeWriter& w, const Meta& meta,
 /// stream pointers, constant trip counts, lane-innermost per-diagonal
 /// sweeps the compiler vectorizes, and a stack-staged x window for AD
 /// groups (the codelet analogue of the paper's local-memory staging).
+/// Each segment sums into a local block of mrows accumulators and stores it
+/// to y once, so a segment's partial sums never pass through the cache line
+/// it shares with a neighbouring segment that another thread may be
+/// writing. Only patterns with diagonals have an interior.
 void emit_cpu_interior_loop(CodeWriter& w, const Meta& meta,
                             const DiagonalPattern& p, index_t seg0,
                             size64_t base, size64_t slots,
@@ -136,11 +140,7 @@ void emit_cpu_interior_loop(CodeWriter& w, const Meta& meta,
   w.line("T* CRSD_RESTRICT yy = y + static_cast<std::int64_t>(g) * " +
          itos(m) + ";");
   w.line("const T* xx = x + static_cast<std::int64_t>(g) * " + itos(m) + ";");
-  // Widened accumulation keeps the native per-diagonal loop structure but
-  // targets a stack double buffer, stored back to y in one pass at the end.
-  const bool acc_buf = sc.widen && p.num_diagonals() > 0;
-  if (acc_buf) w.line("AT acc[" + itos(m) + "];");
-  const std::string target = acc_buf ? "acc[lane]" : "yy[lane]";
+  w.line(std::string(sc.at()) + " acc[" + itos(m) + "];");
   bool init = true;
   for (const auto& grp : p.groups) {
     const bool staged =
@@ -161,7 +161,7 @@ void emit_cpu_interior_loop(CodeWriter& w, const Meta& meta,
       for (index_t gd = 0; gd < grp.num_diagonals; ++gd) {
         const index_t d = grp.first_diagonal + gd;
         w.open("for (std::int32_t lane = 0; lane < " + itos(m) + "; ++lane)");
-        w.line(target + " " + std::string(init ? "=" : "+=") + " " +
+        w.line(std::string("acc[lane] ") + (init ? "=" : "+=") + " " +
                sc.term("unit[lane + " + itos(static_cast<std::int64_t>(d) * m) +
                            "]",
                        "xbuf[lane + " + itos(gd) + "]") +
@@ -179,7 +179,7 @@ void emit_cpu_interior_loop(CodeWriter& w, const Meta& meta,
                      : (off > 0 ? "lane + " + itos(off)
                                 : "lane - " + itos(-std::int64_t{off}));
         w.open("for (std::int32_t lane = 0; lane < " + itos(m) + "; ++lane)");
-        w.line(target + " " + std::string(init ? "=" : "+=") + " " +
+        w.line(std::string("acc[lane] ") + (init ? "=" : "+=") + " " +
                sc.term("unit[lane + " + itos(static_cast<std::int64_t>(d) * m) +
                            "]",
                        "xx[" + xoff + "]") +
@@ -189,11 +189,9 @@ void emit_cpu_interior_loop(CodeWriter& w, const Meta& meta,
       }
     }
   }
-  if (acc_buf) {
-    w.open("for (std::int32_t lane = 0; lane < " + itos(m) + "; ++lane)");
-    w.line("yy[lane] = (T)acc[lane];");
-    w.close();
-  }
+  w.open("for (std::int32_t lane = 0; lane < " + itos(m) + "; ++lane)");
+  w.line("yy[lane] = " + sc.store("acc[lane]") + ";");
+  w.close();
   w.close();  // interior segment loop
 }
 

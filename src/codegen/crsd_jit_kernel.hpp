@@ -18,8 +18,9 @@
 namespace crsd::codegen {
 
 /// A compiled SpMV codelet bound to one CRSD structure. The diagonal phase
-/// takes a segment range, so the thread pool can partition segments exactly
-/// like work-groups on the GPU; the scatter phase runs once afterwards.
+/// takes a segment range and the scatter phase a scatter-row range, so the
+/// thread pool can give each chunk a run of segments, like work-groups on
+/// the GPU, together with the scatter rows inside them.
 template <Real T>
 class CrsdJitKernel {
  public:
@@ -70,21 +71,15 @@ class CrsdJitKernel {
     run_scatter(m, x, y, 0, num_scatter_rows_);
   }
 
-  /// Parallel variant: segments are dealt out in chunks (patterns differ in
-  /// per-segment cost, so dynamic claiming load-balances), and the scatter
-  /// phase is spread over the pool as well (one writer per scatter row).
+  /// Parallel variant: one pool dispatch of row-owning chunks
+  /// (CrsdMatrix::for_each_row_chunk), each running the diag function on
+  /// its segments and then the scatter function on the scatter rows among
+  /// those segments' rows.
   void spmv_parallel(ThreadPool& pool, const CrsdMatrix<T>& m, const T* x,
                      T* y) const {
-    const index_t chunk = std::max<index_t>(
-        1, num_segments_ / (8 * static_cast<index_t>(pool.num_threads())));
-    pool.parallel_for_chunked(0, num_segments_, chunk,
-                              [&](index_t sb, index_t se, int) {
-                                run_diag(m, x, y, sb, se);
-                              });
-    pool.parallel_for(0, num_scatter_rows_,
-                      [&](index_t b, index_t e, int) {
-                        run_scatter(m, x, y, b, e);
-                      });
+    m.for_each_row_chunk(
+        pool, [&](index_t sb, index_t se) { run_diag(m, x, y, sb, se); },
+        [&](index_t b, index_t e) { run_scatter(m, x, y, b, e); });
   }
 
  private:

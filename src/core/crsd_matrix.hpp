@@ -333,23 +333,39 @@ class CrsdMatrix {
     spmv_scatter(0, num_scatter_rows(), x, y);
   }
 
-  /// y = A*x on `pool`: segments are dealt out in chunks small enough to
-  /// load-balance patterns with different diagonal counts (each segment's
-  /// rows are still written by exactly one thread), then the scatter rows
-  /// are spread over the pool too (each scatter row has one writer).
+  /// y = A*x on `pool`, as one dispatch of row-owning chunks
+  /// (for_each_row_chunk) running the vectorized engine's two phases.
   void spmv_parallel(ThreadPool& pool, const T* x, T* y) const {
+    for_each_row_chunk(
+        pool, [&](index_t sb, index_t se) { spmv_segments_vec(sb, se, x, y); },
+        [&](index_t b, index_t e) { spmv_scatter(b, e, x, y); });
+  }
+
+  /// One pool dispatch of row-owning chunks, the CPU analogue of one
+  /// work-group per row segment (§III): segments are dealt out in chunks
+  /// small enough to load-balance patterns of different diagonal counts,
+  /// and each chunk runs `diag(seg_begin, seg_end)` on its segments, then
+  /// `scatter(i_begin, i_end)` on the scatter rows (indices into the
+  /// ascending scatter_rows()) inside their rows. Every row has one writer,
+  /// diagonal write first and scatter overwrite second.
+  template <typename DiagPhase, typename ScatterPhase>
+  void for_each_row_chunk(ThreadPool& pool, DiagPhase&& diag,
+                          ScatterPhase&& scatter) const {
     const index_t segs = num_segments_total();
     const index_t chunk =
         std::max<index_t>(1, segs / (8 * static_cast<index_t>(
                                              pool.num_threads())));
-    pool.parallel_for_chunked(0, segs, chunk,
-                              [&](index_t sb, index_t se, int) {
-                                spmv_segments_vec(sb, se, x, y);
-                              });
-    pool.parallel_for(0, num_scatter_rows(),
-                      [&](index_t b, index_t e, int) {
-                        spmv_scatter(b, e, x, y);
-                      });
+    const auto& sr = s_.scatter_rowno;
+    pool.parallel_for_chunked(
+        0, segs, chunk, [&](index_t sb, index_t se, int) {
+          diag(sb, se);
+          const RowRange rows =
+              segment_row_range(sb, se, s_.mrows, s_.num_rows);
+          const auto lo = std::lower_bound(sr.begin(), sr.end(), rows.begin);
+          const auto hi = std::lower_bound(lo, sr.end(), rows.end);
+          scatter(static_cast<index_t>(lo - sr.begin()),
+                  static_cast<index_t>(hi - sr.begin()));
+        });
   }
 
   /// Diagonal phase for global segments [seg_begin, seg_end) — the CPU

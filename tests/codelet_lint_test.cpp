@@ -242,6 +242,25 @@ TEST(CodeletLint, FlagsNumbersTooWideForTheirType) {
                     Code::kLintTripCount, lint);
 }
 
+TEST(CodeletLint, FlagsWrongInteriorAccumulatorExtent) {
+  // Each interior segment sums into a block of mrows (16) accumulators, T in
+  // native storage and AT (double) in fp32 storage; a shorter block would be
+  // written past its end.
+  for (const ValuePrecision vp :
+       {ValuePrecision::kNative, ValuePrecision::kFloat32}) {
+    CrsdConfig cfg;
+    cfg.mrows = 16;
+    cfg.storage = {vp, false};
+    const auto m = build(stencil_5pt_2d(16, 8), cfg);
+    const std::string type = vp == ValuePrecision::kNative ? " T" : " AT";
+    expect_flagged_at(
+        generate_cpu_codelet_source(m), type + " acc[16];", type + " acc[8];",
+        Code::kLintTripCount,
+        [&](const std::string& src) { return lint_cpu_codelet_source(m, src); },
+        "interior accumulator extent 8");
+  }
+}
+
 TEST(CodeletLint, FlagsMissingPatternMarker) {
   const auto m = stencil_matrix();
   const std::string src = mutated(generate_cpu_codelet_source(m),

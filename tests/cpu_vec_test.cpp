@@ -1,7 +1,8 @@
 // Parity and scheduling tests for the vectorized CPU execution engine:
 // scalar, vectorized (interior/edge split), parallel, and JIT-compiled SpMV
 // must agree on randomized pattern matrices that force edge segments,
-// scatter rows, and short final segments; plus unit tests for the
+// scatter rows, and short final segments; pooled calls are one pool
+// dispatch whose chunks own their rows; plus unit tests for the
 // interior-range computation and the chunked thread-pool scheduler.
 #include <gtest/gtest.h>
 
@@ -11,7 +12,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "codegen/crsd_jit_kernel.hpp"
@@ -19,6 +22,7 @@
 #include "common/thread_pool.hpp"
 #include "core/build_api.hpp"
 #include "matrix/generators.hpp"
+#include "obs/metrics.hpp"
 #include "temp_cache_dir.hpp"
 
 namespace crsd {
@@ -208,6 +212,120 @@ TEST(VecEngineParity, JitScatterBlocksMatchInterpretedBitwise) {
         kernel.spmv_parallel(pool, m, x.data(), got.data());
         EXPECT_EQ(bits(got), bits(want))
             << mode << " on " << threads << " threads";
+      }
+    }
+  }
+}
+
+// A pooled SpMV is one pool dispatch: ThreadPool records one
+// pool.queue_depth sample per queued loop, so a call that ran the diagonal
+// and the scatter phase as two loops would add two.
+TEST(VecEngineParity, PooledSpmvIsOnePoolDispatch) {
+  Rng rng(29);
+  Coo<double> a = dense_band(6000, 2);
+  inject_scatter(a, 4000, rng);
+  const auto m = build(a, CrsdConfig{.mrows = 32});
+  ASSERT_GT(m.num_scatter_rows(), 3);
+  const auto x = random_vector<double>(a.num_cols(), 5);
+  std::vector<double> y(static_cast<std::size_t>(a.num_rows()));
+  ThreadPool pool(3);
+  const obs::Histogram& depth =
+      obs::Registry::global().histogram("pool.queue_depth");
+  const auto samples_added = [&](const auto& call) {
+    const std::uint64_t before = depth.count();
+    call();
+    return depth.count() - before;
+  };
+  EXPECT_EQ(samples_added([&] { m.spmv_parallel(pool, x.data(), y.data()); }),
+            1u);
+  if (!codegen::JitCompiler::compiler_available()) return;
+  auto compiler = fresh_compiler();
+  const codegen::CrsdJitKernel<double> kernel(m, compiler);
+  EXPECT_EQ(samples_added([&] {
+              kernel.spmv_parallel(pool, m, x.data(), y.data());
+            }),
+            1u);
+}
+
+// Each pooled chunk runs its segments' diagonal phase and then the scatter
+// rows among their rows. Scatter rows sit on the first and last row of most
+// segments, so also of chunks, for every chunk size the pool sizes below
+// give; the last segment is short; y starts 8, 16 and 24 bytes past a
+// 64-byte boundary, so segments share cache lines with their neighbours.
+// Both pooled paths must match the one-thread spmv bitwise in every storage
+// mode, and write nothing outside y.
+TEST(VecEngineParity, PooledChunksOwnTheirRowsToTheEdgesBitwise) {
+  constexpr index_t kMrows = 16;
+  constexpr index_t kRows = 50 * kMrows + 5;
+  Coo<double> a = dense_band(kRows, 2);
+  std::vector<index_t> edge_rows;
+  for (index_t g = 0; g * kMrows < kRows; ++g) {
+    if (g % 5 == 3) continue;  // some chunks hold no scatter row
+    edge_rows.push_back(g * kMrows);
+    edge_rows.push_back(std::min((g + 1) * kMrows, kRows) - 1);
+  }
+  Rng rng(31);
+  for (const index_t r : edge_rows) {
+    a.add(r, (r + kRows / 2 + 37 * (r % 7)) % kRows,
+          rng.next_double(-1.0, 1.0));
+  }
+  a.canonicalize();
+  const auto x = random_vector<double>(a.num_cols(), 11);
+  const auto bits = [](const double* v, std::size_t n) {
+    std::vector<std::uint64_t> out(n);
+    std::transform(v, v + n, out.begin(),
+                   [](double d) { return std::bit_cast<std::uint64_t>(d); });
+    return out;
+  };
+  const bool with_jit = codegen::JitCompiler::compiler_available();
+  auto compiler = fresh_compiler();
+  for (const StorageOptions storage :
+       {StorageOptions{ValuePrecision::kNative, false},
+        StorageOptions{ValuePrecision::kFloat32, false},
+        StorageOptions{ValuePrecision::kNative, true}}) {
+    CrsdConfig cfg;
+    cfg.mrows = kMrows;
+    cfg.storage = storage;
+    const auto m = build(a, cfg);
+    const std::string mode =
+        std::string(value_precision_name(m.value_precision())) + "+" +
+        scatter_index_mode_name(m.scatter_index_mode());
+    for (const index_t r : edge_rows) {
+      ASSERT_TRUE(std::binary_search(m.scatter_rows().begin(),
+                                     m.scatter_rows().end(), r))
+          << mode << ": row " << r << " is no scatter row";
+    }
+    const auto n = static_cast<std::size_t>(kRows);
+    std::vector<double> want(n);
+    m.spmv(x.data(), want.data());
+    std::optional<codegen::CrsdJitKernel<double>> kernel;
+    if (with_jit) kernel.emplace(m, compiler);
+    // y lives inside a guarded buffer whose first 64-byte boundary is at
+    // `base`.
+    std::vector<double> buf(n + 32);
+    const auto addr = reinterpret_cast<std::uintptr_t>(buf.data());
+    const std::size_t base = (64 - addr % 64) % 64 / sizeof(double);
+    for (int threads = 2; threads <= 5; ++threads) {
+      ThreadPool pool(threads);
+      for (const std::size_t shift : {1u, 2u, 3u}) {
+        double* y = buf.data() + base + shift;
+        for (const bool jit : {false, true}) {
+          if (jit && !kernel) continue;
+          SCOPED_TRACE(mode + " on " + std::to_string(threads) +
+                       " threads, y at +" + std::to_string(8 * shift) +
+                       " B, " + (jit ? "jit" : "interpreted"));
+          std::fill(buf.begin(), buf.end(), -7.0);
+          if (jit) {
+            kernel->spmv_parallel(pool, m, x.data(), y);
+          } else {
+            m.spmv_parallel(pool, x.data(), y);
+          }
+          EXPECT_EQ(bits(y, n), bits(want.data(), n));
+          EXPECT_TRUE(std::all_of(buf.data(), y,
+                                  [](double v) { return v == -7.0; }));
+          EXPECT_TRUE(std::all_of(y + n, buf.data() + buf.size(),
+                                  [](double v) { return v == -7.0; }));
+        }
       }
     }
   }
