@@ -5,8 +5,10 @@
 // library has no compiler-flag dependency.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -46,8 +48,20 @@ class ParallelPlan {
 };
 
 /// Fixed-size worker pool. Construction spawns `num_threads - 1` workers;
-/// the calling thread always participates in parallel_for, so
-/// ThreadPool(1) runs everything inline with zero synchronization cost.
+/// the calling thread always works on its own loops, so ThreadPool(1) runs
+/// everything inline with zero synchronization cost.
+///
+/// A loop is one descriptor on the caller's stack. The caller publishes it
+/// under the pool's mutex, and every thread then claims chunks from it with
+/// a fetch_add on its claim counter, so a chunk costs no lock. On Linux,
+/// when the affinity mask of the thread that constructs the pool holds at
+/// least `num_threads` CPUs, each worker is pinned to its own CPU of that
+/// mask, never the constructing thread's, and spins with a CPU pause hint
+/// for a bounded time after its last chunk before it parks; the caller
+/// likewise spins briefly while joined workers finish. On a smaller mask,
+/// or off Linux, workers stay on the constructing thread's mask and park at
+/// once, because a spinning thread that shares a CPU delays the thread it
+/// waits for.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -58,20 +72,25 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  /// Runs fn(begin..end) partitioned into contiguous static chunks, one per
-  /// thread (SpMV row blocks want static partitioning for locality).
+  /// Runs fn(begin..end) in contiguous static chunks of ceil(n /
+  /// num_threads) indices (SpMV row blocks want static partitioning for
+  /// locality); a short chunk comes first. Chunk k gets thread_id k
+  /// whichever thread claims it, the caller included.
   /// fn signature: void(index_t chunk_begin, index_t chunk_end, int thread_id).
   /// Blocks until all chunks complete. Exceptions thrown by fn propagate
-  /// to the caller (first one wins).
+  /// to the caller (first one wins). A multi-chunk loop started on this
+  /// pool from inside one of its chunks throws crsd::Error.
   void parallel_for(index_t begin, index_t end,
                     const std::function<void(index_t, index_t, int)>& fn);
 
   /// Dynamically-scheduled variant: [begin, end) is cut into contiguous
-  /// chunks of at most `chunk_size` indices and the chunks are claimed by
-  /// whichever thread is free, so ranges whose per-index cost varies (e.g.
-  /// CRSD segments of patterns with different diagonal counts) load-balance
-  /// instead of leaving threads idle behind one expensive static block.
-  /// Same fn signature and blocking/exception semantics as parallel_for.
+  /// chunks of at most `chunk_size` indices (a short chunk first) and the
+  /// chunks are claimed in ascending order by whichever thread is free, so
+  /// ranges whose per-index cost varies (e.g. CRSD segments of patterns
+  /// with different diagonal counts) load-balance instead of leaving
+  /// threads idle behind one expensive static block. fn gets the claiming
+  /// thread's id: 0 for the caller, i for worker i. Same blocking and
+  /// exception semantics as parallel_for.
   void parallel_for_chunked(index_t begin, index_t end, index_t chunk_size,
                             const std::function<void(index_t, index_t, int)>& fn);
 
@@ -82,13 +101,13 @@ class ThreadPool {
   /// like parallel_for (first one wins).
   void run_tasks(const std::vector<std::function<void()>>& tasks);
 
-  /// Submits one independent fire-and-forget task ahead of every queued
+  /// Submits one independent fire-and-forget task ahead of every unclaimed
   /// parallel_for / parallel_for_chunked chunk: the next thread to claim
-  /// work — a free worker, or a caller draining its own loop — runs urgent
-  /// tasks before any chunk, so a latency-sensitive submitter (the serving
-  /// engine's single requests beside a dispatch cycle's graph) is never
-  /// starved behind a long chunk train. Urgent tasks submitted together
-  /// run in FIFO order. On a
+  /// work — a free worker, or a thread between two chunks of a loop — runs
+  /// urgent tasks before any chunk, so a latency-sensitive submitter (the
+  /// serving engine's single requests beside a dispatch cycle's graph) is
+  /// never starved behind a long chunk train. Urgent tasks submitted
+  /// together run in FIFO order. On a
   /// 1-thread pool the task runs inline before returning (there are no
   /// workers). Exceptions thrown by the task are logged and swallowed —
   /// they never poison a concurrently running parallel_for. The task must
@@ -102,37 +121,40 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  struct Task {
-    const std::function<void(index_t, index_t, int)>* fn = nullptr;
-    index_t begin = 0;
-    index_t end = 0;
-    int thread_id = 0;
-  };
+  struct Loop;  ///< one published loop; lives on its caller's stack
+
+  /// Publishes `loop`, claims chunks beside the workers, retires the loop
+  /// once its claim counter passes the end and returns when every worker
+  /// that joined it has left.
+  void run_loop(Loop& loop);
+
+  /// Claims and runs chunks of `loop` until its claim counter passes the
+  /// end, running any queued urgent task before each claim. Returns how
+  /// many chunks ran without throwing.
+  std::uint64_t claim_chunks(Loop& loop, int thread_id);
 
   void worker_loop(int worker_id);
 
   /// Claims and runs one urgent task if any is queued; returns whether one
-  /// ran. Called at the top of every claim loop so urgent tasks preempt
-  /// pending chunks.
+  /// ran.
   bool run_one_urgent();
 
-  /// Wake exactly as many workers as there are newly queued tasks: a single
-  /// task wakes one worker instead of stampeding the whole pool (the graph
-  /// scheduler enqueues many single-node batches).
-  void wake_workers(std::size_t pushed);
-
   int num_threads_;
-  std::vector<std::thread> workers_;
+  bool spin_ = false;  ///< workers are pinned, so idle threads may spin
 
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  std::vector<Task> pending_;
-  std::deque<std::function<void()>> urgent_;  ///< FIFO, claimed before pending_
-  int outstanding_ = 0;
+  Loop* loop_ = nullptr;  ///< the published loop until it is retired
+  bool busy_ = false;  ///< a loop is published or a worker is still in it
+  /// Bumped under mu_ on every publish; idle workers poll it unlocked.
+  std::atomic<std::uint64_t> loop_seq_{0};
+  std::deque<std::function<void()>> urgent_;  ///< FIFO, claimed before chunks
+  /// urgent_.size(), written under mu_ and polled unlocked between chunks.
+  std::atomic<int> urgent_queued_{0};
   int urgent_outstanding_ = 0;  ///< queued + running urgent tasks
   bool stopping_ = false;
-  std::exception_ptr first_error_;
+  std::vector<std::thread> workers_;  ///< last: workers use every member
 };
 
 }  // namespace crsd

@@ -8,13 +8,20 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -243,6 +250,142 @@ TEST(ThreadPool, RunTasksPropagatesExceptions) {
     });
   }
   EXPECT_THROW(pool.run_tasks(tasks), Error);
+}
+
+#ifdef __linux__
+// The affinity masks of the pool's workers: a parallel_for of one chunk per
+// thread whose chunks each wait until all of them run, so every thread,
+// the caller included, runs exactly one.
+std::vector<cpu_set_t> worker_masks(ThreadPool& pool) {
+  const int n = pool.num_threads();
+  const auto caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable cv;
+  int running = 0;                // guarded by mu
+  std::vector<cpu_set_t> masks;   // guarded by mu
+  pool.parallel_for(0, n, [&](index_t, index_t, int) {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    EXPECT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+    std::unique_lock<std::mutex> lock(mu);
+    if (std::this_thread::get_id() != caller) masks.push_back(mask);
+    ++running;
+    cv.notify_all();
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return running == n; }));
+  });
+  return masks;
+}
+
+int only_cpu(const cpu_set_t& mask) {
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &mask)) return c;
+  }
+  return -1;
+}
+
+TEST(ThreadPool, WorkersRunOnTheirOwnCpus) {
+  cpu_set_t own;
+  CPU_ZERO(&own);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(own), &own), 0);
+  const int cpus = CPU_COUNT(&own);
+  if (cpus < 2) GTEST_SKIP() << "needs a mask of two CPUs or more";
+  const int n = std::min(cpus, 4);
+
+  // The pool keeps its workers off the CPU its constructor ran on; build it
+  // until this thread reads the same CPU before and after, so that CPU is
+  // known.
+  std::unique_ptr<ThreadPool> pool;
+  int ctor_cpu = -1;
+  for (int attempt = 0; attempt < 100 && !pool; ++attempt) {
+    const int before = sched_getcpu();
+    auto candidate = std::make_unique<ThreadPool>(n);
+    if (sched_getcpu() == before) {
+      pool = std::move(candidate);
+      ctor_cpu = before;
+    }
+  }
+  ASSERT_TRUE(pool);
+  const std::vector<cpu_set_t> pinned = worker_masks(*pool);
+  ASSERT_EQ(pinned.size(), static_cast<std::size_t>(n - 1));
+  std::set<int> used;
+  for (const cpu_set_t& mask : pinned) {
+    ASSERT_EQ(CPU_COUNT(&mask), 1);
+    const int cpu = only_cpu(mask);
+    EXPECT_TRUE(CPU_ISSET(cpu, &own)) << cpu;
+    EXPECT_NE(cpu, ctor_cpu);
+    used.insert(cpu);
+  }
+  EXPECT_EQ(used.size(), pinned.size());
+
+  // Built on a thread whose mask holds fewer CPUs than the pool has
+  // threads, the workers stay on that mask.
+  cpu_set_t narrow;
+  CPU_ZERO(&narrow);
+  for (int c = 0, left = n - 1; c < CPU_SETSIZE && left > 0; ++c) {
+    if (CPU_ISSET(c, &own)) {
+      CPU_SET(c, &narrow);
+      --left;
+    }
+  }
+  std::vector<cpu_set_t> unpinned;
+  std::thread helper([&] {
+    ASSERT_EQ(sched_setaffinity(0, sizeof(narrow), &narrow), 0);
+    ThreadPool small_mask_pool(n);
+    unpinned = worker_masks(small_mask_pool);
+  });
+  helper.join();
+  ASSERT_EQ(unpinned.size(), static_cast<std::size_t>(n - 1));
+  for (const cpu_set_t& mask : unpinned) {
+    EXPECT_TRUE(CPU_EQUAL(&mask, &narrow));
+  }
+}
+#endif
+
+// Claims run on a 64-bit counter: at the top of index_t the counter passes
+// the end by a chunk per thread without wrapping.
+TEST(ThreadPool, ClaimsNearIndexMaxCoverRangeOnce) {
+  constexpr index_t kMax = std::numeric_limits<index_t>::max();
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for_chunked(kMax - 1000, kMax, 7,
+                            [&](index_t b, index_t e, int) {
+                              ASSERT_LT(b, e);
+                              for (index_t i = b; i < e; ++i) {
+                                hits[static_cast<std::size_t>(
+                                    i - (kMax - 1000))]++;
+                              }
+                            });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+  std::vector<std::atomic<int>> tail(5);
+  pool.parallel_for(kMax - 5, kMax, [&](index_t b, index_t e, int) {
+    ASSERT_LT(b, e);
+    for (index_t i = b; i < e; ++i) {
+      tail[static_cast<std::size_t>(i - (kMax - 5))]++;
+    }
+  });
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].load(), 1) << i;
+  }
+}
+
+TEST(ThreadPool, NestedLoopOnOnePoolThrows) {
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.parallel_for_chunked(
+                   0, 30, 1,
+                   [&](index_t b, index_t, int) {
+                     if (b == 5) {
+                       pool.parallel_for(0, 100, [](index_t, index_t, int) {});
+                     }
+                   }),
+               Error);
+  std::atomic<int> total{0};
+  pool.parallel_for(0, 100, [&](index_t b, index_t e, int) {
+    total += static_cast<int>(e - b);
+  });
+  EXPECT_EQ(total.load(), 100);
 }
 
 TEST(Hash, StableAndCollisionFreeOnSmallSet) {
